@@ -157,9 +157,6 @@ class FormClass:
     def __post_init__(self):
         assert self.rep.disc() == self.disc
 
-    def is_principal(self) -> bool:
-        return self.rep.a == 1
-
 
 def class_of(f: QuadraticForm, group: Group = Group.SL2) -> FormClass:
     """The class of a primitive form (positive definite or square disc)."""

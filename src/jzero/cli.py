@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import hashlib
 import json
 import os
@@ -62,11 +63,25 @@ def parse_quadratic(text: str) -> forms.QuadraticForm:
         raise ConfigError(f"bad quadratic {text!r}: {e}")
 
 
+# Ladder values are used as floats in the fitted constants and ratios.
+_MAX_LADDER_X = decimal.Decimal(sys.float_info.max)
+
+
 def parse_ladder(text: str) -> list[int]:
-    try:
-        out = [int(float(p)) for p in text.split(",") if p.strip()]
-    except ValueError as e:
-        raise ConfigError(f"bad ladder {text!r}: {e}")
+    """Exact integers, also in scientific notation such as 1e9."""
+    out = []
+    for p in text.split(","):
+        if not p.strip():
+            continue
+        try:
+            x = decimal.Decimal(p)
+        except decimal.InvalidOperation:
+            raise ConfigError(f"bad ladder value {p.strip()!r}")
+        if not x.is_finite() or x != x.to_integral_value():
+            raise ConfigError(f"ladder value {p.strip()!r} is not an integer")
+        if x.copy_abs() > _MAX_LADDER_X:
+            raise ConfigError(f"ladder value {p.strip()!r} is too large")
+        out.append(int(x))
     if not out or any(b <= a for a, b in zip(out, out[1:])):
         raise ConfigError("ladder must be non-empty and strictly increasing")
     return out
@@ -86,6 +101,8 @@ def load_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"bad config line: {line!r}")
         k, v = line.split("=", 1)
+        if k.strip() in out:
+            raise ConfigError(f"config key {k.strip()!r} is given twice")
         out[k.strip()] = v.strip()
     return out
 
@@ -173,10 +190,6 @@ def emit_summary(args, payload: dict, outfile=None) -> dict:
     return doc
 
 
-def _policy(args) -> counting.HeightPolicy:
-    return counting.HeightPolicy(args.policy)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -227,8 +240,9 @@ def cmd_classgroup(args) -> int:
 
 def cmd_family(args) -> int:
     f = parse_quadratic(args.form)
-    fc = counting.count_Nf(f, args.ibound)
+    fc = counting.count_family(f, args.ibound)
     rows = []
+    primitive_points = 0
     from .counting import ellipse_points
     from .families import family_coefficients, family_invariant, FamilyPoint
 
@@ -236,6 +250,8 @@ def cmd_family(args) -> int:
         coeffs = family_coefficients(f, A, B)
         I, _ = family_invariant(FamilyPoint(f, A, B))
         F = forms.QuarticForm(*coeffs)
+        if F.content() == 1:
+            primitive_points += 1
         rows.append([A, B, *coeffs, I, forms.is_irreducible_Q(F)])
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
@@ -249,7 +265,7 @@ def cmd_family(args) -> int:
             "ibound": args.ibound,
             "points": fc.points,
             "irreducible_points": fc.irreducible_points,
-            "primitive_points": fc.primitive_points,
+            "primitive_points": primitive_points,
             "irreducible_orbits": fc.irreducible_orbits,
         },
         args.out,
@@ -257,35 +273,17 @@ def cmd_family(args) -> int:
     return EXIT_OK
 
 
-def _run_ladder(args, kind: str) -> int:
-    ladder = parse_ladder(args.ladder)
-    policy = _policy(args)
-    reports = []
-    counter = counting.count_N if kind == "N" else counting.count_M
-    for X in ladder:
-        if kind == "N":
-            reports.append(counter(X, policy, workers=args.threads))
-        else:
-            reports.append(counter(X, policy))
-    lad = counting.LadderReport(
-        kind,
-        policy.mode,
-        reports,
-        *(counting.fit_ladder(reports) if len(reports) >= 2 else (0.0, 0.0)),
-        counting.C1_STATED if kind == "N" else counting.C2_STATED,
+def cmd_count(args) -> int:
+    lad = counting.ladder_report(
+        "N" if args.command == "count-n" else "M",
+        parse_ladder(args.ladder),
+        counting.HeightPolicy(args.policy),
+        args.threads,
     )
     if args.csv:
-        counting.write_count_csv(args.csv, reports)
+        counting.write_count_csv(args.csv, lad.reports)
     emit_summary(args, counting.ladder_summary_json(lad), args.out)
     return EXIT_OK
-
-
-def cmd_count_n(args) -> int:
-    return _run_ladder(args, "N")
-
-
-def cmd_count_m(args) -> int:
-    return _run_ladder(args, "M")
 
 
 def cmd_verify(args) -> int:
@@ -385,12 +383,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="write per-point CSV here")
     p.set_defaults(func=cmd_family)
 
-    for name, fn in (("count-n", cmd_count_n), ("count-m", cmd_count_m)):
+    for name in ("count-n", "count-m"):
         p = add(name, f"orbit counts over an X ladder ({name})")
         p.add_argument("--ladder", required=True, help="comma separated X values")
         p.add_argument("--policy", choices=["disc", "absI"], default="disc")
         p.add_argument("--csv", help="write X,D,points,orbits CSV here")
-        p.set_defaults(func=fn)
+        p.set_defaults(func=cmd_count)
 
     p = add("verify", "run a named verification suite")
     p.add_argument(
@@ -422,6 +420,8 @@ def main(argv=None) -> int:
         apply_config(ap, cfg)
         args = ap.parse_args(argv)
         check_config_keys(ap, cfg, args.command)
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be at least 1, got {args.threads}")
         return args.func(args)
     except ConfigError as e:
         print(f"configuration error: {e}", file=sys.stderr)

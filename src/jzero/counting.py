@@ -12,29 +12,32 @@ enumerated row by row with exact integer interval endpoints.  Orbits are
 counted by canonicalizing each point under the finite induced symmetry
 group of f - never by dividing through a constant cover multiplicity,
 which fails on symmetric points and (for reducible divisors) misses the
-label collapsing.  The formula-vs-discovered comparison is reported.
+label collapsing.  Families where the two disagree are reported as cover
+findings.
 
-The iteration range over D uses the sharp height lower bound
-I >= 3D (D = 3 mod 4) and I >= 3D/4 (D = 0 mod 4): the scaled invariant
-I/(3D) is integral for odd-middle classes but genuinely quarter-integral
-for even ones, so D runs to 4Z/3.
+The iteration range over D uses the valid (not sharp) height lower bound
+I >= 3D (D = 3 mod 4) and I >= 3D/4 (D = 0 mod 4), so D runs to 4Z/3.
+Measured over every family point with D < 300, the least I/D is 12 for
+D = 3 mod 4 and 3/4 for D = 0 mod 4.
 
 M(X): same counts for reducible Hessian divisors (square discriminant
 n^2).  Families are indexed by unit labels a mod n merged under both
 a -> a^(-1) (GL2) and a -> -a^(-1) (the divisor is only defined up to
 sign), with the point sets cut by |I| <= Z.
+
+Both counts run one kernel, `count_family`, over the families of each
+discriminant (N) or modulus (M), through one aggregator.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterator, Optional
 
 from .classes import (
+    Group,
     class_of,
     cover_multiplicity,
     enumerate_reduced,
@@ -51,17 +54,17 @@ from .forms import QuadraticForm, QuarticForm, is_irreducible_Q
 
 
 def icbrt(n: int) -> int:
-    """Floor integer cube root."""
+    """Floor integer cube root, by integer Newton steps from above."""
     if n < 0:
         raise ValueError("negative")
     if n == 0:
         return 0
-    r = int(round(n ** (1.0 / 3.0)))
-    while r**3 > n:
-        r -= 1
-    while (r + 1) ** 3 <= n:
-        r += 1
-    return r
+    r = 1 << -(-n.bit_length() // 3)  # r^3 >= 2^bit_length > n
+    while True:
+        s = (2 * r + n // (r * r)) // 3
+        if s >= r:
+            return r
+        r = s
 
 
 @dataclass(frozen=True)
@@ -126,53 +129,105 @@ def ellipse_points(f: QuadraticForm, ibound: int) -> Iterator[tuple[int, int]]:
                 yield (A, B)
 
 
+# ---------------------------------------------------------------------------
+# Per-family point enumeration (reducible, square discriminant divisor)
+# ---------------------------------------------------------------------------
+
+
+def merged_square_labels(n: int) -> list[int]:
+    """Unit labels mod n up to a -> a^(-1) and a -> -a^(-1) (one family per
+    orbit: the divisor class is only defined up to GL2-equivalence and sign)."""
+    if n == 1:
+        return [1]
+    seen = set()
+    out = []
+    for a in range(1, n):
+        if math.gcd(a, n) != 1 or a in seen:
+            continue
+        inv = square_label_inverse(a, n)
+        neg = square_label_negation(a, n)
+        orbit = {a, inv, neg, square_label_negation(inv, n)}
+        seen |= orbit
+        out.append(min(orbit))
+    return out
+
+
+def square_family_points(a: int, n: int, ibound: int) -> list[tuple[int, int]]:
+    """Nonzero lattice points of the family of a x^2 + n xy with |I| <= ibound.
+
+    With the B-modulus d from the lattice, |I| = 3 n^2 |B (aB - 4nA)| / (4a^3)
+    and both integer factors are nonzero, so |B| is bounded and A runs over
+    an interval for each B.
+    """
+    f = QuadraticForm(a, n, 0)
+    L = lattice_Lfa(f)
+    assert L.d1 == 1 and L.k == 0
+    d = L.d2
+    K = 4 * a**3 * ibound
+    out = []
+    Bpp = 1
+    while 3 * n * n * d * Bpp <= K:
+        for sgn in (1, -1):
+            B = d * Bpp * sgn
+            lim = K // (3 * n * n * d * Bpp)
+            t0 = a * B
+            lo = -((lim - t0) // (4 * n))
+            hi = (t0 + lim) // (4 * n)
+            for A in range(lo, hi + 1):
+                w = t0 - 4 * n * A
+                if w == 0:
+                    continue
+                if 3 * n * n * abs(B) * abs(w) <= K:
+                    out.append((A, B))
+        Bpp += 1
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The family kernel and the N(X) / M(X) aggregator
+# ---------------------------------------------------------------------------
+
+
 @dataclass
 class FamilyCount:
     points: int = 0
     irreducible_points: int = 0
-    primitive_points: int = 0
     irreducible_orbits: int = 0
-    formula_orbits: Fraction = Fraction(0)  # points / n_f, for comparison
+    max_coeff: int = 0  # over orbits: the least max |coefficient| of a member
+    n_f: Optional[int] = None  # cover multiplicity, when there are irreducible points
 
 
-def count_Nf(
-    f: QuadraticForm, ibound: int, classify_points: bool = True
-) -> FamilyCount:
-    """Exact point/orbit tallies for one positive definite family."""
+def count_family(f: QuadraticForm, Z: int) -> FamilyCount:
+    """Exact point, irreducible-point and orbit tallies for the family of f
+    with |I| <= Z: a positive definite f, or a x^2 + n xy (disc n^2)."""
+    if f.disc() < 0:
+        points = ellipse_points(f, Z)
+    elif f.c == 0 and f.b > 0:
+        points = square_family_points(f.a, f.b, Z)
+    else:
+        raise ValueError(f"no family point set for the divisor {f}")
     out = FamilyCount()
     action: Optional[FiberAction] = None
-    canon_irr: set = set()
-    n_f = cover_multiplicity(class_of(f, _group_gl2())) if classify_points else 1
-    for (A, B) in ellipse_points(f, ibound):
+    canon: set = set()
+    for (A, B) in points:
         out.points += 1
-        if not classify_points:
-            continue
-        coeffs = family_coefficients(f, A, B)
-        F = QuarticForm(*coeffs)
-        g = F.content()
-        if g == 1:
-            out.primitive_points += 1
+        F = QuarticForm(*family_coefficients(f, A, B))
         if F.a4 == 0 or not is_irreducible_Q(F):
             continue
         out.irreducible_points += 1
         if action is None:
             action = fiber_action(f)
-        canon_irr.add(action.canonical(A, B))
-    out.irreducible_orbits = len(canon_irr)
-    if classify_points and n_f:
-        out.formula_orbits = Fraction(out.irreducible_points, n_f)
+        canon.add(action.canonical(A, B))
+    out.irreducible_orbits = len(canon)
+    for c in canon:
+        best = min(
+            max(abs(x) for x in family_coefficients(f, A2, B2))
+            for (A2, B2) in action.orbit(*c)
+        )
+        out.max_coeff = max(out.max_coeff, best)
+    if out.irreducible_points:
+        out.n_f = cover_multiplicity(class_of(f, Group.GL2))
     return out
-
-
-def _group_gl2():
-    from .classes import Group
-
-    return Group.GL2
-
-
-# ---------------------------------------------------------------------------
-# Aggregation: N(X)
-# ---------------------------------------------------------------------------
 
 
 @dataclass
@@ -216,16 +271,61 @@ def _admissible_discs(Z: int) -> list[int]:
     return out
 
 
-def _count_disc_worker(args: tuple[int, int]) -> tuple[int, int, int, int, list[str], int]:
-    """Per-discriminant work unit (picklable for process pools)."""
-    D, Z = args
-    rep = CountReport(0, "disc", Z, 0, 0, 0)
-    pts = orbs = 0
-    for f in _gl2_reps(D):
-        fc = _count_family(f, Z, rep)
+def _count_unit(job: tuple[str, int, int]) -> tuple[int, int, int, int, list[str], int]:
+    """All families of one discriminant D ("N") or modulus n ("M"), as
+    (disc, points, orbits, irreducible points, cover findings, max_coeff);
+    picklable for process pools."""
+    kind, u, Z = job
+    if kind == "N":
+        disc, fams = u, _gl2_reps(u)
+    else:
+        disc, fams = u * u, [QuadraticForm(a, u, 0) for a in merged_square_labels(u)]
+    pts = orbs = irr = mc = 0
+    findings = []
+    for f in fams:
+        fc = count_family(f, Z)
         pts += fc.points
         orbs += fc.irreducible_orbits
-    return (D, pts, orbs, rep.irreducible_points, rep.cover_findings, rep.max_coeff)
+        irr += fc.irreducible_points
+        mc = max(mc, fc.max_coeff)
+        if fc.n_f is not None and fc.irreducible_points != fc.n_f * fc.irreducible_orbits:
+            findings.append(
+                f"f={f}: {fc.irreducible_points} irreducible points over "
+                f"{fc.irreducible_orbits} orbits, n_f={fc.n_f}"
+            )
+    return (disc, pts, orbs, irr, findings, mc)
+
+
+def _count(kind: str, X: int, policy: HeightPolicy, workers: int) -> CountReport:
+    Z = policy.ibound(X)
+    if kind == "N":
+        units = _admissible_discs(Z)
+        stated = C1_STATED
+    else:
+        units = range(1, math.isqrt(4 * Z // 3) + 2)
+        stated = C2_STATED
+    jobs = [(kind, u, Z) for u in units]
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_count_unit, jobs, chunksize=16))
+    else:
+        results = [_count_unit(job) for job in jobs]
+    rep = CountReport(X, policy.mode, Z, 0, 0, 0)
+    for (disc, pts, orbs, irr, findings, mc) in results:
+        if pts:
+            rep.per_D[disc] = (pts, orbs)
+        rep.raw_points += pts
+        rep.irreducible_orbits += orbs
+        rep.irreducible_points += irr
+        rep.cover_findings.extend(findings)
+        rep.max_coeff = max(rep.max_coeff, mc)
+    rep.stated_constant = stated
+    denom = X ** (1 / 3) * math.log(X) if X > 1 else 1.0
+    rep.ratio = rep.irreducible_orbits / (stated * denom)
+    assert rep.check_sums()
+    return rep
 
 
 def count_N(
@@ -233,168 +333,15 @@ def count_N(
 ) -> CountReport:
     """Exact number of irreducible orbit classes with positive definite
     Hessian divisor and height at most X under the policy."""
-    Z = policy.ibound(X)
-    rep = CountReport(X, policy.mode, Z, 0, 0, 0)
-    discs = _admissible_discs(Z)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_count_disc_worker, [(D, Z) for D in discs], chunksize=16))
-    else:
-        results = [_count_disc_worker((D, Z)) for D in discs]
-    for (D, pts, orbs, irr, findings, mc) in sorted(results):
-        if pts:
-            rep.per_D[D] = (pts, orbs)
-        rep.raw_points += pts
-        rep.irreducible_orbits += orbs
-        rep.irreducible_points += irr
-        rep.cover_findings.extend(findings)
-        rep.max_coeff = max(rep.max_coeff, mc)
-    rep.stated_constant = C1_STATED
-    denom = X ** (1 / 3) * math.log(X) if X > 1 else 1.0
-    rep.ratio = rep.irreducible_orbits / (C1_STATED * denom)
-    assert rep.check_sums()
-    return rep
+    return _count("N", X, policy, workers)
 
 
-def _count_family(f: QuadraticForm, Z: int, rep: CountReport) -> FamilyCount:
-    out = FamilyCount()
-    action: Optional[FiberAction] = None
-    canon: set = set()
-    n_f = None
-    for (A, B) in ellipse_points(f, Z):
-        out.points += 1
-        coeffs = family_coefficients(f, A, B)
-        F = QuarticForm(*coeffs)
-        if F.a4 == 0 or not is_irreducible_Q(F):
-            continue
-        out.irreducible_points += 1
-        if action is None:
-            action = fiber_action(f)
-        canon.add(action.canonical(A, B))
-    out.irreducible_orbits = len(canon)
-    for c in canon:
-        best = min(
-            max(abs(x) for x in family_coefficients(f, A2, B2))
-            for (A2, B2) in action.orbit(*c)
-        )
-        rep.max_coeff = max(rep.max_coeff, best)
-    if out.irreducible_points:
-        n_f = cover_multiplicity(class_of(f, _group_gl2()))
-        if out.irreducible_points != n_f * out.irreducible_orbits:
-            rep.cover_findings.append(
-                f"f={f}: {out.irreducible_points} irreducible points over "
-                f"{out.irreducible_orbits} orbits, n_f={n_f}"
-            )
-        rep.irreducible_points += out.irreducible_points
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Aggregation: M(X) over reducible (square discriminant) divisors
-# ---------------------------------------------------------------------------
-
-
-def merged_square_labels(n: int) -> list[int]:
-    """Unit labels mod n up to a -> a^(-1) and a -> -a^(-1) (one family per
-    orbit: the divisor class is only defined up to GL2-equivalence and sign)."""
-    if n == 1:
-        return [1]
-    seen = set()
-    out = []
-    for a in range(1, n):
-        if math.gcd(a, n) != 1 or a in seen:
-            continue
-        inv = square_label_inverse(a, n)
-        neg = square_label_negation(a, n)
-        orbit = {a, inv, neg, square_label_negation(inv, n)}
-        seen |= orbit
-        out.append(min(orbit))
-    return out
-
-
-def square_family_points(a: int, n: int, ibound: int) -> list[tuple[int, int]]:
-    """Nonzero lattice points of the family of a x^2 + n xy with |I| <= ibound.
-
-    With the B-modulus d from the lattice, |I| = 3 n^2 |B (aB - 4nA)| / (4a^3)
-    and both integer factors are nonzero, so |B| is bounded and A runs over
-    an interval for each B.
-    """
-    f = QuadraticForm(a, n, 0)
-    L = lattice_Lfa(f)
-    assert L.d1 == 1 and L.k == 0
-    d = L.d2
-    K = 4 * a**3 * ibound
-    out = []
-    Bpp = 1
-    while 3 * n * n * d * Bpp <= K:
-        for sgn in (1, -1):
-            B = d * Bpp * sgn
-            lim = K // (3 * n * n * d * Bpp)
-            t0 = a * B
-            lo = math.ceil((t0 - lim) / (4 * n))
-            hi = math.floor((t0 + lim) / (4 * n))
-            for A in range(lo, hi + 1):
-                w = t0 - 4 * n * A
-                if w == 0:
-                    continue
-                if 3 * n * n * abs(B) * abs(w) <= K:
-                    out.append((A, B))
-        Bpp += 1
-    return out
-
-
-def count_M(X: int, policy: HeightPolicy = DISC_POLICY) -> CountReport:
+def count_M(
+    X: int, policy: HeightPolicy = DISC_POLICY, workers: int = 1
+) -> CountReport:
     """Exact number of irreducible orbit classes with reducible Hessian
     divisor and |I|-height at most the policy bound."""
-    Z = policy.ibound(X)
-    rep = CountReport(X, policy.mode, Z, 0, 0, 0)
-    nmax = math.isqrt(4 * Z // 3) + 1
-    for n in range(1, nmax + 1):
-        pts = orbs = 0
-        for a in merged_square_labels(n):
-            f = QuadraticForm(a, n, 0)
-            # skip families whose minimal |I| already exceeds Z
-            action = None
-            canon: set = set()
-            fam_pts = fam_irr = 0
-            for (A, B) in square_family_points(a, n, Z):
-                fam_pts += 1
-                coeffs = family_coefficients(f, A, B)
-                F = QuarticForm(*coeffs)
-                if F.a4 == 0 or not is_irreducible_Q(F):
-                    continue
-                fam_irr += 1
-                if action is None:
-                    action = fiber_action(f)
-                canon.add(action.canonical(A, B))
-            for c in canon:
-                best = min(
-                    max(abs(x) for x in family_coefficients(f, A2, B2))
-                    for (A2, B2) in action.orbit(*c)
-                )
-                rep.max_coeff = max(rep.max_coeff, best)
-            pts += fam_pts
-            orbs += len(canon)
-            rep.irreducible_points += fam_irr
-            if fam_irr:
-                n_f = cover_multiplicity(class_of(f, _group_gl2()))
-                if fam_irr != n_f * len(canon):
-                    rep.cover_findings.append(
-                        f"f=({a},{n},0): {fam_irr} irreducible points over "
-                        f"{len(canon)} orbits, n_f={n_f}"
-                    )
-        if pts:
-            rep.per_D[n * n] = (pts, orbs)
-        rep.raw_points += pts
-        rep.irreducible_orbits += orbs
-    rep.stated_constant = C2_STATED
-    denom = X ** (1 / 3) * math.log(X) if X > 1 else 1.0
-    rep.ratio = rep.irreducible_orbits / (C2_STATED * denom)
-    assert rep.check_sums()
-    return rep
-
+    return _count("M", X, policy, workers)
 
 # ---------------------------------------------------------------------------
 # The hyperbola-count decomposition for one reducible family
@@ -635,10 +582,10 @@ def fit_ladder(reports: list[CountReport]) -> tuple[float, float]:
 
 
 def ladder_report(
-    kind: str, ladder: list[int], policy: HeightPolicy = DISC_POLICY
+    kind: str, ladder: list[int], policy: HeightPolicy = DISC_POLICY, workers: int = 1
 ) -> LadderReport:
     counter = count_N if kind == "N" else count_M
-    reports = [counter(X, policy) for X in ladder]
+    reports = [counter(X, policy, workers) for X in ladder]
     a, b = fit_ladder(reports) if len(reports) >= 2 else (0.0, 0.0)
     return LadderReport(
         kind,

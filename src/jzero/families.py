@@ -26,7 +26,6 @@ J = 0 quartic by an outer quadratic h composed with a primitive pair.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -163,12 +162,6 @@ def mf_unscaled(f: QuadraticForm) -> tuple[tuple[int, int], tuple[int, int]]:
     the involution fixing the family."""
     a, b, c = f.coeffs()
     return ((b, 2 * c), (-2 * a, -b))
-
-
-def mf_matrix(f: QuadraticForm) -> tuple[tuple[float, float], tuple[float, float]]:
-    a, b, c = f.coeffs()
-    s = math.sqrt(abs(f.disc()))
-    return ((b / s, 2 * c / s), (-2 * a / s, -b / s))
 
 
 # ---------------------------------------------------------------------------
@@ -391,21 +384,24 @@ def unit_automorphisms(f: QuadraticForm) -> list[Unimodular]:
 class FiberAction:
     """The finite group induced on (A, B) by {T: f_T = +-f}.
 
-    Maps are exact rational 2x2 matrices preserving the coefficient lattice;
-    the generic orbit size equals the cover multiplicity n_f, while special
-    points can have smaller orbits.
+    Maps are exact rational 2x2 matrices preserving the coefficient lattice,
+    stored as integer numerators (m11, m12, m21, m22) over the common
+    denominator `den`; the generic orbit size equals the cover multiplicity
+    n_f, while special points can have smaller orbits.
     """
 
     f: QuadraticForm
-    maps: tuple[tuple[Fraction, Fraction, Fraction, Fraction], ...]
+    den: int
+    maps: tuple[tuple[int, int, int, int], ...]
 
     def orbit(self, A: int, B: int) -> list[tuple[int, int]]:
+        den = self.den
         out = set()
         for (m11, m12, m21, m22) in self.maps:
-            x = m11 * A + m12 * B
-            y = m21 * A + m22 * B
-            assert x.denominator == 1 and y.denominator == 1, (self.f, A, B)
-            out.add((int(x), int(y)))
+            x, rx = divmod(m11 * A + m12 * B, den)
+            y, ry = divmod(m21 * A + m22 * B, den)
+            assert rx == 0 and ry == 0, (self.f, A, B)
+            out.add((x, y))
         return sorted(out)
 
     def orbit_size(self, A: int, B: int) -> int:
@@ -428,19 +424,18 @@ def fiber_action(f: QuadraticForm) -> FiberAction:
     v1, v2 = (L.d1, L.k), (0, L.d2)
     F1 = family_member(FamilyPoint(f, *v1))
     F2 = family_member(FamilyPoint(f, *v2))
-    det = Fraction(L.d1 * L.d2)
     maps = set()
     for T in signed_automorphisms(f):
         i1 = act_quartic(F1, T)
         i2 = act_quartic(F2, T)
         a1, b1 = i1.a4, i1.a3
         a2, b2 = i2.a4, i2.a3
-        # M = [img1 img2] * [[d1,0],[k,d2]]^-1
-        m11 = Fraction(a1 * L.d2 - a2 * L.k, L.d1 * L.d2)
-        m12 = Fraction(a2, L.d2)
-        m21 = Fraction(b1 * L.d2 - b2 * L.k, L.d1 * L.d2)
-        m22 = Fraction(b2, L.d2)
+        # M = [img1 img2] * [[d1,0],[k,d2]]^-1, over the denominator d1 d2
+        m11 = a1 * L.d2 - a2 * L.k
+        m12 = a2 * L.d1
+        m21 = b1 * L.d2 - b2 * L.k
+        m22 = b2 * L.d1
         # sanity: images are family points of f again
         assert member_of(f, i1) is not None and member_of(f, i2) is not None
         maps.add((m11, m12, m21, m22))
-    return FiberAction(f, tuple(sorted(maps)))
+    return FiberAction(f, L.d1 * L.d2, tuple(sorted(maps)))

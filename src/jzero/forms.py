@@ -150,9 +150,6 @@ class Unimodular:
         s = self.det()  # +-1, so the adjugate divided by s is integral
         return Unimodular(d * s, -b * s, -c * s, a * s)
 
-    def apply(self, x: int, y: int) -> tuple[int, int]:
-        return (self.t1 * x + self.t2 * y, self.t3 * x + self.t4 * y)
-
 
 IDENTITY = Unimodular(1, 0, 0, 1)
 
@@ -517,9 +514,6 @@ class LinearFactor:
     s: int
     r: int
 
-    def as_poly(self) -> tuple[int, int]:
-        return (self.s, -self.r)
-
 
 @dataclass
 class QuarticFactorization:
@@ -705,8 +699,3 @@ def is_irreducible_Q(F: QuarticForm) -> bool:
         raise ValueError("zero form")
     fac = quartic_factorization(F)
     return fac.is_irreducible()
-
-
-def irreducibility_search_bound(F: QuarticForm) -> int:
-    """The coefficient bound the quadratic-factor search is certified under."""
-    return _mignotte_bound(list(F.primitive_part().coeffs()))

@@ -36,6 +36,8 @@ from typing import Optional
 
 from .classes import (
     FormClass,
+    _ext_gcd,
+    _prime_divisors,
     class_of,
     class_pow,
     inverse,
@@ -149,13 +151,6 @@ def canonical_fp(f: QuadraticForm, prime_bound: int = 100000) -> CanonicalFp:
     g1 = act_quadratic(g1, shear)
     assert g1 == QuadraticForm(p, m, n), (f, g1, (p, m, n))
     return CanonicalFp(p, m, n, T)
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    if b == 0:
-        return (abs(a), 1 if a >= 0 else -1, 0)
-    g, x, y = _ext_gcd(b, a % b)
-    return (g, y, x - (a // b) * y)
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +318,9 @@ def eta_of(f: QuadraticForm) -> QuadraticForm:
 
 def xi_of(f: QuadraticForm) -> FormClass:
     """The class of the form carrying eta(f)/a on {b x = 2c y (mod 2a)}."""
-    c = canonical_fp(f)
-    a, b, cc = c.p, c.m, c.n
+    eta = eta_of(f)
+    a, b, cc = eta.a, -eta.b // 2, eta.c // 4
     Lp = SubLattice.from_congruences([(b, -2 * cc, 2 * a)])
-    eta = QuadraticForm(a, -2 * b, 4 * cc)
     raw = restrict_to_lattice(eta, Lp)
     if any(co % a != 0 for co in raw.coeffs()):
         raise AssertionError(f"eta not divisible by {a} on {Lp}")
@@ -376,20 +370,6 @@ def _singular_line(g: QuadraticForm, p: int) -> tuple[int, int, int]:
     if b % p or (2 * c) % p:
         return (b % p, 2 * c % p, p)
     raise AssertionError(f"{g} vanishes identically mod {p}")
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # ---------------------------------------------------------------------------

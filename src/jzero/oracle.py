@@ -25,6 +25,7 @@ import numpy as np
 
 from .classes import (
     FormClass,
+    Group,
     class_of,
     canonical_square_label,
     compose,
@@ -278,7 +279,7 @@ def _check_fiber_sizes(rep: BruteForceReport, fiber_counts) -> None:
         g = QuadraticForm(*key.divisor)
         action = _cached_action(g)
         size = action.orbit_size(*key.point)
-        n_f = cover_multiplicity(class_of(g, _gl2()))
+        n_f = cover_multiplicity(class_of(g, Group.GL2))
         if n_f % size != 0:
             rep.fiber_findings.append(
                 f"fiber size {size} does not divide n_f={n_f} at {key}"
@@ -287,12 +288,6 @@ def _check_fiber_sizes(rep: BruteForceReport, fiber_counts) -> None:
             rep.fiber_findings.append(
                 f"fiber size {size} < n_f={n_f} at divisor {g}, point {key.point}"
             )
-
-
-def _gl2():
-    from .classes import Group
-
-    return Group.GL2
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
+from .counting import icbrt
 from .families import jacobian, member_of, mf_unscaled
 from .forms import (
     LinearFactor,
@@ -287,7 +288,7 @@ def square_disc_points(f: QuadraticForm, X: int) -> list[CurvePoint]:
     s, t = square_part_split(D)
     nu = nu_of(f).rep
     m_odd = canonical_fp(f).m % 2 == 1
-    ibound = _icbrt(27 * X // 4)
+    ibound = icbrt(27 * X // 4)
     script_max = ibound // (3 * D)
     nu_max = script_max // 4 if m_odd else 4 * script_max
     out = []
@@ -309,14 +310,3 @@ def square_disc_points(f: QuadraticForm, X: int) -> list[CurvePoint]:
 
 def _xmax(nu: QuadraticForm, bound: int) -> int:
     return math.isqrt(4 * nu.c * bound // (4 * nu.a * nu.c - nu.b * nu.b)) + 1
-
-
-def _icbrt(n: int) -> int:
-    if n < 0:
-        return -_icbrt(-n)
-    r = round(n ** (1 / 3)) if n < 2**40 else int(n ** (1 / 3))
-    while r**3 > n:
-        r -= 1
-    while (r + 1) ** 3 <= n:
-        r += 1
-    return r

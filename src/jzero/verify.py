@@ -382,23 +382,9 @@ def _odd_squarefree_unit_divisors(D: int) -> list[int]:
     for m in range(3, D + 1, 2):
         if D % m:
             continue
-        if any(m % (p * p) == 0 or D % (p * p) == 0 for p in _prime_divs(m)):
+        if any(m % (p * p) == 0 or D % (p * p) == 0 for p in classes._prime_divisors(m)):
             continue
         out.append(m)
-    return out
-
-
-def _prime_divs(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
     return out
 
 

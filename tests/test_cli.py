@@ -1,15 +1,27 @@
 """CLI surface tests: syntax, outputs, exit codes, reproducibility."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
+
+import jzero
+from jzero.cli import ConfigError, main, parse_ladder
+
+# The CLI subprocess imports the same jzero as these tests.
+SRC = str(Path(list(jzero.__path__)[0]).resolve().parent)
 
 
 def run_cli(*args):
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "jzero.cli", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -145,3 +157,46 @@ def test_unknown_config_key_exit_code(tmp_path):
 def test_bad_jzero_threads_exit_code(monkeypatch):
     monkeypatch.setenv("JZERO_THREADS", "two")
     assert_config_error(run_cli("invariants", "0,1,0,-1,0"))
+
+
+def test_count_m_threads_match_single_process():
+    docs = []
+    for threads in ("1", "2"):
+        out = run_cli("--threads", threads, "count-m", "--ladder", "100000,1000000")
+        assert out.returncode == 0, out.stderr
+        doc = json.loads(out.stdout)
+        for key in ("config", "config_hash", "timestamp"):
+            doc.pop(key)
+        docs.append(doc)
+    assert docs[0] == docs[1]
+
+
+def test_parse_ladder_exact():
+    assert parse_ladder("10000000000000000001") == [10**19 + 1]
+    assert parse_ladder("1e9,2.5e9") == [10**9, 25 * 10**8]
+
+
+@pytest.mark.parametrize("text", ["1e400", "1.5", "inf", "nan", "1e9x"])
+def test_parse_ladder_rejects(text):
+    with pytest.raises(ConfigError):
+        parse_ladder(text)
+
+
+def test_huge_ladder_value_exit_code(capsys):
+    assert main(["count-n", "--ladder", "1e400"]) == 2
+    assert "configuration error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_exit_code(threads, capsys):
+    assert main(["--threads", threads, "count-n", "--ladder", "1000"]) == 2
+    captured = capsys.readouterr()
+    assert "configuration error:" in captured.err and captured.out == ""
+
+
+def test_repeated_config_key_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 1\nseed = 2\n")
+    assert main(["--config", str(cfg), "invariants", "0,1,0,-1,0"]) == 2
+    captured = capsys.readouterr()
+    assert "configuration error:" in captured.err and captured.out == ""

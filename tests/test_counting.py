@@ -7,9 +7,9 @@ from jzero.classes import enumerate_reduced
 from jzero.counting import (
     ABS_I_POLICY,
     DISC_POLICY,
+    count_family,
     count_M,
     count_N,
-    count_Nf,
     ellipse_points,
     fit_ladder,
     icbrt,
@@ -25,7 +25,8 @@ from jzero.forms import QuadraticForm, QuarticForm, invariants
 
 
 def test_icbrt():
-    for n in (0, 1, 7, 8, 9, 26, 27, 28, 10**12, 10**12 + 1):
+    big = (10**100 + 1) ** 3
+    for n in (0, 1, 7, 8, 9, 26, 27, 28, 10**12, 10**12 + 1, 10**400, big - 1, big, big + 1):
         r = icbrt(n)
         assert r**3 <= n < (r + 1) ** 3
 
@@ -42,7 +43,7 @@ def test_policies():
 def test_ellipse_points_example():
     pts = list(ellipse_points(QuadraticForm(1, 0, 1), 100))
     assert len(pts) == 28
-    fc = count_Nf(QuadraticForm(1, 0, 1), 100)
+    fc = count_family(QuadraticForm(1, 0, 1), 100)
     assert fc.points == 28
     assert fc.irreducible_points == 12 and fc.irreducible_orbits == 6
     assert not list(ellipse_points(QuadraticForm(1, 1, 1), 1))
@@ -170,10 +171,14 @@ def test_fit_and_csv(tmp_path):
 
 
 def test_workers_deterministic():
-    r1 = count_N(10**7)
-    r2 = count_N(10**7, workers=2)
-    assert r1.per_D == r2.per_D
-    assert r1.irreducible_orbits == r2.irreducible_orbits
+    for counter in (count_N, count_M):
+        r1 = counter(10**7)
+        r2 = counter(10**7, workers=2)
+        assert r1.per_D == r2.per_D
+        assert r1.irreducible_orbits == r2.irreducible_orbits
+        assert r1.irreducible_points == r2.irreducible_points
+        assert r1.cover_findings == r2.cover_findings
+        assert r1.max_coeff == r2.max_coeff
 
 
 def test_imprimitive_scaling_consistency():
