@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 import numpy as np
 
-from .forms import IDENTITY, QuadraticForm, Unimodular, act_quadratic
+from .forms import IDENTITY, QuadraticForm, Unimodular, _divisors, act_quadratic
 
 
 class Group(Enum):
@@ -558,12 +558,8 @@ def _solve_value_square_disc(f: QuadraticForm, t: int) -> list[tuple[int, int]]:
 
 
 def _signed_divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            out.extend((d, -d, n // d, -(n // d)))
-    return sorted(set(out))
+    ds = _divisors(n)
+    return [-d for d in reversed(ds)] + ds
 
 
 def _bilinear(f: QuadraticForm, v: tuple[int, int], w: tuple[int, int]) -> int:

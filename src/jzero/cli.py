@@ -14,6 +14,11 @@ and its value becomes that option's default.  Precedence: command line >
 config file > JZERO_THREADS > built-in default.  A key that is not such
 an option is a configuration error.
 
+--threads takes 1 to 64 worker processes (``counting.MAX_WORKERS``); any
+other value is a configuration error.  The configuration hash leaves out
+the output paths --out and --csv, so one run written to two files has one
+hash.
+
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 resource exhaustion.
 """
@@ -165,7 +170,8 @@ def check_config_keys(ap: argparse.ArgumentParser, cfg: dict, command: str) -> N
 
 
 def config_hash(cfg: dict) -> str:
-    clean = {k: v for k, v in cfg.items() if k != "timestamp"}
+    """Hash of the run's configuration; the output paths are not part of it."""
+    clean = {k: v for k, v in cfg.items() if k not in ("timestamp", "out", "csv")}
     return hashlib.sha256(
         json.dumps(clean, sort_keys=True).encode()
     ).hexdigest()[:16]
@@ -243,10 +249,9 @@ def cmd_family(args) -> int:
     fc = counting.count_family(f, args.ibound)
     rows = []
     primitive_points = 0
-    from .counting import ellipse_points
     from .families import family_coefficients, family_invariant, FamilyPoint
 
-    for (A, B) in ellipse_points(f, args.ibound):
+    for (A, B) in counting.family_points(f, args.ibound):
         coeffs = family_coefficients(f, A, B)
         I, _ = family_invariant(FamilyPoint(f, A, B))
         F = forms.QuarticForm(*coeffs)
@@ -420,8 +425,10 @@ def main(argv=None) -> int:
         apply_config(ap, cfg)
         args = ap.parse_args(argv)
         check_config_keys(ap, cfg, args.command)
-        if args.threads < 1:
-            raise ConfigError(f"--threads must be at least 1, got {args.threads}")
+        if not 1 <= args.threads <= counting.MAX_WORKERS:
+            raise ConfigError(
+                f"--threads must be from 1 to {counting.MAX_WORKERS}, got {args.threads}"
+            )
         return args.func(args)
     except ConfigError as e:
         print(f"configuration error: {e}", file=sys.stderr)

@@ -34,7 +34,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .classes import (
     Group,
@@ -197,19 +197,24 @@ class FamilyCount:
     n_f: Optional[int] = None  # cover multiplicity, when there are irreducible points
 
 
+def family_points(f: QuadraticForm, Z: int) -> Iterable[tuple[int, int]]:
+    """The family points (A, B) with |I| <= Z of a positive definite f
+    (`ellipse_points`) or of a x^2 + n xy, disc n^2 (`square_family_points`);
+    ValueError for any other divisor."""
+    if f.disc() < 0 and f.a > 0:
+        return ellipse_points(f, Z)
+    if f.c == 0 and f.b > 0:
+        return square_family_points(f.a, f.b, Z)
+    raise ValueError(f"no family point set for the divisor {f}")
+
+
 def count_family(f: QuadraticForm, Z: int) -> FamilyCount:
     """Exact point, irreducible-point and orbit tallies for the family of f
-    with |I| <= Z: a positive definite f, or a x^2 + n xy (disc n^2)."""
-    if f.disc() < 0:
-        points = ellipse_points(f, Z)
-    elif f.c == 0 and f.b > 0:
-        points = square_family_points(f.a, f.b, Z)
-    else:
-        raise ValueError(f"no family point set for the divisor {f}")
+    with |I| <= Z, over `family_points(f, Z)`."""
     out = FamilyCount()
     action: Optional[FiberAction] = None
     canon: set = set()
-    for (A, B) in points:
+    for (A, B) in family_points(f, Z):
         out.points += 1
         F = QuarticForm(*family_coefficients(f, A, B))
         if F.a4 == 0 or not is_irreducible_Q(F):
@@ -271,15 +276,27 @@ def _admissible_discs(Z: int) -> list[int]:
     return out
 
 
+def count_units(kind: str, Z: int) -> Iterable[int]:
+    """The counting units of N ("N": discriminants D) or M ("M": moduli n)
+    whose families can hold points with |I| <= Z."""
+    if kind == "N":
+        return _admissible_discs(Z)
+    return range(1, math.isqrt(4 * Z // 3) + 2)
+
+
+def unit_families(kind: str, u: int) -> tuple[int, list[QuadraticForm]]:
+    """The discriminant and the family divisors of one counting unit."""
+    if kind == "N":
+        return u, _gl2_reps(u)
+    return u * u, [QuadraticForm(a, u, 0) for a in merged_square_labels(u)]
+
+
 def _count_unit(job: tuple[str, int, int]) -> tuple[int, int, int, int, list[str], int]:
     """All families of one discriminant D ("N") or modulus n ("M"), as
     (disc, points, orbits, irreducible points, cover findings, max_coeff);
     picklable for process pools."""
     kind, u, Z = job
-    if kind == "N":
-        disc, fams = u, _gl2_reps(u)
-    else:
-        disc, fams = u * u, [QuadraticForm(a, u, 0) for a in merged_square_labels(u)]
+    disc, fams = unit_families(kind, u)
     pts = orbs = irr = mc = 0
     findings = []
     for f in fams:
@@ -296,15 +313,15 @@ def _count_unit(job: tuple[str, int, int]) -> tuple[int, int, int, int, list[str
     return (disc, pts, orbs, irr, findings, mc)
 
 
+# The most worker processes a count may start (the CLI's --threads ceiling).
+MAX_WORKERS = 64
+
+
 def _count(kind: str, X: int, policy: HeightPolicy, workers: int) -> CountReport:
+    if workers > MAX_WORKERS:
+        raise ValueError(f"at most {MAX_WORKERS} workers, got {workers}")
     Z = policy.ibound(X)
-    if kind == "N":
-        units = _admissible_discs(Z)
-        stated = C1_STATED
-    else:
-        units = range(1, math.isqrt(4 * Z // 3) + 2)
-        stated = C2_STATED
-    jobs = [(kind, u, Z) for u in units]
+    jobs = [(kind, u, Z) for u in count_units(kind, Z)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -321,9 +338,9 @@ def _count(kind: str, X: int, policy: HeightPolicy, workers: int) -> CountReport
         rep.irreducible_points += irr
         rep.cover_findings.extend(findings)
         rep.max_coeff = max(rep.max_coeff, mc)
-    rep.stated_constant = stated
+    rep.stated_constant = C1_STATED if kind == "N" else C2_STATED
     denom = X ** (1 / 3) * math.log(X) if X > 1 else 1.0
-    rep.ratio = rep.irreducible_orbits / (stated * denom)
+    rep.ratio = rep.irreducible_orbits / (rep.stated_constant * denom)
     assert rep.check_sums()
     return rep
 

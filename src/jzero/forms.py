@@ -16,9 +16,12 @@ quadratic form up to a rational scale; extracting that square root is
 what ties quartics to binary quadratic forms throughout this package.
 
 Everything here is pure integer arithmetic: no floats, no rounding.
-Real-root counting is done with exact Sturm sequences and rational
-factor searches use divisor enumeration with a recorded Mignotte-style
-coefficient bound.
+Real-root counting is done with exact Sturm sequences.  Irreducibility
+over Q is first tried by a certificate mod small primes
+(`irreducible_mod_p`: a prime p not dividing a4 with (disc/p) = -1 and no
+root of F mod p proves it, by Stickelberger's theorem); forms it does not
+settle are factored, with rational roots and quadratic factors found by
+divisor enumeration under a recorded Mignotte-style coefficient bound.
 """
 
 from __future__ import annotations
@@ -576,21 +579,23 @@ def _homog_divide_linear(coeffs: list[int], s: int, r: int) -> Optional[list[int
 def _rational_linear_factors(coeffs: list[int]) -> list[LinearFactor]:
     """All primitive (s x - r y) dividing the form, with multiplicity ignored."""
     out = []
-    n = len(coeffs) - 1
     lead, const = coeffs[0], coeffs[-1]
     if lead == 0:
         out.append(LinearFactor(0, -1))  # the factor y
     if const == 0:
         out.append(LinearFactor(1, 0))  # the factor x
     if lead != 0 and const != 0:
+        leads = _divisors(lead)
         for r in _divisors(const):
-            for s in _divisors(lead):
+            for s in leads:
                 if math.gcd(r, s) != 1:
                     continue
                 for rr in (r, -r):
-                    val = sum(
-                        c * rr ** (n - i) * s**i for i, c in enumerate(coeffs)
-                    )
+                    # F(rr, s) by homogeneous Horner
+                    val, sp = coeffs[0], 1
+                    for c in coeffs[1:]:
+                        sp *= s
+                        val = val * rr + c * sp
                     if val == 0:
                         out.append(LinearFactor(s, rr))
     return out
@@ -656,9 +661,10 @@ def _quadratic_split(
     """Split p (degree 4, no rational roots, primitive, lead > 0) into two
     integral quadratics, or None if irreducible."""
     A4, A3, A2, A1, A0 = p
+    consts = _divisors(A0)
     for b2 in _divisors(A4):
         c2 = A4 // b2
-        for b0a in _divisors(A0):
+        for b0a in consts:
             for b0 in (b0a, -b0a):
                 if A0 % b0 != 0:
                     continue
@@ -693,9 +699,41 @@ def _quadratic_split(
     return None
 
 
+def irreducible_mod_p(F: QuarticForm) -> Optional[int]:
+    """An odd prime p < 60 that proves F irreducible over Q, or None.
+
+    p proves it when p does not divide a4, (disc(F)/p) = -1 and F(t, 1) has
+    no root t mod p.  Then the reduction F(t, 1) mod p has degree 4 and is
+    squarefree, so by Stickelberger's theorem (disc/p) = (-1)^(4 - r) for
+    its number r of irreducible factors over F_p: r is 1 or 3.  r = 3 is
+    the pattern (1, 1, 2), which has a root mod p, so r = 1.  By Gauss's
+    lemma a factorization of F over Q has integral factors whose leading
+    coefficients multiply to a divisor of a4, so it would reduce mod p to
+    a factorization with both degrees kept; there is none.  A square
+    disc(F) (Galois group inside A4) has no such prime, so None is
+    returned without a scan.
+    """
+    disc = invariants(F).disc
+    if disc == 0 or (disc > 0 and math.isqrt(disc) ** 2 == disc):
+        return None
+    a4, a3, a2, a1, a0 = F.coeffs()
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59):
+        if a4 % p == 0 or pow(disc % p, (p - 1) // 2, p) != p - 1:
+            continue
+        c4, c3, c2, c1, c0 = a4 % p, a3 % p, a2 % p, a1 % p, a0 % p
+        for t in range(p):
+            if ((((c4 * t + c3) * t + c2) * t + c1) * t + c0) % p == 0:
+                break
+        else:
+            return p
+    return None
+
+
 def is_irreducible_Q(F: QuarticForm) -> bool:
-    """True iff F has no rational factor of degree 1 or 2."""
+    """True iff F has no rational factor of degree 1 or 2: proved by
+    `irreducible_mod_p` when it finds a prime, else by factorization."""
     if F.is_zero():
         raise ValueError("zero form")
-    fac = quartic_factorization(F)
-    return fac.is_irreducible()
+    if irreducible_mod_p(F) is not None:
+        return True
+    return quartic_factorization(F).is_irreducible()

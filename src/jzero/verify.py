@@ -255,8 +255,18 @@ def suite_hensel(
 
 
 def suite_reducibility(
-    dmax: int = 100, coeff_box: int = 30, seed: int = 20260809
+    dmax: int = 100,
+    coeff_box: int = 30,
+    seed: int = 20260809,
+    certificate_x: int = 10**9,
+    sympy_samples: int = 300,
+    sympy_height: int = 12,
 ) -> SuiteResult:
+    """Also checks the irreducibility fast path against slow ones: the mod-p
+    certificate against full factorization on every family point of N(X)
+    and M(X) for X = certificate_x, and `is_irreducible_Q` against
+    `sympy.factor_list` on a seeded sample of J = 0 forms of height at most
+    sympy_height."""
     res = SuiteResult("reducibility")
     rng = random.Random(seed)
     type1 = type2 = 0
@@ -374,7 +384,49 @@ def suite_reducibility(
         )
     res.stats["xi_m_checked"] = cnt
     res.stats["xi_m_order_violations"] = bad
+    _check_irreducibility_certificate(res, certificate_x)
+    _check_against_sympy(res, rng, sympy_samples, sympy_height)
     return res
+
+
+def _check_irreducibility_certificate(res: SuiteResult, X: int) -> None:
+    """A certified point must not factor; records the share of irreducible
+    points the certificate settles per slice."""
+    Z = counting.DISC_POLICY.ibound(X)
+    for kind in ("N", "M"):
+        points = irreducible = settled = 0
+        for u in counting.count_units(kind, Z):
+            for f in counting.unit_families(kind, u)[1]:
+                for (A, B) in counting.family_points(f, Z):
+                    F = forms.QuarticForm(*families.family_coefficients(f, A, B))
+                    p = forms.irreducible_mod_p(F)
+                    full = forms.quartic_factorization(F).is_irreducible()
+                    points += 1
+                    irreducible += full
+                    settled += full and p is not None
+                    if p is not None and not full:
+                        res.fail(f"certificate mod {p} on the reducible {F}")
+        res.checks += points
+        res.stats[f"certificate_{kind}_points"] = points
+        res.stats[f"certificate_{kind}_irreducible"] = irreducible
+        res.stats[f"certificate_{kind}_settled"] = settled
+
+
+def _check_against_sympy(
+    res: SuiteResult, rng: random.Random, samples: int, height: int
+) -> None:
+    if samples <= 0:
+        return
+    import sympy
+
+    x, y = sympy.symbols("x y")
+    box = list(oracle.brute_quartics(height))
+    for F in rng.sample(box, min(samples, len(box))):
+        poly = sum(c * x ** (4 - i) * y**i for i, c in enumerate(F.coeffs()))
+        _, factors = sympy.factor_list(poly)
+        res.checks += 1
+        if forms.is_irreducible_Q(F) != (len(factors) == 1 and factors[0][1] == 1):
+            res.fail(f"is_irreducible_Q disagrees with sympy.factor_list on {F}")
 
 
 def _odd_squarefree_unit_divisors(D: int) -> list[int]:

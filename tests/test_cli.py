@@ -200,3 +200,43 @@ def test_repeated_config_key_exit_code(tmp_path, capsys):
     assert main(["--config", str(cfg), "invariants", "0,1,0,-1,0"]) == 2
     captured = capsys.readouterr()
     assert "configuration error:" in captured.err and captured.out == ""
+
+
+def test_family_square_disc_divisor(tmp_path):
+    csv_path = tmp_path / "fam.csv"
+    out = run_cli("family", "1,2,0", "--ibound", "100", "--csv", str(csv_path))
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout)
+    assert (doc["points"], doc["irreducible_points"]) == (64, 46)
+    assert len(csv_path.read_text().splitlines()) == 65
+
+
+def test_family_without_point_set_exit_code():
+    assert_config_error(run_cli("family", "1,3,1", "--ibound", "100"))
+
+
+def test_threads_above_ceiling_exit_code(capsys):
+    from jzero import counting
+
+    # validation comes before any pool is built, so no process is started
+    for threads in (counting.MAX_WORKERS + 1, 10**9):
+        assert main(["--threads", str(threads), "count-m", "--ladder", "1000"]) == 2
+        captured = capsys.readouterr()
+        assert "configuration error:" in captured.err and captured.out == ""
+    with pytest.raises(ValueError):
+        counting.count_M(1000, workers=10**9)
+
+
+def test_config_hash_ignores_output_paths(tmp_path):
+    docs = []
+    for name in ("a", "b"):
+        out = tmp_path / f"{name}.json"
+        csv_path = str(tmp_path / f"{name}.csv")
+        args = ["family", "1,0,1", "--ibound", "50", "--csv", csv_path, "--out", str(out)]
+        assert main(args) == 0
+        docs.append(json.loads(out.read_text()))
+    assert docs[0]["config"]["out"] != docs[1]["config"]["out"]
+    assert docs[0]["config_hash"] == docs[1]["config_hash"]
+    other = tmp_path / "c.json"
+    assert main(["family", "1,0,1", "--ibound", "51", "--out", str(other)]) == 0
+    assert json.loads(other.read_text())["config_hash"] != docs[0]["config_hash"]

@@ -4,7 +4,9 @@ import math
 import random
 
 import pytest
+import sympy
 
+from jzero.families import family_coefficients
 from jzero.forms import (
     IDENTITY,
     QuadraticForm,
@@ -18,10 +20,12 @@ from jzero.forms import (
     hessian,
     hessian_sqrt,
     invariants,
+    irreducible_mod_p,
     is_irreducible_Q,
     quartic_factorization,
     splitting_type,
 )
+from jzero.reducible import ReducibleKind, classify
 
 X4_PLUS_Y4 = QuarticForm(1, 0, 0, 0, 1)
 BIQUAD = QuarticForm(1, 0, -6, 0, 1)  # x^4 - 6x^2y^2 + y^4
@@ -282,3 +286,48 @@ def _mul(p, q):
         for j, qj in enumerate(q):
             out[i + j] += pi * qj
     return out
+
+
+def test_disc_matches_sympy_discriminant():
+    # the certificate's Legendre test reads disc(F) as the discriminant of F(x, 1)
+    x = sympy.Symbol("x")
+    rng = random.Random(8)
+    for _ in range(200):
+        a4 = rng.choice([-1, 1]) * rng.randint(1, 40)
+        F = QuarticForm(a4, *(rng.randint(-40, 40) for _ in range(4)))
+        poly = sum(c * x ** (4 - i) for i, c in enumerate(F.coeffs()))
+        assert invariants(F).disc == sympy.discriminant(poly, x), F
+
+
+def test_certificate_implies_irreducible():
+    rng = random.Random(9)
+    certified = 0
+    for _ in range(3000):
+        F = QuarticForm(*(rng.randint(-60, 60) for _ in range(5)))
+        if F.is_zero():
+            continue
+        p = irreducible_mod_p(F)
+        if p is not None:
+            certified += 1
+            assert quartic_factorization(F).is_irreducible(), (F, p)
+            assert F.a4 % p and invariants(F).disc % p
+    assert certified > 1500
+
+
+def test_square_disc_irreducible_falls_back():
+    # x^4 + y^4 has Galois group V4 and disc 256 = 16^2: no prime certifies it
+    assert invariants(X4_PLUS_Y4).disc == 256
+    assert irreducible_mod_p(X4_PLUS_Y4) is None
+    assert is_irreducible_Q(X4_PLUS_Y4)
+
+
+def test_type2_reducible_family_point():
+    # a Type 2 member of the family of x^2 + xy + y^2 with non-square disc
+    f = QuadraticForm(1, 1, 1)
+    F = QuarticForm(*family_coefficients(f, -8, -20))
+    assert F == QuarticForm(-8, -20, 18, 32, 5)
+    assert classify(F, f).kind is ReducibleKind.TYPE2
+    assert invariants(F).disc == 813189888
+    assert irreducible_mod_p(F) is None
+    assert not is_irreducible_Q(F)
+    assert len(quartic_factorization(F).quadratics) == 2

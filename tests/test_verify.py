@@ -36,6 +36,19 @@ def test_reduced_parameter_suites_pass():
     assert r.stats["completeness_forms"] > 100
 
 
+def test_reducibility_suite_checks_fast_path():
+    r = run_suite(
+        "reducibility", dmax=12, coeff_box=6, certificate_x=10**6, sympy_samples=40
+    )
+    assert r.passed, r.failures[:3]
+    for kind in ("N", "M"):
+        points, irreducible, settled = (
+            r.stats[f"certificate_{kind}_{key}"]
+            for key in ("points", "irreducible", "settled")
+        )
+        assert 0 < settled <= irreducible < points
+
+
 def test_failure_reporting_shape():
     res = run_suite("identities", trials=50)
     res.fail("synthetic failure")
