@@ -425,10 +425,7 @@ def main(argv=None) -> int:
         apply_config(ap, cfg)
         args = ap.parse_args(argv)
         check_config_keys(ap, cfg, args.command)
-        if not 1 <= args.threads <= counting.MAX_WORKERS:
-            raise ConfigError(
-                f"--threads must be from 1 to {counting.MAX_WORKERS}, got {args.threads}"
-            )
+        counting.check_workers(args.threads)
         return args.func(args)
     except ConfigError as e:
         print(f"configuration error: {e}", file=sys.stderr)

@@ -317,9 +317,14 @@ def _count_unit(job: tuple[str, int, int]) -> tuple[int, int, int, int, list[str
 MAX_WORKERS = 64
 
 
+def check_workers(workers: int) -> None:
+    """Raise ValueError unless 1 <= workers <= MAX_WORKERS."""
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"--threads must be from 1 to {MAX_WORKERS}, got {workers}")
+
+
 def _count(kind: str, X: int, policy: HeightPolicy, workers: int) -> CountReport:
-    if workers > MAX_WORKERS:
-        raise ValueError(f"at most {MAX_WORKERS} workers, got {workers}")
+    check_workers(workers)
     Z = policy.ibound(X)
     jobs = [(kind, u, Z) for u in count_units(kind, Z)]
     if workers > 1:

@@ -223,8 +223,9 @@ def test_threads_above_ceiling_exit_code(capsys):
         assert main(["--threads", str(threads), "count-m", "--ladder", "1000"]) == 2
         captured = capsys.readouterr()
         assert "configuration error:" in captured.err and captured.out == ""
-    with pytest.raises(ValueError):
-        counting.count_M(1000, workers=10**9)
+    for workers in (0, 10**9):
+        with pytest.raises(ValueError):
+            counting.count_M(1000, workers=workers)
 
 
 def test_config_hash_ignores_output_paths(tmp_path):

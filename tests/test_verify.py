@@ -1,5 +1,7 @@
 """Plumbing tests for the verification suites."""
 
+import sys
+
 import pytest
 
 from jzero.verify import SUITES, run_suite
@@ -47,6 +49,14 @@ def test_reducibility_suite_checks_fast_path():
             for key in ("points", "irreducible", "settled")
         )
         assert 0 < settled <= irreducible < points
+
+
+def test_reducibility_without_sympy_is_a_failure_not_a_crash(monkeypatch):
+    monkeypatch.setitem(sys.modules, "sympy", None)  # import sympy -> ImportError
+    r = run_suite(
+        "reducibility", dmax=3, coeff_box=2, certificate_x=10**3, sympy_samples=5
+    )
+    assert r.failures == ["sympy.factor_list oracle unavailable: install the dev extra"]
 
 
 def test_failure_reporting_shape():
