@@ -17,6 +17,7 @@ used when family point counts are converted to orbit counts.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -271,14 +272,18 @@ def order(c: FormClass) -> int:
 
 
 class ClassGroup:
-    """The Picard group of primitive SL2 classes of discriminant -D."""
+    """The Picard group of primitive SL2 classes of discriminant -D, with
+    its composition table and the classes representing each value m."""
 
     def __init__(self, D: int):
         if D <= 0 or D % 4 not in (0, 3):
             raise ValueError("need D > 0 with D = 0, 3 (mod 4)")
         self.disc = -D
         self.elements = [class_of(f) for f in enumerate_reduced(D)]
+        self.by_coeffs = {c.rep.coeffs(): c for c in self.elements}
         self._table: dict[tuple, FormClass] = {}
+        self._represented: dict[int, frozenset] = {}
+        self._small: dict[tuple, list[int]] = {}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -292,8 +297,44 @@ class ClassGroup:
             self._table[(key[1], key[0])] = got
         return got
 
+    def represented(self, m: int) -> frozenset:
+        """Coefficients of the class reps that represent m."""
+        got = self._represented.get(m)
+        if got is None:
+            got = frozenset(
+                k for k, c in self.by_coeffs.items() if representations(c.rep, m)
+            )
+            self._represented[m] = got
+        return got
+
+    def small_values(self, f: QuadraticForm, avoid: int) -> list[int]:
+        """Values 0 < f(x, y) <= 4000 coprime to avoid at primitive (x, y),
+        from the least box |x|, |y| <= r (r <= 12) that has any."""
+        key = (f.coeffs(), avoid)
+        got = self._small.get(key)
+        if got is None:
+            out = set()
+            r = 1
+            while not out and r <= 12:
+                for x in range(-r, r + 1):
+                    for y in range(-r, r + 1):
+                        if math.gcd(x, y) != 1:
+                            continue
+                        v = f.value(x, y)
+                        if 0 < v <= 4000 and math.gcd(v, avoid) == 1:
+                            out.add(v)
+                r += 1
+            got = self._small[key] = sorted(out)
+        return got
+
     def identity(self) -> FormClass:
         return principal_class(self.disc)
+
+
+@functools.lru_cache(maxsize=1)
+def class_group(D: int) -> ClassGroup:
+    """The ClassGroup of -D; one slot, so a sweep over D builds each once."""
+    return ClassGroup(D)
 
 
 # ---------------------------------------------------------------------------

@@ -230,7 +230,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_classgroup(args) -> int:
     D = args.D
-    G = classes.ClassGroup(D)
+    G = classes.class_group(D)
     els = [c.rep.coeffs() for c in G.elements]
     table = {}
     for c1 in G.elements:

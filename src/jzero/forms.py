@@ -683,15 +683,21 @@ def _quadratic_split(
                             QuadraticForm(c2, c1, c0),
                         )
                 else:
-                    for b1 in range(-bound, bound + 1):
+                    # c1 = (A3 - c2*b1) / b2 in the A2 equation leaves
+                    # c2*b1^2 - A3*b1 + b2*(A2 - b2*c0 - b0*c2) = 0 (b2, c2 > 0);
+                    # its integer roots, ascending, meet the A2 equation
+
+                    disc = A3 * A3 - 4 * c2 * b2 * (A2 - b2 * c0 - b0 * c2)
+                    s = math.isqrt(max(disc, 0))
+                    if s * s != disc:
+                        continue
+                    for num in (A3 - s, A3 + s) if s else (A3,):
+                        b1, r = divmod(num, 2 * c2)
                         rem = A3 - c2 * b1
-                        if b2 == 0 or rem % b2:
+                        if r or abs(b1) > bound or rem % b2:
                             continue
                         c1 = rem // b2
-                        if (
-                            b2 * c0 + b1 * c1 + b0 * c2 == A2
-                            and b0 * c1 + c0 * b1 == A1
-                        ):
+                        if b0 * c1 + c0 * b1 == A1:
                             return (
                                 QuadraticForm(b2, b1, b0),
                                 QuadraticForm(c2, c1, c0),

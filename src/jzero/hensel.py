@@ -38,6 +38,7 @@ from .classes import (
     FormClass,
     _ext_gcd,
     _prime_divisors,
+    class_group,
     class_of,
     class_pow,
     inverse,
@@ -419,6 +420,7 @@ def hensel_class_check(f: QuadraticForm, p: int, kmax: int = 3) -> HenselCheckRe
     n = order(P)
     acc = principal_class(D)
     fcls = class_of(f)
+    G = class_group(-D)
     for e in range(n):
         if acc == fcls:
             s, orient = e, 1
@@ -426,7 +428,7 @@ def hensel_class_check(f: QuadraticForm, p: int, kmax: int = 3) -> HenselCheckRe
         if inverse(acc) == fcls:
             s, orient = e, -1
             break
-        acc = _compose_cached(acc, P)
+        acc = G.compose(acc, P)
     if s is None:
         return HenselCheckResult(True, True, None, P, ["[f] is not a power of the prime class; vacuous"])
     if orient == -1:
@@ -461,16 +463,3 @@ def hensel_class_check(f: QuadraticForm, p: int, kmax: int = 3) -> HenselCheckRe
         )
     return HenselCheckResult(False, False, s, P, witnesses)
 
-
-_COMPOSE_CACHE: dict[tuple, FormClass] = {}
-
-
-def _compose_cached(c1: FormClass, c2: FormClass) -> FormClass:
-    from .classes import compose
-
-    key = (c1.disc, c1.rep.coeffs(), c2.rep.coeffs())
-    got = _COMPOSE_CACHE.get(key)
-    if got is None:
-        got = compose(c1, c2)
-        _COMPOSE_CACHE[key] = got
-    return got

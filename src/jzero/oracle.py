@@ -26,14 +26,11 @@ import numpy as np
 from .classes import (
     FormClass,
     Group,
+    class_group,
     class_of,
     canonical_square_label,
-    compose,
     cover_multiplicity,
-    enumerate_reduced,
-    inverse,
     reduce_form,
-    representations,
 )
 from .counting import HeightPolicy, DISC_POLICY, count_M, count_N
 from .families import fiber_action, member_of
@@ -116,7 +113,6 @@ class OrbitKey:
 _FLIP = Unimodular(1, 0, 0, -1)
 
 _ACTION_CACHE: dict[tuple[int, int, int], object] = {}
-_LABEL_CACHE: dict[tuple[int, int, int], tuple] = {}
 
 
 def _cached_action(g: QuadraticForm):
@@ -295,21 +291,6 @@ def _check_fiber_sizes(rep: BruteForceReport, fiber_counts) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _small_values(f: QuadraticForm, avoid: int, bound: int = 4000) -> list[int]:
-    out = set()
-    r = 1
-    while not out and r <= 12:
-        for x in range(-r, r + 1):
-            for y in range(-r, r + 1):
-                if math.gcd(x, y) != 1:
-                    continue
-                v = f.value(x, y)
-                if 0 < v <= bound and math.gcd(v, avoid) == 1:
-                    out.add(v)
-        r += 1
-    return sorted(out)
-
-
 def value_candidates(
     c1: FormClass, c2: FormClass, pairs: int = 2
 ) -> tuple[list[FormClass], list[tuple[int, int]]]:
@@ -318,25 +299,19 @@ def value_candidates(
     if c1.disc != c2.disc or c1.disc >= 0:
         raise ValueError("need equal negative discriminants")
     D = -c1.disc
-    classes = [class_of(f) for f in enumerate_reduced(D)]
-    vals1 = _small_values(c1.rep, 2 * D)
+    G = class_group(D)
     used = []
-    cand: Optional[set] = None
-    for m1 in vals1:
-        vals2 = _small_values(c2.rep, 2 * D * m1)
-        for m2 in vals2:
-            got = {
-                c.rep.coeffs()
-                for c in classes
-                if representations(c.rep, m1 * m2)
-            }
+    cand: Optional[frozenset] = None
+    for m1 in G.small_values(c1.rep, 2 * D):
+        for m2 in G.small_values(c2.rep, 2 * D * m1):
+            got = G.represented(m1 * m2)
             cand = got if cand is None else (cand & got)
             used.append((m1, m2))
             if len(used) >= pairs:
-                return [class_of(QuadraticForm(*t)) for t in sorted(cand)], used
+                return [G.by_coeffs[t] for t in sorted(cand)], used
     if cand is None:
         raise RuntimeError(f"no coprime value pairs found for {c1} and {c2}")
-    return [class_of(QuadraticForm(*t)) for t in sorted(cand)], used
+    return [G.by_coeffs[t] for t in sorted(cand)], used
 
 
 def compose_oracle(c1: FormClass, c2: FormClass) -> FormClass:
@@ -347,10 +322,12 @@ def compose_oracle(c1: FormClass, c2: FormClass) -> FormClass:
     a composition outside the candidate set raises.
     """
     cands, used = value_candidates(c1, c2)
-    got = compose(c1, c2)
-    for c in cands:
-        if c == got or c == inverse(got):
-            return got
+    got = class_group(-c1.disc).compose(c1, c2)
+    # the inverse of reduced (a, b, c) is (a, -b, c), or itself when that is
+    # not reduced
+    a, b, c = got.rep.coeffs()
+    if {(a, b, c), (a, -b, c)} & {x.rep.coeffs() for x in cands}:
+        return got
     raise AssertionError(
         f"composition {got.rep} not among value candidates "
         f"{[c.rep.coeffs() for c in cands]} (pairs {used})"

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from jzero.classes import enumerate_reduced
 from jzero.families import (
@@ -292,3 +294,19 @@ def test_translate_nonzero_alpha():
     f = QuadraticForm(0, 1, 0)
     g, T = translate_nonzero_alpha(f)
     assert g.a != 0 and act_quadratic(f, T) == g
+
+
+_NONZERO = st.integers(-12, 12).filter(bool)
+
+
+@settings(max_examples=150, deadline=2000, database=None)
+@given(_NONZERO, st.integers(-12, 12), st.integers(-12, 12), st.integers(-6, 6), st.integers(-6, 6))
+def test_family_coefficients_round_trip_property(a, b, c, s, t):
+    # definite, indefinite and square-discriminant divisors alike
+    f = QuadraticForm(a, b, c)
+    assume(f.disc() != 0 and f.is_primitive())
+    A, B = lattice_Lfa(f).point(s, t)
+    assume((A, B) != (0, 0))
+    F = QuarticForm(*family_coefficients(f, A, B))
+    assert member_of(f, F) == FamilyPoint(f, A, B)
+    assert member_of(f, QuarticForm(F.a4, F.a3, F.a2, F.a1, F.a0 + 1)) is None

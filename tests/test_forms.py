@@ -6,8 +6,12 @@ import random
 import pytest
 import sympy
 
-from jzero.families import family_coefficients
+from jzero.classes import enumerate_reduced
+from jzero.families import family_coefficients, lattice_Lfa
 from jzero.forms import (
+    _divisors,
+    _mignotte_bound,
+    _quadratic_split,
     IDENTITY,
     QuadraticForm,
     QuarticForm,
@@ -331,3 +335,76 @@ def test_type2_reducible_family_point():
     assert irreducible_mod_p(F) is None
     assert not is_irreducible_Q(F)
     assert len(quartic_factorization(F).quadratics) == 2
+
+
+def _split_by_scan(p, bound):
+    """_quadratic_split as it was before the closed form: its det == 0
+    branch scans b1 over [-bound, bound]."""
+    A4, A3, A2, A1, A0 = p
+    for b2 in _divisors(A4):
+        c2 = A4 // b2
+        for b0a in _divisors(A0):
+            for b0 in (b0a, -b0a):
+                if A0 % b0 != 0:
+                    continue
+                c0 = A0 // b0
+                det = b2 * c0 - c2 * b0
+                if det != 0:
+                    num_b1 = b2 * A1 - b0 * A3
+                    num_c1 = c0 * A3 - c2 * A1
+                    if num_b1 % det or num_c1 % det:
+                        continue
+                    b1, c1 = num_b1 // det, num_c1 // det
+                    if b2 * c0 + b1 * c1 + b0 * c2 == A2:
+                        return QuadraticForm(b2, b1, b0), QuadraticForm(c2, c1, c0)
+                else:
+                    for b1 in range(-bound, bound + 1):
+                        rem = A3 - c2 * b1
+                        if rem % b2:
+                            continue
+                        c1 = rem // b2
+                        if b2 * c0 + b1 * c1 + b0 * c2 == A2 and b0 * c1 + c0 * b1 == A1:
+                            return QuadraticForm(b2, b1, b0), QuadraticForm(c2, c1, c0)
+    return None
+
+
+def _split_input(coeffs):
+    F = QuarticForm(*coeffs).primitive_part()
+    p = list(F.coeffs()) if F.a4 > 0 else [-c for c in F.coeffs()]
+    return p, _mignotte_bound(p)
+
+
+def test_quadratic_split_matches_scan():
+    rng = random.Random(91)
+    inputs = []
+    # products with b2*c0 = c2*b0, which only the det == 0 branch can split
+    for _ in range(400):
+        a, c = rng.randint(1, 9), rng.choice([-1, 1]) * rng.randint(1, 9)
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        g = (m * a, rng.randint(-15, 15), m * c)
+        h = (n * a, rng.randint(-15, 15), n * c)
+        inputs.append(
+            (
+                g[0] * h[0],
+                g[0] * h[1] + g[1] * h[0],
+                g[0] * h[2] + g[1] * h[1] + g[2] * h[0],
+                g[1] * h[2] + g[2] * h[1],
+                g[2] * h[2],
+            )
+        )
+    # family points of the reducibility suite's box at small D
+    for D in (3, 4, 7, 8):
+        for f in enumerate_reduced(D):
+            L = lattice_Lfa(f)
+            for s in range(-(12 // L.d1) - 1, 12 // L.d1 + 2):
+                for t in range(-13, 14):
+                    A, B = L.point(s, t)
+                    if max(abs(A), abs(B)) <= 12 and (A, B) != (0, 0):
+                        inputs.append(family_coefficients(f, A, B))
+    split = 0
+    for coeffs in inputs:
+        p, bound = _split_input(coeffs)
+        got = _quadratic_split(p, bound)
+        assert got == _split_by_scan(p, bound), coeffs
+        split += got is not None
+    assert split > 300

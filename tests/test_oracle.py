@@ -1,10 +1,20 @@
 """Tests for the brute-force oracle: enumeration, keys, counts, composition."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jzero.classes import ClassGroup, class_of, inverse
+from jzero.classes import (
+    ClassGroup,
+    class_group,
+    class_of,
+    enumerate_reduced,
+    inverse,
+    representations,
+)
 from jzero.counting import DISC_POLICY, count_M, count_N
 from jzero.forms import (
     IDENTITY,
@@ -154,3 +164,92 @@ def test_value_candidates_contains_product():
     cands, used = value_candidates(c, c)
     reps = {x.rep.coeffs() for x in cands}
     assert (2, -1, 3) in reps or (2, 1, 3) in reps
+
+
+def _reference_small_values(f, avoid):
+    out = set()
+    r = 1
+    while not out and r <= 12:
+        for x in range(-r, r + 1):
+            for y in range(-r, r + 1):
+                v = f.value(x, y)
+                if math.gcd(x, y) == 1 and 0 < v <= 4000 and math.gcd(v, avoid) == 1:
+                    out.add(v)
+        r += 1
+    return sorted(out)
+
+
+def _reference_value_candidates(c1, c2, pairs=2):
+    """value_candidates without any cache: a fresh class list and one
+    representations call per class and value."""
+    D = -c1.disc
+    reps = [f.coeffs() for f in enumerate_reduced(D)]
+    used, cand = [], None
+    for m1 in _reference_small_values(c1.rep, 2 * D):
+        for m2 in _reference_small_values(c2.rep, 2 * D * m1):
+            got = {t for t in reps if representations(QuadraticForm(*t), m1 * m2)}
+            cand = got if cand is None else cand & got
+            used.append((m1, m2))
+            if len(used) >= pairs:
+                return [class_of(QuadraticForm(*t)) for t in sorted(cand)], used
+    return [class_of(QuadraticForm(*t)) for t in sorted(cand)], used
+
+
+def test_value_candidates_match_uncached_reference():
+    pairs = 0
+    for D in range(3, 151):
+        if D % 4 not in (0, 3):
+            continue
+        els = [class_of(f) for f in enumerate_reduced(D)]
+        for c1 in els:
+            for c2 in els:
+                assert value_candidates(c1, c2) == _reference_value_candidates(c1, c2)
+                pairs += 1
+    assert pairs > 1000
+
+
+def test_value_candidates_survive_cache_replacement():
+    def answers(D):
+        els = class_group(D).elements
+        return [value_candidates(c1, c2) for c1 in els for c2 in els]
+
+    first = answers(71)
+    G71 = class_group(71)
+    other = answers(84)
+    assert answers(71) == first
+    assert class_group(71) is not G71  # the one slot held D = 84 in between
+    assert answers(84) == other
+
+
+def test_compose_oracle_raises_on_corrupted_candidates():
+    G = class_group(71)
+    c1, c2 = G.elements[1], G.elements[2]
+    compose_oracle(c1, c2)
+    _, used = value_candidates(c1, c2)
+    prod = G.compose(c1, c2)
+    wrong = next(c for c in G.elements if c not in (prod, inverse(prod)))
+    try:
+        for m1, m2 in used:
+            G._represented[m1 * m2] = frozenset({wrong.rep.coeffs()})
+        with pytest.raises(AssertionError):
+            compose_oracle(c1, c2)
+    finally:
+        class_group.cache_clear()
+
+
+_J0_FORMS = list(brute_quartics(3))
+_SHEARS = st.lists(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.booleans()), max_size=4
+)
+
+
+@settings(max_examples=60, deadline=2000, database=None)
+@given(st.sampled_from(_J0_FORMS), _SHEARS)
+def test_orbit_key_gl2_invariant_property(F, steps):
+    # upper and lower shears generate SL2(Z); diag(1, -1) adds GL2(Z)
+    T = IDENTITY
+    for k, l, flip in steps:
+        T = T.mul(Unimodular(1, k, 0, 1)).mul(Unimodular(1, 0, l, 1))
+        if flip:
+            T = T.mul(Unimodular(1, 0, 0, -1))
+    assert orbit_key(act_quartic(F, T)) == orbit_key(F)
