@@ -289,6 +289,8 @@ class ClassGroup:
         return len(self.elements)
 
     def compose(self, c1: FormClass, c2: FormClass) -> FormClass:
+        if c1.group is not Group.SL2 or c2.group is not Group.SL2:
+            raise ValueError("composition needs SL2 classes")
         key = (c1.rep.coeffs(), c2.rep.coeffs())
         got = self._table.get(key)
         if got is None:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from jzero.classes import (
     ClassGroup,
+    Group,
     class_group,
     class_of,
     enumerate_reduced,
@@ -235,6 +236,15 @@ def test_compose_oracle_raises_on_corrupted_candidates():
             compose_oracle(c1, c2)
     finally:
         class_group.cache_clear()
+
+
+def test_compose_oracle_rejects_gl2_classes_after_table_fills():
+    G = class_group(23)
+    for c1 in G.elements:
+        for c2 in G.elements:
+            compose_oracle(c1, c2)
+    with pytest.raises(ValueError):
+        compose_oracle(class_of(QuadraticForm(2, 1, 3), Group.GL2), G.elements[1])
 
 
 _J0_FORMS = list(brute_quartics(3))
