@@ -127,7 +127,7 @@ def suite_classgroup(
                     res.fail(f"identity law fails at D={D}, {c.rep}")
                 if T[i][key[classes.inverse(c).rep.coeffs()]] != e:
                     res.fail(f"inverse law fails at D={D}, {c.rep}")
-            for row in T:
+            for row in T:  # (ij)k = i(jk): T[T[i][j]][k] == T[i][T[j][k]]
                 for j, ij in enumerate(row):
                     if any(x != row[jk] for x, jk in zip(T[ij], T[j])):
                         res.fail(f"associativity fails at D={D}")
