@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 import numpy as np
 
-from .forms import IDENTITY, QuadraticForm, Unimodular, _divisors, act_quadratic
+from .forms import QuadraticForm, Unimodular, _divisors, act_quadratic
 
 
 class Group(Enum):
@@ -35,8 +35,6 @@ class Group(Enum):
 # Positive definite reduction
 # ---------------------------------------------------------------------------
 
-_SWAP = Unimodular(0, -1, 1, 0)  # (a,b,c) -> (c,-b,a)
-
 
 def is_reduced(f: QuadraticForm) -> bool:
     a, b, c = f.coeffs()
@@ -47,30 +45,37 @@ def is_reduced(f: QuadraticForm) -> bool:
     return True
 
 
+def gauss_reduce(
+    a: int, b: int, c: int
+) -> tuple[tuple[int, int, int], tuple[int, int, int, int]]:
+    """Gauss-reduce the positive definite a x^2 + b xy + c y^2 on integers.
+
+    Returns the reduced coefficients and the entries (t1, t2, t3, t4) of
+    the unimodular T with f(t1 x + t2 y, t3 x + t4 y) = reduced form.  The
+    steps are shears x -> x + ky moving b into (-a, a] and the swap
+    (a, b, c) -> (c, -b, a), T = [[0, -1], [1, 0]].
+    """
+    t1, t2, t3, t4 = 1, 0, 0, 1
+    while True:
+        if not (-a < b <= a):
+            k = -((b + a - 1) // (2 * a)) if b > a else (a - b) // (2 * a)
+            b, c = 2 * a * k + b, (a * k + b) * k + c
+            t2, t4 = t1 * k + t2, t3 * k + t4
+        elif c < a or (c == a and b < 0):
+            a, b, c = c, -b, a
+            t1, t2, t3, t4 = t2, -t1, t4, -t3
+        else:
+            return (a, b, c), (t1, t2, t3, t4)
+
+
 def reduce_form(f: QuadraticForm) -> tuple[QuadraticForm, Unimodular]:
     """Gauss-reduce a positive definite form; returns (g, T) with f_T = g."""
     if f.disc() >= 0:
         raise ValueError(f"form {f} is not positive definite (disc >= 0)")
     if f.a <= 0:
         raise ValueError(f"form {f} is negative definite")
-    T = IDENTITY
-    g = f
-    while True:
-        a, b, c = g.coeffs()
-        if not (-a < b <= a):
-            # shear x -> x + ky moves b into (-a, a]
-            k = -((b + a - 1) // (2 * a)) if b > a else (a - b) // (2 * a)
-            shift = Unimodular(1, k, 0, 1)
-            g, T = act_quadratic(g, shift), T.mul(shift)
-            continue
-        if c < a or (c == a and b < 0):
-            g, T = act_quadratic(g, _SWAP), T.mul(_SWAP)
-            continue
-        if b == -a:  # unreachable after normalization, kept for safety
-            shift = Unimodular(1, 1, 0, 1)
-            g, T = act_quadratic(g, shift), T.mul(shift)
-            continue
-        break
+    coeffs, entries = gauss_reduce(*f.coeffs())
+    g, T = QuadraticForm(*coeffs), Unimodular(*entries)
     assert is_reduced(g), (f, g)
     assert act_quadratic(f, T) == g
     return g, T

@@ -253,11 +253,12 @@ def cmd_family(args) -> int:
 
     for (A, B) in counting.family_points(f, args.ibound):
         coeffs = family_coefficients(f, A, B)
-        I, _ = family_invariant(FamilyPoint(f, A, B))
         F = forms.QuarticForm(*coeffs)
         if F.content() == 1:
             primitive_points += 1
-        rows.append([A, B, *coeffs, I, forms.is_irreducible_Q(F)])
+        if args.csv:  # count_family has already classified every point
+            I, _ = family_invariant(FamilyPoint(f, A, B))
+            rows.append([A, B, *coeffs, I, forms.is_irreducible_Q(F)])
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             w = csv.writer(fh)

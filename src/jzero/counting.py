@@ -1,24 +1,50 @@
 """Exact orbit counting for J = 0 quartics, by family enumeration.
 
 N(X): orbits with positive definite Hessian divisor, counted by
-discriminant (disc(F) <= X, i.e. I(F) <= (27X/4)^(1/3) since J = 0).
-For each GL2 class of primitive positive definite forms f (reduced with
-b >= 0) the family members with I <= Z are the lattice points of
-L_{f,a} inside the ellipse
+discriminant (disc(F) <= X, i.e. I(F) <= Z = (27X/4)^(1/3) since J = 0).
+For each GL2 class of primitive positive definite forms f = (a, b, c)
+(reduced with b >= 0, D = -disc f) the family members are the points of
+the lattice L = L_{f,a} with basis (d1, k), (0, d2), and
 
-    a B^2 - 4b AB + 16c A^2  <=  4 a^3 Z / (3 D),      D = |disc f|,
+    I(F) = 3 D q(A, B) / (4 a^3),      q = a B^2 - 4b AB + 16c A^2
 
-enumerated row by row with exact integer interval endpoints.  Orbits are
-counted by canonicalizing each point under the finite induced symmetry
-group of f - never by dividing through a constant cover multiplicity,
-which fails on symmetric points and (for reducible divisors) misses the
-label collapsing.  Families where the two disagree are reported as cover
-findings.
+(`families.family_invariant`).  In lattice coordinates, (A, B) =
+s (d1, k) + t (0, d2), q is the integral form Q(s, t), and Q = lam g with
+g integral and positive definite:
 
-The iteration range over D uses the valid (not sharp) height lower bound
-I >= 3D (D = 3 mod 4) and I >= 3D/4 (D = 0 mod 4), so D runs to 4Z/3.
-Measured over every family point with D < 300, the least I/D is 12 for
-D = 3 mod 4 and 3/4 for D = 0 mod 4.
+    b odd:   lam = 16 a^3,  disc g = -D,    I = 12 D g(s, t);
+    b even:  lam = a^3,     disc g = -16 D, I = (3D/4) g(s, t).
+
+Proof that g is integral.  g(s, t) = I(F)/(12D) (b odd) or 4 I(F)/(3D)
+(b even), so it suffices that these values are p-integral for each prime
+p.  For T in GL2(Z), F -> F o T maps the integral quartics whose Hessian
+is divisible by f^2 (the family of f) onto those of f o T, and keeps I;
+b mod 2 = D mod 2 is kept too.  So the set of values depends only on the
+class of f, and since f is primitive one of f(1,0), f(0,1), f(1,1) is
+prime to p: we may assume p does not divide a.  Then q/a^3 is p-integral,
+which settles b even, and b odd for p odd.  For p = 2, a odd, b odd: the
+congruence 2a | 3(4cA - bB) gives 2 | B, and 4a^3 | 4c(b^2 - ac)A -
+b(b^2 - 2ac)B with b(b^2 - 2ac) odd gives 4 | B, so 16 | q.  Finally
+disc Q = -16 D (d1 d2)^2 with d1 d2 = 4a^3 (b odd) or a^3 (b even)
+gives disc g.
+
+Hence the enumeration: Gauss-reduce g to (ga, gb, gc) with its
+transform; g <= Z // (12D) (b odd) or 4Z // (3D) (b even) is empty when
+ga exceeds that bound, since ga is the least value of the reduced form at
+a nonzero point; otherwise the points are enumerated row by row in reduced
+coordinates with exact isqrt endpoints and mapped back through
+transform and basis.  Orbits are counted by canonicalizing each point
+under the finite induced symmetry group of f - never by dividing through
+a constant cover multiplicity, which fails on symmetric points and (for
+reducible divisors) misses the label collapsing.  Families where the two
+disagree are reported as cover findings.
+
+The iteration range over D follows from the same identity: an integral
+positive definite g is at least 1 at every nonzero point, so
+I >= 12D for odd b (i.e. D = 3 mod 4) and I >= 3D/4 for even b
+(D = 0 mod 4).  An odd D can hold a point only when 12D <= Z, an even D
+only when 3D <= 4Z.  Neither bound can be raised: over every family point
+with D < 300 the least I/D is 12 for odd D and 3/4 for even D.
 
 M(X): same counts for reducible Hessian divisors (square discriminant
 n^2).  Families are indexed by unit labels a mod n merged under both
@@ -41,6 +67,7 @@ from .classes import (
     class_of,
     cover_multiplicity,
     enumerate_reduced,
+    gauss_reduce,
     square_label_inverse,
     square_label_negation,
 )
@@ -95,38 +122,43 @@ ABS_I_POLICY = HeightPolicy("absI")
 
 
 def ellipse_points(f: QuadraticForm, ibound: int) -> Iterator[tuple[int, int]]:
-    """Nonzero lattice points with I(family member) <= ibound, exactly.
+    """Nonzero lattice points with I(family member) <= ibound, exactly,
+    in ascending order.
 
     The condition is 3 D q(A, B) <= 4 a^3 ibound with
-    q = a B^2 - 4b AB + 16c A^2 positive definite.
+    q = a B^2 - 4b AB + 16c A^2 positive definite; it is enumerated as
+    g <= bound in Gauss-reduced coordinates (see the module docstring).
     """
     a, b, c = f.coeffs()
     D = -f.disc()
     assert D > 0 and a > 0
     L = lattice_Lfa(f)
-    K = 4 * a**3 * ibound  # require 3*D*q <= K
-    # row range: 12 D^2 A^2 <= a K
-    amax_num = a * K // (12 * D * D)
-    Amax = math.isqrt(amax_num)
     d1, k, d2 = L.d1, L.k, L.d2
-    Astart = -(Amax // d1) * d1
-    for A in range(Astart, Amax + 1, d1):
-        # B-interval: 3 D a B^2 - 12 D b A B + (48 D c A^2 - K) <= 0
-        discB = 12 * D * a * K - 144 * D**3 * A * A
-        if discB < 0:
-            continue
-        s = math.isqrt(discB)
-        den = 6 * D * a
-        lo = -((s - 12 * D * b * A) // den)  # ceil((12DbA - s)/den)
-        hi = (12 * D * b * A + s) // den
-        r = (k * (A // d1)) % d2
-        Bstart = lo + ((r - lo) % d2)
-        for B in range(Bstart, hi + 1, d2):
-            if A == 0 and B == 0:
-                continue
-            q = a * B * B - 4 * b * A * B + 16 * c * A * A
-            if 3 * D * q <= K:
-                yield (A, B)
+    if b % 2:
+        lam, bound = 16 * a**3, ibound // (12 * D)
+    else:
+        lam, bound = a**3, 4 * ibound // (3 * D)
+    # the Gram form of q on the basis (d1, k), (0, d2), divided by lam
+    Qa = a * k * k - 4 * b * d1 * k + 16 * c * d1 * d1
+    Qb = 2 * d2 * (a * k - 2 * b * d1)
+    Qc = a * d2 * d2
+    assert Qa % lam == Qb % lam == Qc % lam == 0, (f, lam)
+    (ga, gb, gc), (t1, t2, t3, t4) = gauss_reduce(Qa // lam, Qb // lam, Qc // lam)
+    if ga > bound:
+        return
+    # rows y of the reduced form: (2 ga x + gb y)^2 <= 4 ga bound - delta y^2
+    delta = 4 * ga * gc - gb * gb
+    r = 4 * ga * bound
+    ymax = math.isqrt(r // delta)
+    pts = []
+    for y in range(-ymax, ymax + 1):
+        w = math.isqrt(r - delta * y * y)
+        for x in range(-((w + gb * y) // (2 * ga)), (w - gb * y) // (2 * ga) + 1):
+            if x or y:
+                s, t = t1 * x + t2 * y, t3 * x + t4 * y
+                pts.append((d1 * s, k * s + d2 * t))
+    pts.sort()
+    yield from pts
 
 
 # ---------------------------------------------------------------------------
@@ -266,14 +298,13 @@ def _gl2_reps(D: int) -> list[QuadraticForm]:
 
 
 def _admissible_discs(Z: int) -> list[int]:
-    out = []
-    Dmax = 4 * Z // 3
-    for D in range(3, Dmax + 1):
-        if D % 4 == 3 and 3 * D <= Z:
-            out.append(D)
-        elif D % 4 == 0 and 3 * D <= 4 * Z:
-            out.append(D)
-    return out
+    """The D whose families can hold a point with I <= Z: odd D with
+    12D <= Z and even D with 3D <= 4Z (module docstring)."""
+    return [
+        D
+        for D in range(3, 4 * Z // 3 + 1)
+        if (D % 4 == 3 and 12 * D <= Z) or (D % 4 == 0 and 3 * D <= 4 * Z)
+    ]
 
 
 def count_units(kind: str, Z: int) -> Iterable[int]:

@@ -82,32 +82,23 @@ class SubLattice:
         return all(other.contains(*v) for v in self.basis())
 
     @staticmethod
-    def full() -> "SubLattice":
-        return SubLattice(1, 0, 1)
-
-    @staticmethod
     def from_congruences(congs: list[tuple[int, int, int]]) -> "SubLattice":
         """Lattice {(x, y): u x + v y = 0 (mod N) for every (u, v, N)}.
 
-        Solved by iterating: keep an HNF lattice, restrict it by each
-        congruence expressed in the current basis coordinates.
+        Solved by iterating: keep the HNF triple (d1, k, d2), restrict it by
+        each congruence expressed in the current basis coordinates.
         """
-        cur = SubLattice.full()
+        d1, k, d2 = 1, 0, 1
         kept: list[tuple[int, int, int]] = []
         for (u, v, N) in congs:
             N = abs(N)
             if N <= 1:
                 continue
             kept.append((u, v, N))
-            b1, b2 = cur.basis()
-            c1 = u * b1[0] + v * b1[1]
-            c2 = u * b2[0] + v * b2[1]
-            e1, kk, e2 = _solve_kernel(c1, c2, N)
-            # new basis in (x,y): e1*b1 + kk*b2  and  e2*b2
-            v1 = (e1 * b1[0], e1 * b1[1] + kk * b2[1])
-            v2 = (0, e2 * b2[1])
-            cur = SubLattice(v1[0], v1[1] % v2[1], v2[1])
-        return SubLattice(cur.d1, cur.k, cur.d2, tuple(kept))
+            e1, kk, e2 = _solve_kernel(u * d1 + v * k, v * d2, N)
+            # new basis: e1*(d1, k) + kk*(0, d2) and e2*(0, d2)
+            d1, k, d2 = e1 * d1, (e1 * k + kk * d2) % (e2 * d2), e2 * d2
+        return SubLattice(d1, k, d2, tuple(kept))
 
     def intersect(self, other: "SubLattice") -> "SubLattice":
         congs = list(self.as_congruences()) + list(other.as_congruences())

@@ -94,7 +94,77 @@ def suite_parametrization(
                     families.lattice_det(f)  # closed form asserted inside
                 except AssertionError as e:
                     res.fail(f"lattice determinant mismatch for {f}: {e}")
+    _check_reduced_enumeration(res, dmax)
     return res
+
+
+def _ellipse_points_rowscan(f: forms.QuadraticForm, ibound: int) -> list[tuple[int, int]]:
+    """Reference for `counting.ellipse_points`: the HNF row scan.
+
+    Rows A run over multiples of d1 with 12 D^2 A^2 <= a K, K = 4 a^3 ibound;
+    in each row B runs over the residue class k (A / d1) mod d2 inside the
+    exact interval of 3 D q(A, B) <= K, q = a B^2 - 4b AB + 16c A^2.
+    """
+    a, b, c = f.coeffs()
+    D = -f.disc()
+    assert D > 0 and a > 0
+    L = families.lattice_Lfa(f)
+    K = 4 * a**3 * ibound
+    Amax = math.isqrt(a * K // (12 * D * D))
+    d1, k, d2 = L.d1, L.k, L.d2
+    out = []
+    for A in range(-(Amax // d1) * d1, Amax + 1, d1):
+        discB = 12 * D * a * K - 144 * D**3 * A * A
+        if discB < 0:
+            continue
+        s = math.isqrt(discB)
+        den = 6 * D * a
+        lo = -((s - 12 * D * b * A) // den)  # ceil((12DbA - s)/den)
+        hi = (12 * D * b * A + s) // den
+        r = (k * (A // d1)) % d2
+        for B in range(lo + ((r - lo) % d2), hi + 1, d2):
+            q = a * B * B - 4 * b * A * B + 16 * c * A * A
+            if (A, B) != (0, 0) and 3 * D * q <= K:
+                out.append((A, B))
+    return out
+
+
+def _check_reduced_enumeration(res: SuiteResult, dmax: int) -> None:
+    """`counting.ellipse_points` (reduced coordinates) against the row scan,
+    the Gram identity Q = lam g behind it, and the odd-D skip of
+    `counting._admissible_discs`, on every GL2 family with D <= dmax."""
+    for D in range(3, dmax + 1):
+        if D % 4 not in (0, 3):
+            continue
+        odd = D % 2 == 1
+        if odd:
+            res.checks += 1
+            if D in counting._admissible_discs(12 * D - 1) or D not in counting._admissible_discs(12 * D):
+                res.fail(f"odd D={D} is not admitted exactly from Z = 12D")
+        for f in counting._gl2_reps(D):
+            a, b, c = f.coeffs()
+            L = families.lattice_Lfa(f)
+
+            def q(A, B):
+                return a * B * B - 4 * b * A * B + 16 * c * A * A
+
+            v1, v2 = (L.d1, L.k), (0, L.d2)
+            Q = (q(*v1), q(v1[0] + v2[0], v1[1] + v2[1]) - q(*v1) - q(*v2), q(*v2))
+            lam = 16 * a**3 if odd else a**3
+            res.checks += 1
+            if any(x % lam for x in Q):
+                res.fail(f"Gram form {Q} of {f} is not divisible by {lam}")
+                continue
+            g = forms.QuadraticForm(*(x // lam for x in Q))
+            if g.disc() != (-D if odd else -16 * D):
+                res.fail(f"disc of the family Gram form {g} of {f} is {g.disc()}")
+            for Z in (D // 2, 12 * D - 1, 12 * D, 100 * D, 400 * D):
+                res.checks += 1
+                want = _ellipse_points_rowscan(f, Z)
+                if list(counting.ellipse_points(f, Z)) != want:
+                    res.fail(f"ellipse_points differs from the row scan: f={f}, Z={Z}")
+                if odd and Z < 12 * D and want:
+                    res.fail(f"odd D={D} has points at Z={Z} < 12D: f={f}")
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from jzero.classes import (
     compose,
     cover_multiplicity,
     enumerate_reduced,
+    gauss_reduce,
     h2_star,
     inverse,
     is_ambiguous,
@@ -64,6 +65,42 @@ def test_reduce_idempotent_and_equivalent():
         assert act_quadratic(f, T) == g
         g2, T2 = reduce_form(g)
         assert g2 == g and T2.entries() == (1, 0, 0, 1)
+
+
+def _reduce_form_by_matrices(f):
+    """Reference: Gauss reduction by Unimodular products, step by step."""
+    swap = Unimodular(0, -1, 1, 0)
+    T, g = Unimodular(1, 0, 0, 1), f
+    while True:
+        a, b, c = g.coeffs()
+        if not (-a < b <= a):
+            k = -((b + a - 1) // (2 * a)) if b > a else (a - b) // (2 * a)
+            step = Unimodular(1, k, 0, 1)
+        elif c < a or (c == a and b < 0):
+            step = swap
+        elif b == -a:  # never reached: the first branch moves b into (-a, a]
+            step = Unimodular(1, 1, 0, 1)
+        else:
+            return g, T
+        g, T = act_quadratic(g, step), T.mul(step)
+
+
+def test_gauss_reduce_matches_matrix_reduction():
+    rng = random.Random(22)
+    cases = [(a, -a, c) for a in range(1, 12) for c in range(a, a + 6)]  # b = -a
+    cases += [(a, b, a) for a in range(1, 12) for b in range(-a, a + 1)]  # a = c
+    cases += [(1, 1, 1), (2, -2, 3), (3, 2, 2), (5, 7, 3), (4, -4, 4)]
+    while len(cases) < 1500:
+        a = rng.randint(1, 10**rng.randint(1, 6))
+        b = rng.randint(-10**rng.randint(1, 7), 10**rng.randint(1, 7))
+        c = b * b // (4 * a) + rng.randint(1, 10**rng.randint(1, 6))
+        cases.append((a, b, c))
+    for (a, b, c) in cases:
+        f = QuadraticForm(a, b, c)
+        assert f.disc() < 0
+        g, T = _reduce_form_by_matrices(f)
+        assert gauss_reduce(a, b, c) == (g.coeffs(), T.entries()), f
+        assert reduce_form(f) == (g, T), f
 
 
 def test_unique_reduced_rep_vs_orbit_search():

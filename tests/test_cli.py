@@ -241,3 +241,32 @@ def test_config_hash_ignores_output_paths(tmp_path):
     other = tmp_path / "c.json"
     assert main(["family", "1,0,1", "--ibound", "51", "--out", str(other)]) == 0
     assert json.loads(other.read_text())["config_hash"] != docs[0]["config_hash"]
+
+
+def test_family_factorizes_each_point_once(tmp_path, monkeypatch):
+    # count_family classifies every point; the row loop calls
+    # is_irreducible_Q only for the --csv column
+    from jzero import counting, forms
+
+    calls = {"kernel": 0, "rows": 0}
+
+    def counted(key, fn):
+        def wrapper(F):
+            calls[key] += 1
+            return fn(F)
+
+        return wrapper
+
+    monkeypatch.setattr(counting, "is_irreducible_Q", counted("kernel", forms.is_irreducible_Q))
+    monkeypatch.setattr(forms, "is_irreducible_Q", counted("rows", forms.is_irreducible_Q))
+    out = tmp_path / "fam.json"
+    assert main(["family", "1,0,1", "--ibound", "100", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert (doc["points"], doc["irreducible_points"], doc["primitive_points"]) == (28, 12, 20)
+    # the kernel tests the points with a4 = A != 0
+    kernel = sum(1 for (A, _) in counting.ellipse_points(forms.QuadraticForm(1, 0, 1), 100) if A)
+    assert calls == {"kernel": kernel, "rows": 0}
+    csv_path = tmp_path / "fam.csv"
+    assert main(["family", "1,0,1", "--ibound", "100", "--csv", str(csv_path)]) == 0
+    assert calls == {"kernel": 2 * kernel, "rows": 28}
+    assert len(csv_path.read_text().splitlines()) == 29

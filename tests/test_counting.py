@@ -194,3 +194,38 @@ def test_imprimitive_scaling_consistency():
             for r in (2, 3):
                 expected = r * r * I <= Z
                 assert ((r * A, r * B) in pts) == expected, (f, A, B, r)
+
+
+def test_ellipse_points_match_row_scan_on_skewed_lattices():
+    # the reduced-coordinate enumeration against the HNF row scan it
+    # replaced, in the same order; large D gives large a and skewed bases
+    from jzero.counting import _gl2_reps
+    from jzero.verify import _ellipse_points_rowscan
+
+    rng = random.Random(63)
+    discs = [D for D in range(3, 3001) if D % 4 in (0, 3)]
+    cases = [(f, Z) for D in (2995, 2996, 2999, 3000) for f in _gl2_reps(D)
+             for Z in (12 * D - 1, 12 * D, 400 * D)]
+    for _ in range(1500):
+        D = rng.choice(discs)
+        cases.append((rng.choice(_gl2_reps(D)), rng.randint(1, 400 * D)))
+    for f, Z in cases:
+        assert list(ellipse_points(f, Z)) == _ellipse_points_rowscan(f, Z), (f, Z)
+
+
+def test_odd_disc_skip_is_exact():
+    # an odd D holds a point iff 12 D <= Z: none below (row scan over every
+    # family), and the principal family reaches I = 12 D
+    from jzero.counting import _admissible_discs, _gl2_reps
+    from jzero.verify import _ellipse_points_rowscan
+
+    for D in range(3, 800, 4):
+        assert D not in _admissible_discs(12 * D - 1)
+        assert D in _admissible_discs(12 * D)
+        for f in _gl2_reps(D):
+            assert _ellipse_points_rowscan(f, 12 * D - 1) == [], f
+        principal = QuadraticForm(1, 1, (D + 1) // 4)
+        assert _ellipse_points_rowscan(principal, 12 * D), D
+    for Z in (1, 11, 12, 100, 1889):
+        assert all(D % 4 == 0 or 12 * D <= Z for D in _admissible_discs(Z))
+        assert [D for D in _admissible_discs(Z) if D % 2] == list(range(3, Z // 12 + 1, 4))

@@ -64,3 +64,19 @@ def test_failure_reporting_shape():
     res.fail("synthetic failure")
     assert not res.passed
     assert res.summary().startswith("[FAIL]")
+
+
+def test_parametrization_suite_checks_reduced_enumeration(monkeypatch):
+    from jzero import counting
+
+    enumerate_points = counting.ellipse_points
+
+    def drop_last_point(f, Z):
+        yield from list(enumerate_points(f, Z))[:-1]
+
+    monkeypatch.setattr(counting, "ellipse_points", drop_last_point)
+    r = run_suite("parametrization", dmax=20, coeff_box=0, det_alpha=0)
+    assert any("differs from the row scan" in msg for msg in r.failures)
+    monkeypatch.setattr(counting, "_admissible_discs", lambda Z: range(3, 4 * Z // 3 + 1))
+    r = run_suite("parametrization", dmax=20, coeff_box=0, det_alpha=0)
+    assert any("not admitted exactly" in msg for msg in r.failures)
