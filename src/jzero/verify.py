@@ -5,7 +5,7 @@ contracts) separated from findings (documented deviations of literature
 formulas from the computed ground truth, reported but non-fatal).
 
 Suites:
-  parametrization     family identities, lattice determinants
+  parametrization     family identities, lattice determinants, reduced enumeration
   classgroup          group laws, value oracle, reducible class counts
   hensel              nu = w^4, w-distinctness, lift class walk, integrality
   reducibility        classification, cofactor identities, square curve
@@ -139,7 +139,8 @@ def _check_reduced_enumeration(res: SuiteResult, dmax: int) -> None:
         odd = D % 2 == 1
         if odd:
             res.checks += 1
-            if D in counting._admissible_discs(12 * D - 1) or D not in counting._admissible_discs(12 * D):
+            admitted = (D in counting._admissible_discs(Z) for Z in (12 * D - 1, 12 * D))
+            if tuple(admitted) != (False, True):
                 res.fail(f"odd D={D} is not admitted exactly from Z = 12D")
         for f in counting._gl2_reps(D):
             a, b, c = f.coeffs()
