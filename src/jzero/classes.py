@@ -1,9 +1,9 @@
 """Reduction theory and class arithmetic for binary quadratic forms.
 
 Positive definite forms: Gauss reduction with transform tracking, reduced
-|b| <= a <= c (b >= 0 on the boundary), class enumeration per discriminant,
-Dirichlet composition through concordant representatives, and the class
-number h2(-D) counting primitive reduced forms.
+|b| <= a <= c (b >= 0 on the boundary), class enumeration per discriminant
+(h2(-D) = len(enumerate_reduced(D))), and Dirichlet composition through
+concordant representatives.
 
 Square discriminant n^2 > 0: every primitive class has a unique
 representative a x^2 + n xy with 1 <= a <= n, gcd(a, n) = 1 (a = 1 when
@@ -105,16 +105,6 @@ def enumerate_reduced(D: int) -> list[QuadraticForm]:
     return out
 
 
-def class_number(D: int) -> int:
-    """h2(-D): the number of primitive reduced forms of discriminant -D."""
-    return len(enumerate_reduced(D))
-
-
-def h2_star(D: int) -> int:
-    """Count of primitive reduced forms of disc -D with a <= D^(1/4)."""
-    return sum(1 for f in enumerate_reduced(D) if f.a**4 <= D)
-
-
 # ---------------------------------------------------------------------------
 # Representation search (positive definite)
 # ---------------------------------------------------------------------------
@@ -139,10 +129,6 @@ def representations(f: QuadraticForm, m: int) -> list[tuple[int, int]]:
             if num % (2 * a) == 0:
                 out.append((num // (2 * a), y))
     return sorted(set(out))
-
-
-def represents(f: QuadraticForm, m: int) -> bool:
-    return bool(representations(f, m))
 
 
 # ---------------------------------------------------------------------------
@@ -249,19 +235,6 @@ def compose(c1: FormClass, c2: FormClass) -> FormClass:
 def inverse(c: FormClass) -> FormClass:
     f = c.rep
     return class_of(QuadraticForm(f.a, -f.b, f.c), c.group)
-
-
-def class_pow(c: FormClass, k: int) -> FormClass:
-    if k < 0:
-        return class_pow(inverse(c), -k)
-    acc = principal_class(c.disc)
-    base = c
-    while k:
-        if k & 1:
-            acc = compose(acc, base)
-        base = compose(base, base)
-        k >>= 1
-    return acc
 
 
 def order(c: FormClass) -> int:

@@ -20,23 +20,19 @@ The lattice has determinant 4a^3 when b is odd and a^3 when b is even.
 
 The second half of the module handles pairs of quadratic forms (u, v):
 their half-Jacobian, joint discriminant, the invariant form with
-disc = 4 * disc(half-Jacobian), and the representation F = h(u, v) of a
-J = 0 quartic by an outer quadratic h composed with a primitive pair.
+disc = 4 * disc(half-Jacobian), and the quartic h(u, v) of an outer
+quadratic h composed with the pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Optional
 
-from .classes import is_reduced, representations
 from .forms import (
     QuadraticForm,
     QuarticForm,
-    Unimodular,
-    act_quadratic,
     act_quartic,
     hessian_sqrt,
     invariants,
@@ -48,18 +44,6 @@ from .lattices import SubLattice
 # ---------------------------------------------------------------------------
 # The (A, B) lattice
 # ---------------------------------------------------------------------------
-
-
-def translate_nonzero_alpha(f: QuadraticForm) -> tuple[QuadraticForm, Unimodular]:
-    """A unimodular translate of f with nonzero leading coefficient."""
-    if f.a != 0:
-        return f, Unimodular(1, 0, 0, 1)
-    for k in (1, -1, 2, -2, 3, -3):
-        T = Unimodular(1, 0, k, 1)
-        g = act_quadratic(f, T)
-        if g.a != 0:
-            return g, T
-    raise ValueError(f"cannot make the leading coefficient of {f} nonzero")
 
 
 def _check_family_form(f: QuadraticForm) -> None:
@@ -189,12 +173,6 @@ def invariant_form(u: QuadraticForm, v: QuadraticForm) -> QuadraticForm:
     return F
 
 
-def is_primitive_pair(u: QuadraticForm, v: QuadraticForm) -> bool:
-    """Content of the half-Jacobian at most 2."""
-    J = jacobian(u, v)
-    return not J.is_zero() and J.content() <= 2
-
-
 def outer_value(h2: int, h1: int, h0: int, u: QuadraticForm, v: QuadraticForm) -> QuarticForm:
     """The quartic h2 u^2 + h1 uv + h0 v^2."""
     uu = _form_square(u)
@@ -242,139 +220,6 @@ def outer_I(h2: int, h1: int, u: QuadraticForm, v: QuadraticForm) -> Fraction:
     return Fraction(num, 4 * dv)
 
 
-@dataclass(frozen=True)
-class OuterRep:
-    h2: int
-    h1: int
-    h0: int
-    u: QuadraticForm
-    v: QuadraticForm
-
-
-def outer_search(F: QuarticForm, bound: int) -> list[OuterRep]:
-    """All representations F = h(u, v) with pair coefficients <= bound.
-
-    Pairs must be primitive; when the half-Jacobian is positive definite the
-    output is normalized (half-Jacobian and invariant form reduced with
-    positive leading coefficients) and deduplicated under the automorphisms
-    of those two forms; otherwise raw matches are returned.
-    """
-    triple = invariants(F)
-    if triple.J != 0:
-        raise ValueError("outer search needs J(F) = 0")
-    if triple.disc == 0:
-        raise ValueError("outer search needs disc(F) != 0")
-    found: list[OuterRep] = []
-    rng = range(-bound, bound + 1)
-    for u2, u1, u0 in product(rng, repeat=3):
-        u = QuadraticForm(u2, u1, u0)
-        if u.is_zero():
-            continue
-        for v2, v1, v0 in product(rng, repeat=3):
-            v = QuadraticForm(v2, v1, v0)
-            if v.is_zero() or not is_primitive_pair(u, v):
-                continue
-            h = _solve_outer(F, u, v)
-            if h is None:
-                continue
-            found.append(OuterRep(*h, u, v))
-    J0 = [r for r in found if jacobian(r.u, r.v).is_positive_definite()]
-    if not J0:
-        return found
-    normalized = []
-    for r in J0:
-        Jf = jacobian(r.u, r.v)
-        Ff = invariant_form(r.u, r.v)
-        if is_reduced(Jf) and Jf.a > 0 and is_reduced(Ff) and Ff.a > 0:
-            normalized.append(r)
-    return _dedup_outer(normalized) if normalized else found
-
-
-def _solve_outer(F: QuarticForm, u, v) -> Optional[tuple[int, int, int]]:
-    cols = [_form_square(u), _form_product(u, v), _form_square(v)]
-    target = F.coeffs()
-    # exact solve of the 5x3 system by fraction-free elimination
-    rows = [[cols[0][i], cols[1][i], cols[2][i], target[i]] for i in range(5)]
-    sol = _solve_int_system(rows)
-    return sol
-
-
-def _solve_int_system(rows) -> Optional[tuple[int, int, int]]:
-    m = [[Fraction(x) for x in row] for row in rows]
-    n_cols = 3
-    piv_rows = []
-    r = 0
-    for c in range(n_cols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
-        piv_rows.append(c)
-        r += 1
-    # consistency
-    for i in range(len(m)):
-        if all(m[i][c] == 0 for c in range(n_cols)) and m[i][3] != 0:
-            return None
-    if len(piv_rows) < n_cols:
-        return None  # underdetermined (proportional pair); skip
-    sol = [Fraction(0)] * n_cols
-    for idx, c in enumerate(piv_rows):
-        sol[c] = m[idx][3]
-    if any(s.denominator != 1 for s in sol):
-        return None
-    return (int(sol[0]), int(sol[1]), int(sol[2]))
-
-
-def _dedup_outer(reps: list[OuterRep]) -> list[OuterRep]:
-    """Dedup (u, v) modulo Aut(invariant form) x Aut(half-Jacobian)."""
-    out = []
-    seen = set()
-    for r in sorted(reps, key=lambda r: (r.u.coeffs(), r.v.coeffs())):
-        Jf = jacobian(r.u, r.v)
-        Ff = invariant_form(r.u, r.v)
-        orbit = set()
-        for T in unit_automorphisms(Ff):
-            # outer action: (u, v) -> (t1 u + t2 v, t3 u + t4 v)
-            U = _lin_comb(T.t1, r.u, T.t2, r.v)
-            V = _lin_comb(T.t3, r.u, T.t4, r.v)
-            for S in unit_automorphisms(Jf):
-                orbit.add(
-                    (act_quadratic(U, S).coeffs(), act_quadratic(V, S).coeffs())
-                )
-        key = min(orbit)
-        if key not in seen:
-            seen.add(key)
-            out.append(r)
-    return out
-
-
-def _lin_comb(s: int, u: QuadraticForm, t: int, v: QuadraticForm) -> QuadraticForm:
-    return QuadraticForm(
-        s * u.a + t * v.a, s * u.b + t * v.b, s * u.c + t * v.c
-    )
-
-
-def unit_automorphisms(f: QuadraticForm) -> list[Unimodular]:
-    """All T in GL2(Z) with f_T = f, for positive definite f."""
-    if not f.is_positive_definite():
-        raise ValueError("finite automorphism groups need definite forms")
-    out = []
-    for (x1, y1) in representations(f, f.a):
-        for (x2, y2) in representations(f, f.c):
-            if x1 * y2 - x2 * y1 not in (1, -1):
-                continue
-            T = Unimodular(x1, x2, y1, y2)
-            if act_quadratic(f, T) == f:
-                out.append(T)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # The fiber action: symmetries of f acting on (A, B)
 # ---------------------------------------------------------------------------
@@ -409,10 +254,6 @@ class FiberAction:
 
     def canonical(self, A: int, B: int) -> tuple[int, int]:
         return self.orbit(A, B)[0]
-
-    @property
-    def generic_size(self) -> int:
-        return len(self.maps)
 
 
 def fiber_action(f: QuadraticForm) -> FiberAction:

@@ -338,27 +338,6 @@ def act_quadratic(f: QuadraticForm, T: Unimodular) -> QuadraticForm:
 
 
 # ---------------------------------------------------------------------------
-# Cubic resolvent
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CubicResolvent:
-    """x^3 + px + q packaged as (p, q); here p = -3I(F), q = J(F)."""
-
-    p: int
-    q: int
-
-    def coeffs(self) -> tuple[int, int, int, int]:
-        return (1, 0, self.p, self.q)
-
-
-def cubic_resolvent(F: QuarticForm) -> CubicResolvent:
-    triple = invariants(F)
-    return CubicResolvent(-3 * triple.I, triple.J)
-
-
-# ---------------------------------------------------------------------------
 # Real splitting type via exact Sturm sequences
 # ---------------------------------------------------------------------------
 

@@ -40,10 +40,7 @@ from .classes import (
     _prime_divisors,
     class_group,
     class_of,
-    class_pow,
     inverse,
-    order,
-    principal_class,
     reduce_form,
     representations,
 )
@@ -175,6 +172,16 @@ def _lift_root(poly: tuple[int, int, int], t0: int, p: int, k: int) -> int:
     return t % (p**k)
 
 
+def _check_split_prime(D: int, p: int) -> None:
+    """Raise ValueError unless p is an odd prime that splits in disc D."""
+    if p == 2 or not _is_prime(p):
+        raise ValueError("p must be an odd prime")
+    if D % p == 0:
+        raise ValueError(f"{p} ramifies in disc {D}")
+    if _legendre(D, p) != 1:
+        raise ValueError(f"{p} is inert for disc {D}")
+
+
 def split_lattices(
     f: QuadraticForm, p: int, k: int
 ) -> tuple[SubLattice, SubLattice]:
@@ -185,13 +192,7 @@ def split_lattices(
     residue factor through (1, 0)) comes first; {x = t y} branches are
     sorted by t.
     """
-    if p == 2 or not _is_prime(p):
-        raise ValueError("p must be an odd prime")
-    D = f.disc()
-    if D % p == 0:
-        raise ValueError(f"{p} ramifies in disc {D}")
-    if _legendre(D, p) != 1:
-        raise ValueError(f"{p} is inert for disc {D}")
+    _check_split_prime(f.disc(), p)
     if f.content() % p == 0:
         raise ValueError("content divisible by p")
     a, b, c = f.coeffs()
@@ -409,26 +410,35 @@ def hensel_class_check(f: QuadraticForm, p: int, kmax: int = 3) -> HenselCheckRe
     branch 1 at level k must be P^(s-k) and on branch 2 P^(s+k), each up to
     inverse (a lattice basis only pins the class up to GL2), with one
     global branch assignment across all k.  When [f] is not a power of P
-    the hypothesis fails and the check is vacuous.
+    the hypothesis fails and the check is vacuous.  p must be an odd prime
+    splitting in disc(f).
+
+    One walk around the cycle of P in the class group gives
+    powers[j] = P^j, hence the order n = len(powers), s, and every target
+    P^(s +- k) = powers[(s +- k) % n].  The targets are compared up to
+    inverse, so the orientation of P does not change them.
     """
     if not f.is_primitive():
         raise ValueError("f must be primitive")
     D = f.disc()
+    _check_split_prime(D, p)
     P = prime_form_class(D, p)
-    s = None
-    orient = None
-    n = order(P)
-    acc = principal_class(D)
-    fcls = class_of(f)
     G = class_group(-D)
-    for e in range(n):
+    powers = [G.identity()]
+    acc = P
+    while acc != powers[0]:
+        powers.append(acc)
+        acc = G.compose(acc, P)
+    n = len(powers)
+    fcls = class_of(f)
+    s = orient = None
+    for e, acc in enumerate(powers):
         if acc == fcls:
             s, orient = e, 1
             break
         if inverse(acc) == fcls:
             s, orient = e, -1
             break
-        acc = G.compose(acc, P)
     if s is None:
         return HenselCheckResult(True, True, None, P, ["[f] is not a power of the prime class; vacuous"])
     if orient == -1:
@@ -446,8 +456,8 @@ def hensel_class_check(f: QuadraticForm, p: int, kmax: int = 3) -> HenselCheckRe
             c1, c2 = got[k]
             if swap:
                 c1, c2 = c2, c1
-            t1 = class_pow(P, s - k)
-            t2 = class_pow(P, s + k)
+            t1 = powers[(s - k) % n]
+            t2 = powers[(s + k) % n]
             if not (
                 _classes_equal_up_to_inverse(c1, t1)
                 and _classes_equal_up_to_inverse(c2, t2)

@@ -7,15 +7,13 @@ A sublattice is stored as the column basis
 
 so membership of (x, y) is the pair of conditions d1 | x and
 d2 | (y - k * x / d1), and the index is d1 * d2.  Every lattice this
-package needs arises from congruences u*x + v*y = 0 (mod N), so lattices
-remember their defining congruences; intersections then reduce to solving
-all congruences at once.
+package needs arises from congruences u*x + v*y = 0 (mod N).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def _solve_kernel(c1: int, c2: int, N: int) -> tuple[int, int, int]:
@@ -48,7 +46,6 @@ class SubLattice:
     d1: int
     k: int
     d2: int
-    congruences: tuple[tuple[int, int, int], ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         if self.d1 <= 0 or self.d2 <= 0 or not (0 <= self.k < self.d2):
@@ -62,24 +59,8 @@ class SubLattice:
         """Basis vectors (columns): (d1, k) and (0, d2)."""
         return ((self.d1, self.k), (0, self.d2))
 
-    def contains(self, x: int, y: int) -> bool:
-        if x % self.d1 != 0:
-            return False
-        return (y - self.k * (x // self.d1)) % self.d2 == 0
-
-    def coords(self, x: int, y: int) -> tuple[int, int]:
-        """Coordinates (s, t) with (x, y) = s*(d1, k) + t*(0, d2)."""
-        if not self.contains(x, y):
-            raise ValueError(f"({x},{y}) not in lattice")
-        s = x // self.d1
-        t = (y - self.k * s) // self.d2
-        return (s, t)
-
     def point(self, s: int, t: int) -> tuple[int, int]:
         return (self.d1 * s, self.k * s + self.d2 * t)
-
-    def is_sublattice_of(self, other: "SubLattice") -> bool:
-        return all(other.contains(*v) for v in self.basis())
 
     @staticmethod
     def from_congruences(congs: list[tuple[int, int, int]]) -> "SubLattice":
@@ -89,25 +70,14 @@ class SubLattice:
         each congruence expressed in the current basis coordinates.
         """
         d1, k, d2 = 1, 0, 1
-        kept: list[tuple[int, int, int]] = []
         for (u, v, N) in congs:
             N = abs(N)
             if N <= 1:
                 continue
-            kept.append((u, v, N))
             e1, kk, e2 = _solve_kernel(u * d1 + v * k, v * d2, N)
             # new basis: e1*(d1, k) + kk*(0, d2) and e2*(0, d2)
             d1, k, d2 = e1 * d1, (e1 * k + kk * d2) % (e2 * d2), e2 * d2
-        return SubLattice(d1, k, d2, tuple(kept))
-
-    def intersect(self, other: "SubLattice") -> "SubLattice":
-        congs = list(self.as_congruences()) + list(other.as_congruences())
-        return SubLattice.from_congruences(congs)
-
-    def as_congruences(self) -> tuple[tuple[int, int, int], ...]:
-        """Two congruences cutting out exactly this lattice."""
-        # x = 0 (mod d1) and d1*y - k*x = 0 (mod d1*d2)
-        return ((1, 0, self.d1), (-self.k, self.d1, self.d1 * self.d2))
+        return SubLattice(d1, k, d2)
 
     def __str__(self) -> str:
         return f"[({self.d1},{self.k}),(0,{self.d2})] index {self.index}"

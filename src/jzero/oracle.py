@@ -180,23 +180,6 @@ def orbit_key(F: QuarticForm) -> OrbitKey:
     return OrbitKey("square", g.coeffs(), canon, inv_t)
 
 
-def equivalent_by_matrix_search(
-    F: QuarticForm, G: QuarticForm, bound: int = 6
-) -> Optional[Unimodular]:
-    """Exhaustive unimodular search; a slow validator for orbit_key."""
-    rng = range(-bound, bound + 1)
-    for t1 in rng:
-        for t2 in rng:
-            for t3 in rng:
-                for t4 in rng:
-                    if t1 * t4 - t2 * t3 not in (1, -1):
-                        continue
-                    T = Unimodular(t1, t2, t3, t4)
-                    if act_quartic(F, T) == G:
-                        return T
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Brute-force orbit counting with cover certification
 # ---------------------------------------------------------------------------
@@ -214,10 +197,6 @@ class BruteForceReport:
     n_keys: set = field(default_factory=set)
     m_keys: set = field(default_factory=set)
     fiber_findings: list[str] = field(default_factory=list)
-
-    @property
-    def cover_certified(self) -> bool:
-        return self.height >= self.required_height
 
 
 def certify_cover(X: int, policy: HeightPolicy = DISC_POLICY) -> int:

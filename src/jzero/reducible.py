@@ -63,36 +63,6 @@ class ReducibleWitness:
         return tuple(self.scale * x for x in prod) == F.coeffs()
 
 
-def quadratic_factorization(
-    F: QuarticForm,
-) -> Optional[tuple[QuadraticForm, QuadraticForm, int]]:
-    """F = scale * g * h with g, h primitive integral quadratics, if possible.
-
-    None when F is irreducible over Q.  Raises for quartics with an
-    irreducible cubic factor, which cannot occur when J(F) = 0.
-    """
-    if invariants(F).disc == 0:
-        raise ValueError("factorization classifier needs disc(F) != 0")
-    fac = quartic_factorization(F)
-    if fac.is_irreducible():
-        return None
-    if fac.cubic is not None:
-        raise ValueError(f"{F} = linear * irreducible cubic; no quadratic pair")
-    quads = list(fac.quadratics)
-    lins = list(fac.linears)
-    if len(lins) == 4:
-        g = _linear_product(lins[0], lins[1])
-        h = _linear_product(lins[2], lins[3])
-    elif len(lins) == 2 and len(quads) == 1:
-        g = _linear_product(lins[0], lins[1])
-        h = quads[0]
-    elif len(quads) == 2:
-        g, h = quads
-    else:
-        raise AssertionError(f"unexpected factor pattern for {F}: {fac}")
-    return g, h, fac.content
-
-
 def _linear_product(l1: LinearFactor, l2: LinearFactor) -> QuadraticForm:
     # (s1 x - r1 y)(s2 x - r2 y)
     return QuadraticForm(

@@ -257,7 +257,8 @@ def suite_hensel(
             res.checks += 1
             nu = hensel.nu_of(f)
             w = classes.class_of(classes.reduce_form(hensel.w_of(f))[0])
-            w4 = classes.class_pow(w, 4)
+            w2 = classes.compose(w, w)
+            w4 = classes.compose(w2, w2)
             if nu not in (w4, classes.inverse(w4)):
                 res.fail(f"nu != w^4 for {f}: {nu.rep} vs {w4.rep}")
         for f in gl2:

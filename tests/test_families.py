@@ -3,11 +3,10 @@
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from jzero.classes import enumerate_reduced
+from jzero.classes import enumerate_reduced, signed_automorphisms
 from jzero.families import (
     FamilyPoint,
     family_coefficients,
@@ -15,7 +14,6 @@ from jzero.families import (
     family_member,
     fiber_action,
     invariant_form,
-    is_primitive_pair,
     jacobian,
     joint_disc,
     lattice_Lfa,
@@ -23,21 +21,20 @@ from jzero.families import (
     member_of,
     outer_I,
     outer_h0,
-    outer_search,
     outer_value,
     plane_residual,
-    translate_nonzero_alpha,
-    unit_automorphisms,
 )
 from jzero.forms import (
     QuadraticForm,
     QuarticForm,
+    Unimodular,
     act_quadratic,
     act_quartic,
     hessian,
     hessian_sqrt,
     invariants,
 )
+from reference import contains
 F101 = QuadraticForm(1, 0, 1)
 F111 = QuadraticForm(1, 1, 1)
 
@@ -46,7 +43,7 @@ def test_lattice_examples():
     assert lattice_Lfa(F101).index == 1
     L = lattice_Lfa(F111)
     assert L.index == 4
-    assert L.contains(7, 4) and L.contains(3, 0) and not L.contains(0, 2)
+    assert contains(L, 7, 4) and contains(L, 3, 0) and not contains(L, 0, 2)
     assert lattice_det(QuadraticForm(5, 4, 1)) == 125
     assert lattice_det(QuadraticForm(3, 1, 2)) == 108
     assert lattice_det(F111) == 4
@@ -67,7 +64,7 @@ def test_lattice_membership_exhaustive_small():
         M = 4 * a**3
         for A in range(M):
             for B in range(M):
-                member = L.contains(A, B)
+                member = contains(L, A, B)
                 try:
                     family_coefficients(f, A, B)
                     integral = True
@@ -151,8 +148,10 @@ def test_completeness_small_box():
                     res = hessian_sqrt(F)
                     assert res is not None
                     f, _ = res
-                    f1, T = translate_nonzero_alpha(f)
-                    pt = member_of(f1, act_quartic(F, T))
+                    # a shear y -> kx + y gives f a nonzero leading coefficient
+                    k = 0 if f.a else (1 if f.value(1, 1) else -1)
+                    T = Unimodular(1, 0, k, 1)
+                    pt = member_of(act_quadratic(f, T), act_quartic(F, T))
                     assert pt is not None, (F, f)
                     count += 1
     assert count > 500
@@ -245,35 +244,24 @@ def test_outer_value_and_I():
         checked += 1
 
 
-def test_outer_search_examples():
-    reps = outer_search(QuarticForm(1, 0, -6, 0, 1), 3)
-    assert reps, "expected a small outer representation"
-    for r in reps:
-        assert outer_value(r.h2, r.h1, r.h0, r.u, r.v) == QuarticForm(1, 0, -6, 0, 1)
-        assert is_primitive_pair(r.u, r.v)
-    reps2 = outer_search(QuarticForm(0, 1, 0, -1, 0), 3)
-    assert reps2
-    with pytest.raises(ValueError):
-        outer_search(QuarticForm(1, 1, 0, 0, 1), 3)  # J != 0
-
-
 def test_unit_automorphisms_orders():
-    assert len(unit_automorphisms(QuadraticForm(1, 0, 1))) == 8
-    assert len(unit_automorphisms(QuadraticForm(1, 1, 1))) == 12
-    assert len(unit_automorphisms(QuadraticForm(2, 1, 3))) == 2
-    assert len(unit_automorphisms(QuadraticForm(1, 0, 2))) == 4
+    # a definite form has no T with f_T = -f, so these are its GL2 automorphisms
+    assert len(signed_automorphisms(QuadraticForm(1, 0, 1))) == 8
+    assert len(signed_automorphisms(QuadraticForm(1, 1, 1))) == 12
+    assert len(signed_automorphisms(QuadraticForm(2, 1, 3))) == 2
+    assert len(signed_automorphisms(QuadraticForm(1, 0, 2))) == 4
 
 
 def test_fiber_action_orbit_sizes():
     act = fiber_action(F101)
-    assert act.generic_size == 2
+    assert len(act.maps) == 2
     assert act.orbit(1, 2) == [(1, -2), (1, 2)]
     assert act.orbit(1, 0) == [(1, 0)]  # special point: smaller fiber
     act3 = fiber_action(F111)
-    assert act3.generic_size == 6
+    assert len(act3.maps) == 6
     assert len(act3.orbit(1, 4)) == 6
     act23 = fiber_action(QuadraticForm(2, 1, 3))
-    assert act23.generic_size == 1
+    assert len(act23.maps) == 1
 
 
 def test_fiber_action_maps_preserve_lattice_and_invariant():
@@ -285,15 +273,9 @@ def test_fiber_action_maps_preserve_lattice_and_invariant():
             A, B = L.point(rng.randint(-9, 9), rng.randint(-9, 9))
             I0, _ = family_invariant(FamilyPoint(f, A, B))
             for (A2, B2) in act.orbit(A, B):
-                assert L.contains(A2, B2)
+                assert contains(L, A2, B2)
                 I1, _ = family_invariant(FamilyPoint(f, A2, B2))
                 assert I1 == I0
-
-
-def test_translate_nonzero_alpha():
-    f = QuadraticForm(0, 1, 0)
-    g, T = translate_nonzero_alpha(f)
-    assert g.a != 0 and act_quadratic(f, T) == g
 
 
 _NONZERO = st.integers(-12, 12).filter(bool)

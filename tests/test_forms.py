@@ -20,7 +20,6 @@ from jzero.forms import (
     act_quadratic,
     act_quartic,
     count_real_roots,
-    cubic_resolvent,
     hessian,
     hessian_sqrt,
     invariants,
@@ -139,12 +138,6 @@ def test_hessian_covariance():
 def test_non_unimodular_rejected():
     with pytest.raises(ValueError):
         Unimodular(2, 0, 0, 1)
-
-
-def test_cubic_resolvent():
-    assert cubic_resolvent(BIQUAD).coeffs() == (1, 0, -144, 0)
-    assert cubic_resolvent(X4_PLUS_Y4).coeffs() == (1, 0, -36, 0)
-    assert cubic_resolvent(X3Y).coeffs() == (1, 0, 0, 0)
 
 
 def test_splitting_type_examples():

@@ -6,13 +6,15 @@ import pytest
 
 from jzero.classes import (
     class_of,
-    class_pow,
+    compose,
     enumerate_reduced,
     inverse,
     order,
+    principal_class,
 )
 from jzero.forms import QuadraticForm
 from jzero.hensel import (
+    HenselCheckResult,
     canonical_fp,
     hensel_class_check,
     lattice_form,
@@ -23,6 +25,7 @@ from jzero.hensel import (
     xi_m_of,
     xi_of,
 )
+from reference import contains, is_sublattice_of
 
 
 def test_canonical_fp_examples():
@@ -52,8 +55,8 @@ def test_canonical_fp_transform_is_exact():
 def test_split_lattices_examples():
     f = QuadraticForm(1, 1, 6)
     L1, L2 = split_lattices(f, 3, 1)
-    pts1 = {(x, y) for x in range(3) for y in range(3) if L1.contains(x, y)}
-    pts2 = {(x, y) for x in range(3) for y in range(3) if L2.contains(x, y)}
+    pts1 = {(x, y) for x in range(3) for y in range(3) if contains(L1, x, y)}
+    pts2 = {(x, y) for x in range(3) for y in range(3) if contains(L2, x, y)}
     assert pts1 | pts2 == {(0, 0), (0, 1), (0, 2), (1, 2), (2, 1)}
     g = QuadraticForm(5, 4, 1)
     M1, M2 = split_lattices(g, 5, 1)
@@ -82,7 +85,7 @@ def test_split_lattices_residue_exhaustive():
                         for y in range(q):
                             prim = x % p != 0 or y % p != 0
                             sol = f.value(x, y) % q == 0
-                            inL = (L1.contains(x, y), L2.contains(x, y))
+                            inL = (contains(L1, x, y), contains(L2, x, y))
                             if prim and sol:
                                 assert inL[0] != inL[1], (f, p, k, x, y)
                             if prim and not sol:
@@ -100,7 +103,7 @@ def test_split_lattice_nesting():
             continue
         L1a, L2a = split_lattices(f, p, 1)
         L1b, L2b = split_lattices(f, p, 2)
-        assert L1b.is_sublattice_of(L1a) and L2b.is_sublattice_of(L2a)
+        assert is_sublattice_of(L1b, L1a) and is_sublattice_of(L2b, L2a)
         assert L1b.index == p * L1a.index
 
 
@@ -142,7 +145,8 @@ def test_nu_is_w_fourth_power():
         for f in enumerate_reduced(D):
             nu = nu_of(f)
             w = class_of(reduce_w(f))
-            w4 = class_pow(w, 4)
+            w2 = compose(w, w)
+            w4 = compose(w2, w2)
             assert nu in (w4, inverse(w4)), (f, nu.rep, w4.rep)
             assert nu.disc == w_of(f).disc()
 
@@ -186,6 +190,10 @@ def test_hensel_class_check_examples():
     # disc -8: h = 1, p = 3 splits (Legendre(-8,3) = 1)
     res = hensel_class_check(QuadraticForm(1, 0, 2), 3, 2)
     assert res.passed and res.s == 0
+    # p must split in disc -23: 5 is inert, 23 ramifies, 2 is even
+    for p, msg in ((5, "5 is inert for disc -23"), (23, "23 ramifies in disc -23"), (2, "odd prime")):
+        with pytest.raises(ValueError, match=msg):
+            hensel_class_check(QuadraticForm(1, 1, 6), p)
 
 
 def test_hensel_class_check_sweep():
@@ -201,6 +209,77 @@ def test_hensel_class_check_sweep():
                 assert res.passed, (f, p, res.witnesses)
                 checked += 1
     assert checked > 60
+
+
+def _class_pow(c, k):
+    """c^k by square-and-multiply over the uncached classes.compose."""
+    if k < 0:
+        return _class_pow(inverse(c), -k)
+    acc, base = principal_class(c.disc), c
+    while k:
+        if k & 1:
+            acc = compose(acc, base)
+        base = compose(base, base)
+        k >>= 1
+    return acc
+
+
+def _reference_class_check(f, p, kmax):
+    """hensel_class_check with the exponent walk, the order of P and each
+    target P^(s +- k) computed separately through classes.compose."""
+    D = f.disc()
+    P = prime_form_class(D, p)
+    s = orient = None
+    acc = principal_class(D)
+    fcls = class_of(f)
+    for e in range(order(P)):
+        if acc == fcls:
+            s, orient = e, 1
+            break
+        if inverse(acc) == fcls:
+            s, orient = e, -1
+            break
+        acc = compose(acc, P)
+    if s is None:
+        return HenselCheckResult(True, True, None, P, ["[f] is not a power of the prime class; vacuous"])
+    if orient == -1:
+        P = inverse(P)
+    got = {}
+    for k in range(1, kmax + 1):
+        L1, L2 = split_lattices(f, p, k)
+        got[k] = (class_of(lattice_form(f, L1)[0]), class_of(lattice_form(f, L2)[0]))
+    for swap in (False, True):
+        ok = True
+        for k in range(1, kmax + 1):
+            c1, c2 = got[k][::-1] if swap else got[k]
+            t1, t2 = _class_pow(P, s - k), _class_pow(P, s + k)
+            if not (c1 in (t1, inverse(t1)) and c2 in (t2, inverse(t2))):
+                ok = False
+                break
+        if ok:
+            return HenselCheckResult(True, False, s, P, [])
+    witnesses = [
+        f"k={k}: got ({c1.rep}, {c2.rep}), want (P^{s - k}, P^{s + k}) with P={P.rep}, s={s}"
+        for k, (c1, c2) in got.items()
+    ]
+    return HenselCheckResult(False, False, s, P, witnesses)
+
+
+def test_hensel_class_check_matches_reference_walk():
+    kmax = 3
+    wraps_below = wraps_above = 0
+    for D in range(3, 201):
+        for f in enumerate_reduced(D):
+            for p in (3, 5, 7, 11, 13, 17, 19, 23):
+                if D % p == 0 or pow(-D % p, (p - 1) // 2, p) != 1:
+                    continue
+                res = hensel_class_check(f, p, kmax)
+                assert res == _reference_class_check(f, p, kmax), (f, p)
+                if res.s is not None:
+                    n = order(res.prime_class)
+                    wraps_below += res.s < kmax  # s - k < 0 for some k
+                    wraps_above += res.s + kmax >= n  # s + k >= n for some k
+    assert wraps_below > 0 and wraps_above > 0
 
 
 def test_xi_examples():

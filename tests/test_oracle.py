@@ -30,11 +30,11 @@ from jzero.oracle import (
     brute_quartics,
     certify_cover,
     compose_oracle,
-    equivalent_by_matrix_search,
     orbit_count_bruteforce,
     orbit_key,
     value_candidates,
 )
+from reference import equivalent_by_matrix_search
 
 
 def test_brute_quartics_basics():
@@ -128,7 +128,7 @@ def test_pm_inequivalent_special_pair():
 def test_binding_counts_small():
     for X in (2000, 10000):
         rep = orbit_count_bruteforce(X, DISC_POLICY)
-        assert rep.cover_certified
+        assert rep.height >= rep.required_height
         assert rep.n_orbits == count_N(X).irreducible_orbits
         assert rep.m_orbits == count_M(X).irreducible_orbits
 

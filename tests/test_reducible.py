@@ -16,7 +16,6 @@ from jzero.reducible import (
     jacobian_cofactor,
     lambda_f,
     lambda_form,
-    quadratic_factorization,
     square_disc_points,
     square_part_split,
 )
@@ -25,13 +24,11 @@ F101 = QuadraticForm(1, 0, 1)
 
 
 def test_quadratic_factorization_examples():
-    g, h, scale = quadratic_factorization(QuarticForm(0, 1, 0, -1, 0))
-    assert scale == 1
-    assert {g.coeffs(), h.coeffs()} == {(0, 1, 0), (1, 0, -1)}
-    assert quadratic_factorization(QuarticForm(1, 1, -6, -1, 1)) is None
     # the biquadratic x^4 - 6x^2y^2 + y^4 factors into two quadratics
-    g, h, scale = quadratic_factorization(QuarticForm(1, 0, -6, 0, 1))
-    assert {g.coeffs(), h.coeffs()} == {(1, -2, -1), (1, 2, -1)}
+    F = QuarticForm(1, 0, -6, 0, 1)
+    w = classify(F, F101)
+    assert w.scale == 1 and w.product_equals(F)
+    assert {w.g.coeffs(), w.h.coeffs()} == {(1, -2, -1), (1, 2, -1)}
 
 
 def test_classify_examples():
