@@ -716,9 +716,14 @@ def irreducible_mod_p(F: QuarticForm) -> Optional[int]:
 
 def is_irreducible_Q(F: QuarticForm) -> bool:
     """True iff F has no rational factor of degree 1 or 2: proved by
-    `irreducible_mod_p` when it finds a prime, else by factorization."""
+    `irreducible_mod_p` when it finds a prime, else by factorization.
+
+    a4 = 0 or a0 = 0 settles it at once: then y or x divides the nonzero F,
+    with a nonzero cubic cofactor, so F is reducible."""
     if F.is_zero():
         raise ValueError("zero form")
+    if F.a4 == 0 or F.a0 == 0:
+        return False
     if irreducible_mod_p(F) is not None:
         return True
     return quartic_factorization(F).is_irreducible()

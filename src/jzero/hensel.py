@@ -392,7 +392,9 @@ class HenselCheckResult:
 
 
 def prime_form_class(D: int, p: int) -> FormClass:
-    """Class of the canonical form (p, m, n) of discriminant D representing p."""
+    """Class of the canonical form (p, m, n) of discriminant D representing p;
+    p must be an odd prime splitting in D."""
+    _check_split_prime(D, p)
     m = next(m for m in range(0, 2 * p + 1) if (m * m - D) % (4 * p) == 0)
     n = (m * m - D) // (4 * p)
     return class_of(QuadraticForm(p, m, n))
@@ -421,7 +423,6 @@ def hensel_class_check(f: QuadraticForm, p: int, kmax: int = 3) -> HenselCheckRe
     if not f.is_primitive():
         raise ValueError("f must be primitive")
     D = f.disc()
-    _check_split_prime(D, p)
     P = prime_form_class(D, p)
     G = class_group(-D)
     powers = [G.identity()]

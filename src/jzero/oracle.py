@@ -1,12 +1,15 @@
 """Independent brute-force ground truth for the orbit counts.
 
 Quartics with J = 0 are enumerated from a coefficient box by solving
-J(F) = 0 for a0 given the other four coefficients (vectorized); each
+J(F) = 0 for a0 given the other four coefficients, one numpy grid over
+(a2, a1) per (a4, a3), which also applies the bound on |I|; each
 surviving form is keyed by transporting it into the canonical coordinates
 of its Hessian divisor class and canonicalizing the family point under
-the divisor's finite symmetry group.  Two forms get the same key exactly
-when they are GL2(Z)-equivalent, which is cross-validated by explicit
-matrix search at small height.
+the divisor's finite symmetry group.  Everything that depends only on the
+Hessian divisor (its canonical form and transform, fiber action and n_f)
+is computed once per divisor (`divisor`).  Two forms get the same key
+exactly when they are GL2(Z)-equivalent; the tests check this against an
+explicit matrix search at small height (`tests/reference.py`).
 
 The box height needed to see every orbit up to a given height bound is
 certified from the family enumeration itself (the canonical representative
@@ -18,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Iterator, Optional
 
 import numpy as np
@@ -30,10 +32,11 @@ from .classes import (
     class_of,
     canonical_square_label,
     cover_multiplicity,
+    indefinite_class_key,
     reduce_form,
 )
 from .counting import HeightPolicy, DISC_POLICY, count_M, count_N
-from .families import fiber_action, member_of
+from .families import FiberAction, fiber_action, member_of
 from .forms import (
     QuadraticForm,
     QuarticForm,
@@ -50,51 +53,65 @@ MAX_BRUTE_HEIGHT = 60
 
 def brute_quartics(
     height: int,
-    j_zero: bool = True,
-    nonzero_disc: bool = True,
+    imax: Optional[int] = None,
     max_height: int = MAX_BRUTE_HEIGHT,
 ) -> Iterator[QuarticForm]:
-    """All integral quartics with max |a_i| <= height passing the filters,
-    in deterministic order."""
+    """All integral quartics with J = 0, disc != 0 and max |a_i| <= height,
+    and |I| <= imax when imax is given, in deterministic order.
+
+    J = 72 a4 a2 a0 + 9 a3 a2 a1 - 27 a4 a1^2 - 27 a0 a3^2 - 2 a2^3 is
+    linear in a0, so a0 is solved for on one (a2, a1) grid per (a4, a3).
+    Since disc = (4 I^3 - J^2)/27, J = 0 gives disc = 4 I^3 / 27, so
+    disc != 0 exactly when I = 12 a4 a0 - 3 a3 a1 + a2^2 != 0; both tests
+    on I run on the grid.  Within each a4 the solved forms come in
+    (a3, a2, a1) order, followed by the forms where J does not involve a0
+    (every a0 qualifies), in (a3, a2, a1, a0) order.
+    """
     if height > max_height:
         raise ValueError(f"height {height} above configured maximum {max_height}")
     if height <= 0:
         return
-    if not j_zero:
-        rng = range(-height, height + 1)
-        for coeffs in product(rng, repeat=5):
-            F = QuarticForm(*coeffs)
-            if nonzero_disc and invariants(F).disc == 0:
-                continue
-            yield F
-        return
     H = height
     side = np.arange(-H, H + 1, dtype=np.int64)
-    a3g, a2g, a1g = np.meshgrid(side, side, side, indexing="ij")
-    a3f, a2f, a1f = a3g.ravel(), a2g.ravel(), a1g.ravel()
+    a2g, a1g = np.meshgrid(side, side, indexing="ij")
+    a2f, a1f = a2g.ravel(), a1g.ravel()
+    a2a1, a1sq, a2sq, a2cube = a2f * a1f, a1f * a1f, a2f * a2f, a2f**3
     for a4 in range(-H, H + 1):
-        den = 72 * a4 * a2f - 27 * a3f * a3f
-        num = 9 * a3f * a2f * a1f - 27 * a4 * a1f * a1f - 2 * a2f**3
-        ok = den != 0
-        a0 = np.zeros_like(den)
-        np.floor_divide(-num, den, out=a0, where=ok)
-        good = ok & (a0 * den == -num) & (np.abs(a0) <= H)
-        idx = np.flatnonzero(good)
-        for i in idx:
-            F = QuarticForm(a4, int(a3f[i]), int(a2f[i]), int(a1f[i]), int(a0[i]))
-            if nonzero_disc and invariants(F).disc == 0:
-                continue
-            yield F
-        # degenerate branch: J does not involve a0; every a0 qualifies
-        deg = np.flatnonzero((~ok) & (num == 0))
-        for i in deg:
+        # J = a0 * den - num on the grid of one (a4, a3)
+        den4 = 72 * a4 * a2f
+        num4 = 27 * a4 * a1sq + 2 * a2cube
+        degenerate = []
+        for a3 in range(-H, H + 1):
+            den = den4 - 27 * a3 * a3
+            num = num4 - 9 * a3 * a2a1
+            ok = den != 0
+            solvable = ok.all()
+            if not solvable:
+                deg = np.flatnonzero(~ok & (num == 0))
+                for a2, a1 in zip(a2f[deg].tolist(), a1f[deg].tolist()):
+                    degenerate.append((a3, a2, a1))
+                den = np.where(ok, den, 1)
+            a0, rem = np.divmod(num, den)
+            good = (rem == 0) & (np.abs(a0) <= H)
+            if not solvable:
+                good &= ok
+            idx = np.flatnonzero(good)
+            a2, a1, a0 = a2f[idx], a1f[idx], a0[idx]
+            I = 12 * a4 * a0 - 3 * a3 * a1 + a2sq[idx]
+            keep = I != 0
+            if imax is not None:
+                keep &= np.abs(I) <= imax
+            rows = np.stack((a2[keep], a1[keep], a0[keep]), axis=1).tolist()
+            for a2v, a1v, a0v in rows:
+                yield QuarticForm(a4, a3, a2v, a1v, a0v)
+        for a3, a2, a1 in degenerate:
             for a0v in range(-H, H + 1):
-                F = QuarticForm(a4, int(a3f[i]), int(a2f[i]), int(a1f[i]), a0v)
-                if invariants(F).J != 0:
+                F = QuarticForm(a4, a3, a2, a1, a0v)
+                t = invariants(F)
+                if t.J != 0:
                     raise AssertionError("degenerate branch must have J = 0")
-                if nonzero_disc and invariants(F).disc == 0:
-                    continue
-                yield F
+                if t.I != 0 and (imax is None or abs(t.I) <= imax):
+                    yield F
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +119,7 @@ def brute_quartics(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class OrbitKey:
     slice: str  # "posdef" | "square" | "indefinite"
     divisor: tuple[int, int, int]
@@ -110,18 +127,62 @@ class OrbitKey:
     invariants: tuple[int, int, int]
 
 
+@dataclass(frozen=True)
+class Divisor:
+    """What an orbit key needs of a Hessian root f, which depends on f
+    alone: the slice, the canonical divisor g with f_T = g (or, on the
+    indefinite slice, only the class label), the fiber action of g and
+    the cover multiplicity n_f of its GL2 class."""
+
+    slice: str
+    label: tuple[int, int, int]  # g's coefficients, or the indefinite class key
+    g: Optional[QuadraticForm]
+    T: Optional[Unimodular]
+    action: Optional[FiberAction]
+    n_f: int
+
+
 _FLIP = Unimodular(1, 0, 0, -1)
 
-_ACTION_CACHE: dict[tuple[int, int, int], object] = {}
+_DIVISORS: dict[tuple[int, int, int], Divisor] = {}
 
 
-def _cached_action(g: QuadraticForm):
-    key = g.coeffs()
-    act = _ACTION_CACHE.get(key)
-    if act is None:
-        act = fiber_action(g)
-        _ACTION_CACHE[key] = act
-    return act
+def divisor(f: QuadraticForm) -> Divisor:
+    """The divisor data of the Hessian root f, memoized on f.  Every root
+    of one class shares the fiber action and n_f of its canonical g."""
+    d = _DIVISORS.get(f.coeffs())
+    if d is None:
+        d = _DIVISORS[f.coeffs()] = _new_divisor(f)
+    return d
+
+
+def _new_divisor(f: QuadraticForm) -> Divisor:
+    disc = f.disc()
+    if disc < 0:
+        g, T = reduce_form(f)
+        if g.b < 0:
+            g = act_quadratic(g, _FLIP)
+            T = T.mul(_FLIP)
+        slice_ = "posdef"
+    else:
+        n = math.isqrt(disc)
+        if n * n != disc:
+            # out-of-scope slice: the key is a true orbit invariant (canonical
+            # divisor class plus invariants) but deliberately not separating
+            return Divisor("indefinite", indefinite_class_key(f), None, None, None, 0)
+        cands = _square_candidates(f)
+        best = min(lab for lab, _ in cands)
+        T = next(U for lab, U in cands if lab == best)
+        g = QuadraticForm(best, n, 0)
+        slice_ = "square"
+    if g == f:
+        action = fiber_action(g)
+        n_f = cover_multiplicity(class_of(g, Group.GL2))
+    else:
+        base = divisor(g)
+        assert base.g == g, (f, g, base.g)  # g is its own canonical divisor
+        action, n_f = base.action, base.n_f
+    return Divisor(slice_, g.coeffs(), g, T, action, n_f)
 
 
 def _square_candidates(f: QuadraticForm) -> list[tuple[int, Unimodular]]:
@@ -130,7 +191,7 @@ def _square_candidates(f: QuadraticForm) -> list[tuple[int, Unimodular]]:
     n = math.isqrt(f.disc())
     out = []
     for h in (f, f.neg()):
-        lab, U = canonical_square_label(h if h.a != 0 else h)
+        lab, U = canonical_square_label(h)
         out.append((lab, U))
         # inverse label: conjugate by diag(1, -1) and re-canonicalize
         g2 = act_quadratic(QuadraticForm(lab, n, 0), _FLIP)
@@ -147,37 +208,13 @@ def orbit_key(F: QuarticForm) -> OrbitKey:
     res = hessian_sqrt(F)
     if res is None:
         raise AssertionError(f"no Hessian square root for J = 0 form {F}")
-    f, _ = res
-    d = f.disc()
+    d = divisor(res[0])
     inv_t = (t.I, t.J, t.disc)
-    if d < 0:
-        g, T = reduce_form(f)
-        if g.b < 0:
-            shift = _FLIP
-            g2 = act_quadratic(g, shift)
-            T = T.mul(shift)
-            g = g2
-        F2 = act_quartic(F, T)
-        pt = member_of(g, F2)
-        assert pt is not None, (F, g)
-        canon = _cached_action(g).canonical(pt.A, pt.B)
-        return OrbitKey("posdef", g.coeffs(), canon, inv_t)
-    n = math.isqrt(d)
-    if n * n != d:
-        # out-of-scope slice: the key is a true orbit invariant (canonical
-        # divisor class plus invariants) but deliberately not separating
-        from .classes import indefinite_class_key
-
-        return OrbitKey("indefinite", indefinite_class_key(f), (0, 0), inv_t)
-    cands = _square_candidates(f)
-    best = min(lab for lab, _ in cands)
-    lab, U = next(c for c in cands if c[0] == best)
-    g = QuadraticForm(best, n, 0)
-    F2 = act_quartic(F, U)
-    pt = member_of(g, F2)
-    assert pt is not None, (F, f, g)
-    canon = _cached_action(g).canonical(pt.A, pt.B)
-    return OrbitKey("square", g.coeffs(), canon, inv_t)
+    if d.g is None:
+        return OrbitKey(d.slice, d.label, (0, 0), inv_t)
+    pt = member_of(d.g, act_quartic(F, d.T))
+    assert pt is not None, (F, res[0], d.g)
+    return OrbitKey(d.slice, d.label, d.action.canonical(pt.A, pt.B), inv_t)
 
 
 # ---------------------------------------------------------------------------
@@ -222,14 +259,12 @@ def orbit_count_bruteforce(
         raise ValueError(
             f"box height {height} cannot cover all orbits (need {required})"
         )
-    Z = policy.ibound(X)
     rep = BruteForceReport(X, policy.mode, height, required, 0, 0, 0)
     indefinite = set()
-    fiber_counts: dict[OrbitKey, int] = {}
-    for F in brute_quartics(height):
-        t = invariants(F)
-        if abs(t.I) > Z or (policy.mode == "disc" and 4 * abs(t.I) ** 3 > 27 * X):
-            continue
+    # In disc mode ibound(X) = icbrt(27X // 4), so for an integer I the box
+    # filter |I| <= ibound(X) holds exactly when 4|I|^3 <= 27X: it is the
+    # whole height condition |disc F| <= X.
+    for F in brute_quartics(height, imax=policy.ibound(X)):
         if not is_irreducible_Q(F):
             continue
         key = orbit_key(F)
@@ -239,29 +274,26 @@ def orbit_count_bruteforce(
             rep.m_keys.add(key)
         else:
             indefinite.add(key)
-        if check_fibers:
-            fiber_counts[key] = fiber_counts.get(key, 0) + 1
     rep.n_orbits = len(rep.n_keys)
     rep.m_orbits = len(rep.m_keys)
     rep.indefinite_orbits = len(indefinite)
     if check_fibers:
-        _check_fiber_sizes(rep, fiber_counts)
+        _check_fiber_sizes(rep)
     return rep
 
 
-def _check_fiber_sizes(rep: BruteForceReport, fiber_counts) -> None:
-    for key in list(rep.n_keys) + list(rep.m_keys):
-        g = QuadraticForm(*key.divisor)
-        action = _cached_action(g)
-        size = action.orbit_size(*key.point)
-        n_f = cover_multiplicity(class_of(g, Group.GL2))
-        if n_f % size != 0:
+def _check_fiber_sizes(rep: BruteForceReport) -> None:
+    # sorted, so that the findings do not follow the string-hash seed
+    for key in sorted(rep.n_keys) + sorted(rep.m_keys):
+        d = divisor(QuadraticForm(*key.divisor))
+        size = d.action.orbit_size(*key.point)
+        if d.n_f % size != 0:
             rep.fiber_findings.append(
-                f"fiber size {size} does not divide n_f={n_f} at {key}"
+                f"fiber size {size} does not divide n_f={d.n_f} at {key}"
             )
-        elif size != n_f:
+        elif size != d.n_f:
             rep.fiber_findings.append(
-                f"fiber size {size} < n_f={n_f} at divisor {g}, point {key.point}"
+                f"fiber size {size} < n_f={d.n_f} at divisor {d.g}, point {key.point}"
             )
 
 

@@ -555,10 +555,8 @@ def suite_oracle_equivalence(
         assigned += 1
         if key.slice == "indefinite":
             continue
-        g = forms.QuadraticForm(*key.divisor)
-        action = oracle._cached_action(g)
-        size = action.orbit_size(*key.point)
-        n_f = classes.cover_multiplicity(classes.class_of(g, classes.Group.GL2))
+        d = oracle.divisor(forms.QuadraticForm(*key.divisor))
+        size, n_f = d.action.orbit_size(*key.point), d.n_f
         res.checks += 1
         if n_f % size != 0:
             res.fail(f"fiber size {size} does not divide n_f={n_f} at {key}")

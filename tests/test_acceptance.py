@@ -60,7 +60,7 @@ def test_criterion_3_completeness():
         if key.slice == "indefinite":
             continue
         g = forms.QuadraticForm(*key.divisor)
-        action = oracle._cached_action(g)
+        action = oracle.divisor(g).action
         size = action.orbit_size(*key.point)
         n_f = classes.cover_multiplicity(classes.class_of(g, classes.Group.GL2))
         if n_f % size != 0:

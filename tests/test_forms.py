@@ -28,6 +28,7 @@ from jzero.forms import (
     quartic_factorization,
     splitting_type,
 )
+from jzero.oracle import brute_quartics
 from jzero.reducible import ReducibleKind, classify
 
 X4_PLUS_Y4 = QuarticForm(1, 0, 0, 0, 1)
@@ -255,6 +256,14 @@ def test_irreducibility_vs_exhaustive_oracle():
         assert is_irreducible_Q(F) == (div is None), (F, div)
         checked += 1
     assert checked > 150
+
+
+def test_zero_end_coefficient_is_reducible():
+    # the a4 * a0 = 0 shortcut against full factorization on the J = 0 box
+    edge = [F for F in brute_quartics(12) if F.a4 * F.a0 == 0]
+    assert len(edge) > 1000
+    for F in edge:
+        assert is_irreducible_Q(F) == quartic_factorization(F).is_irreducible(), F
 
 
 def test_factorization_reassembles():

@@ -194,6 +194,8 @@ def test_hensel_class_check_examples():
     for p, msg in ((5, "5 is inert for disc -23"), (23, "23 ramifies in disc -23"), (2, "odd prime")):
         with pytest.raises(ValueError, match=msg):
             hensel_class_check(QuadraticForm(1, 1, 6), p)
+        with pytest.raises(ValueError, match=msg):
+            prime_form_class(-23, p)
 
 
 def test_hensel_class_check_sweep():

@@ -1,12 +1,18 @@
 """Tests for the brute-force oracle: enumeration, keys, counts, composition."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jzero
 from jzero.classes import (
     ClassGroup,
     Group,
@@ -34,7 +40,11 @@ from jzero.oracle import (
     orbit_key,
     value_candidates,
 )
-from reference import equivalent_by_matrix_search
+from reference import brute_quartics_per_form, equivalent_by_matrix_search
+
+# The subprocesses import the same jzero and references as these tests.
+SRC = str(Path(list(jzero.__path__)[0]).resolve().parent)
+TESTS = str(Path(__file__).resolve().parent)
 
 
 def test_brute_quartics_basics():
@@ -61,6 +71,46 @@ def test_brute_quartics_complete_small():
             want.add(coeffs)
     got = {F.coeffs() for F in brute_quartics(3)}
     assert got == want
+
+
+def test_brute_quartics_matches_per_form_reference():
+    # same forms in the same order as the per-form filter, at every height
+    # up to 12 and with the |I| bound applied on the grid
+    for h in range(13):
+        ref = [(F, abs(invariants(F).I)) for F in brute_quartics_per_form(h)]
+        for imax in (None, 1, 50, 407):
+            want = [F for F, i in ref if imax is None or i <= imax]
+            assert list(brute_quartics(h, imax)) == want, (h, imax)
+
+
+def test_orbit_key_memo_matches_uncached_reference():
+    # run in a fresh process, so that the first pass starts on an empty memo
+    script = textwrap.dedent(
+        """
+        from jzero import oracle
+        from reference import orbit_key_uncached
+
+        forms = list(oracle.brute_quartics(8))
+        assert forms and not oracle._DIVISORS
+        want = [orbit_key_uncached(F) for F in forms]
+        for memo in ("empty", "filled"):
+            got = [oracle.orbit_key(F) for F in forms]
+            bad = [F for F, k, r in zip(forms, got, want) if k != r]
+            assert not bad, (memo, bad[:3])
+        print(len(forms), len(oracle._DIVISORS))
+        """
+    )
+    path = os.pathsep.join(p for p in (SRC, TESTS, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=600,
+    )
+    assert out.returncode == 0, out.stderr
+    n_forms, n_divisors = map(int, out.stdout.split())
+    assert n_forms > n_divisors > 0
 
 
 def _rand_T(rng):

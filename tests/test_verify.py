@@ -1,10 +1,17 @@
 """Plumbing tests for the verification suites."""
 
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import jzero
 from jzero.verify import SUITES, run_suite
+
+# The subprocesses import the same jzero as these tests.
+SRC = str(Path(list(jzero.__path__)[0]).resolve().parent)
 
 
 def test_dispatch_and_summary():
@@ -36,6 +43,26 @@ def test_reduced_parameter_suites_pass():
     r = run_suite("oracle-equivalence", xs=(2000,), completeness_height=6)
     assert r.passed
     assert r.stats["completeness_forms"] > 100
+
+
+def test_oracle_findings_do_not_follow_hash_seed():
+    script = (
+        "from jzero.verify import run_suite; "
+        "print(run_suite('oracle-equivalence', xs=(2000,), completeness_height=4).findings)"
+    )
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    outs = []
+    for seed in ("1", "2"):
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+            timeout=300,
+        )
+        assert out.returncode == 0, out.stderr
+        outs.append(out.stdout)
+    assert outs[0] == outs[1] and "fiber size" in outs[0]
 
 
 def test_reducibility_suite_checks_fast_path():
