@@ -76,6 +76,7 @@ from .families import (
     family_coefficients,
     fiber_action,
     lattice_Lfa,
+    square_split,
 )
 from .forms import QuadraticForm, QuarticForm, is_irreducible_Q
 
@@ -242,14 +243,15 @@ def family_points(f: QuadraticForm, Z: int) -> Iterable[tuple[int, int]]:
 
 def count_family(f: QuadraticForm, Z: int) -> FamilyCount:
     """Exact point, irreducible-point and orbit tallies for the family of f
-    with |I| <= Z, over `family_points(f, Z)`."""
+    with |I| <= Z, over `family_points(f, Z)`.  A point is reducible when
+    a4 = 0 or `square_split` factors it; the rest go to `is_irreducible_Q`."""
     out = FamilyCount()
     action: Optional[FiberAction] = None
     canon: set = set()
     for (A, B) in family_points(f, Z):
         out.points += 1
         F = QuarticForm(*family_coefficients(f, A, B))
-        if F.a4 == 0 or not is_irreducible_Q(F):
+        if F.a4 == 0 or square_split(f, A, B, F) or not is_irreducible_Q(F):
             continue
         out.irreducible_points += 1
         if action is None:

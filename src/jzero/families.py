@@ -33,6 +33,7 @@ from typing import Optional
 from .forms import (
     QuadraticForm,
     QuarticForm,
+    _exact_sqrt,
     act_quartic,
     hessian_sqrt,
     invariants,
@@ -118,6 +119,51 @@ def family_invariant(pt: FamilyPoint) -> tuple[int, Fraction]:
     den = 4 * a**3
     assert num % den == 0, pt
     return num // den, Fraction(q, den)
+
+
+def square_split(
+    f: QuadraticForm, A: int, B: int, F: QuarticForm
+) -> Optional[tuple[QuadraticForm, QuadraticForm]]:
+    """Integral quadratics (G, H) with G H = 16 a^4 A F, where F is the
+    member of the family of f at (A, B), when a q(A, B) is a perfect
+    square s^2 (q = a B^2 - 4b AB + 16c A^2); otherwise None.
+
+        G = (4a^2 A, 2a(aB + s), b(aB + s) - 4ac A),
+        H = (4a^2 A, 2a(aB - s), b(aB - s) - 4ac A).
+
+    The product is checked coefficient by coefficient before (G, H) is
+    returned, and A != 0, so G and H have nonzero x^2 coefficients and
+    F = G H / (16 a^4 A) is reducible over Q: a returned split proves
+    that without the argument below, for any divisor f.
+
+    Why the split finds every Type 2 point (`reducible.py`).  There
+    F = g h with g, h in Lambda(f), where 2a g0 = b g1 - 2c g2.  With
+    A = g2 h2 != 0, scale g to x^2 + g1 xy + g0 y^2 and h to
+    x^2 + h1 xy + h0 y^2, so F = A g h.  Matching the x^4, x^3 y and
+    x^2 y^2 coefficients with F = (A, B, -3(4cA - bB)/(2a), ...) gives
+    B = A (g1 + h1) and, after eliminating h1, g0 and h0,
+
+        A g1^2 - B g1 - (4cA - bB)/a = 0,
+
+    whose discriminant B^2 + 4A(4cA - bB)/a is q/a.  Its root g1 is
+    rational, so a q = a^2 (q/a) is an integer square s^2, and
+    g1 = (aB + s)/(2aA), h1 = (aB - s)/(2aA) up to the sign of s;
+    4a^2 A times the two quadratics are G and H.  Type 1 points (factors
+    swapped by the involution, square disc(F)) need not be split.
+    """
+    if A == 0:
+        return None
+    a, b, c = f.coeffs()
+    s = _exact_sqrt(a * (a * B * B - 4 * b * A * B + 16 * c * A * A))
+    if s is None:
+        return None
+    lead = 4 * a * a * A
+    G = QuadraticForm(lead, 2 * a * (a * B + s), b * (a * B + s) - 4 * a * c * A)
+    H = QuadraticForm(lead, 2 * a * (a * B - s), b * (a * B - s) - 4 * a * c * A)
+    scale = 4 * a * a * lead
+    if _form_product(G, H) != tuple(scale * x for x in F.coeffs()):
+        return None
+    return G, H
 
 
 def member_of(f: QuadraticForm, F: QuarticForm) -> Optional[FamilyPoint]:

@@ -286,9 +286,11 @@ def _basis_matrix(L: SubLattice) -> BasisMatrix:
 # ---------------------------------------------------------------------------
 
 
-def w_of(f: QuadraticForm) -> QuadraticForm:
-    """The numerator form w(f) built from the canonical (p, m, n) translate."""
-    c = canonical_fp(f)
+def w_of(f: QuadraticForm, c: Optional[CanonicalFp] = None) -> QuadraticForm:
+    """The numerator form w(f) built from the canonical (p, m, n) translate
+    c of f (computed here when not given)."""
+    if c is None:
+        c = canonical_fp(f)
     if c.m % 2 == 1:
         return QuadraticForm(c.p, -c.m, c.n)
     return QuadraticForm(c.p, -4 * c.m, 16 * c.n)
@@ -303,10 +305,12 @@ def second_branch_lattice(g: QuadraticForm, p: int, k: int) -> SubLattice:
     return L2
 
 
-def nu_of(f: QuadraticForm) -> FormClass:
-    """The class of the form carrying w(f) on the 3rd lift of its 2nd branch."""
-    c = canonical_fp(f)
-    w = w_of(f)
+def nu_of(f: QuadraticForm, c: Optional[CanonicalFp] = None) -> FormClass:
+    """The class of the form carrying w(f) on the 3rd lift of its 2nd branch;
+    c is the canonical translate of f (computed here when not given)."""
+    if c is None:
+        c = canonical_fp(f)
+    w = w_of(f, c)
     L = second_branch_lattice(w, c.p, 3)
     g_red, _, _ = lattice_form(w, L)
     return class_of(g_red)

@@ -35,7 +35,7 @@ from .classes import (
     indefinite_class_key,
     reduce_form,
 )
-from .counting import HeightPolicy, DISC_POLICY, count_M, count_N
+from .counting import CountReport, HeightPolicy, DISC_POLICY, count_M, count_N
 from .families import FiberAction, fiber_action, member_of
 from .forms import (
     QuadraticForm,
@@ -231,17 +231,22 @@ class BruteForceReport:
     n_orbits: int
     m_orbits: int
     indefinite_orbits: int  # lower bound: keyed by divisor class + invariants
+    n_report: CountReport  # count_N(X) and count_M(X), run by certify_cover
+    m_report: CountReport
     n_keys: set = field(default_factory=set)
     m_keys: set = field(default_factory=set)
     fiber_findings: list[str] = field(default_factory=list)
 
 
-def certify_cover(X: int, policy: HeightPolicy = DISC_POLICY) -> int:
-    """Box height needed so every counted orbit has a representative inside:
-    the maximum coefficient over all canonical family points in range."""
+def certify_cover(
+    X: int, policy: HeightPolicy = DISC_POLICY
+) -> tuple[int, CountReport, CountReport]:
+    """Box height needed so every counted orbit has a representative inside
+    (the maximum coefficient over all canonical family points in range),
+    with the N and M counts it was read from."""
     n_rep = count_N(X, policy)
     m_rep = count_M(X, policy)
-    return max(n_rep.max_coeff, m_rep.max_coeff)
+    return max(n_rep.max_coeff, m_rep.max_coeff), n_rep, m_rep
 
 
 def orbit_count_bruteforce(
@@ -252,14 +257,14 @@ def orbit_count_bruteforce(
 ) -> BruteForceReport:
     """Count distinct irreducible GL2-orbit keys in the coefficient box,
     split by Hessian-divisor slice."""
-    required = certify_cover(X, policy)
+    required, n_rep, m_rep = certify_cover(X, policy)
     if height is None:
         height = required
     if height < required:
         raise ValueError(
             f"box height {height} cannot cover all orbits (need {required})"
         )
-    rep = BruteForceReport(X, policy.mode, height, required, 0, 0, 0)
+    rep = BruteForceReport(X, policy.mode, height, required, 0, 0, 0, n_rep, m_rep)
     indefinite = set()
     # In disc mode ibound(X) = icbrt(27X // 4), so for an integer I the box
     # filter |I| <= ibound(X) holds exactly when 4|I|^3 <= 27X: it is the

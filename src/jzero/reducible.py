@@ -30,7 +30,7 @@ from .forms import (
     invariants,
     quartic_factorization,
 )
-from .hensel import nu_of
+from .hensel import canonical_fp, nu_of
 from .lattices import SubLattice
 
 
@@ -252,12 +252,11 @@ def square_disc_points(f: QuadraticForm, X: int) -> list[CurvePoint]:
     """
     if not f.is_positive_definite() or not f.is_primitive():
         raise ValueError("need a primitive positive definite form")
-    from .hensel import canonical_fp
-
     D = abs(f.disc())
     s, t = square_part_split(D)
-    nu = nu_of(f).rep
-    m_odd = canonical_fp(f).m % 2 == 1
+    cfp = canonical_fp(f)
+    nu = nu_of(f, cfp).rep
+    m_odd = cfp.m % 2 == 1
     ibound = icbrt(27 * X // 4)
     script_max = ibound // (3 * D)
     nu_max = script_max // 4 if m_odd else 4 * script_max

@@ -250,20 +250,20 @@ def suite_hensel(
     for D in range(3, dmax_classes + 1):
         if D % 4 not in (0, 3):
             continue
-        gl2 = [f for f in classes.enumerate_reduced(D) if f.b >= 0]
-        ws = {}
+        ws = {}  # reduced w(f) of the GL2 representatives f (b >= 0)
         for f in classes.enumerate_reduced(D):
             # nu = w^4 (up to the GL2 inverse identification of the class)
             res.checks += 1
-            nu = hensel.nu_of(f)
-            w = classes.class_of(classes.reduce_form(hensel.w_of(f))[0])
+            c = hensel.canonical_fp(f)
+            nu = hensel.nu_of(f, c)
+            wred, _ = classes.reduce_form(hensel.w_of(f, c))
+            w = classes.class_of(wred)
             w2 = classes.compose(w, w)
             w4 = classes.compose(w2, w2)
             if nu not in (w4, classes.inverse(w4)):
                 res.fail(f"nu != w^4 for {f}: {nu.rep} vs {w4.rep}")
-        for f in gl2:
-            wred, _ = classes.reduce_form(hensel.w_of(f))
-            ws[f.coeffs()] = (wred.a, abs(wred.b), wred.c)
+            if f.b >= 0:
+                ws[f.coeffs()] = (wred.a, abs(wred.b), wred.c)
         res.checks += 1
         if len(set(ws.values())) != len(ws):
             res.fail(f"w(f) collides across GL2 classes at D={D}: {ws}")
@@ -454,11 +454,15 @@ def suite_reducibility(
 
 
 def _check_irreducibility_certificate(res: SuiteResult, X: int) -> None:
-    """A certified point must not factor; records the share of irreducible
-    points the certificate settles per slice."""
+    """A certified point must not factor, and `families.square_split` must
+    not split an irreducible point.  Records per slice the share of
+    irreducible points the certificate settles, the points the split
+    settles, and the reducible points with a4 a0 != 0 and a non-square
+    disc(F) that it misses (0 when every such point is Type 2; points with
+    a4 a0 = 0 are reducible at once and never reach the split)."""
     Z = counting.DISC_POLICY.ibound(X)
     for kind in ("N", "M"):
-        points = irreducible = settled = 0
+        points = irreducible = settled = split = missed = 0
         for u in counting.count_units(kind, Z):
             for f in counting.unit_families(kind, u)[1]:
                 for (A, B) in counting.family_points(f, Z):
@@ -470,10 +474,27 @@ def _check_irreducibility_certificate(res: SuiteResult, X: int) -> None:
                     settled += full and p is not None
                     if p is not None and not full:
                         res.fail(f"certificate mod {p} on the reducible {F}")
+                    if families.square_split(f, A, B, F) is not None:
+                        split += 1
+                        if full:
+                            res.fail(f"square split on the irreducible {F}")
+                    elif (
+                        not full
+                        and F.a4 * F.a0
+                        and forms._exact_sqrt(forms.invariants(F).disc) is None
+                    ):
+                        missed += 1
         res.checks += points
         res.stats[f"certificate_{kind}_points"] = points
         res.stats[f"certificate_{kind}_irreducible"] = irreducible
         res.stats[f"certificate_{kind}_settled"] = settled
+        res.stats[f"square_split_{kind}"] = split
+        res.stats[f"type2_missed_{kind}"] = missed
+        if missed:
+            res.note(
+                f"the square split misses {missed} reducible {kind} points "
+                "with a4 a0 != 0 and a non-square disc(F)"
+            )
 
 
 def _check_against_sympy(res: SuiteResult, rng: random.Random, samples: int) -> None:
@@ -530,8 +551,8 @@ def suite_oracle_equivalence(
     res = SuiteResult("oracle-equivalence")
     for X in xs:
         rep = oracle.orbit_count_bruteforce(X, counting.DISC_POLICY, check_fibers=True)
-        nN = counting.count_N(X).irreducible_orbits
-        nM = counting.count_M(X).irreducible_orbits
+        nN = rep.n_report.irreducible_orbits
+        nM = rep.m_report.irreducible_orbits
         res.checks += 2
         if rep.n_orbits != nN:
             res.fail(f"X={X}: brute N={rep.n_orbits} != count_N={nN}")

@@ -247,6 +247,7 @@ def test_family_factorizes_each_point_once(tmp_path, monkeypatch):
     # count_family classifies every point; the row loop calls
     # is_irreducible_Q only for the --csv column
     from jzero import counting, forms
+    from jzero.families import family_coefficients, square_split
 
     calls = {"kernel": 0, "rows": 0}
 
@@ -263,8 +264,14 @@ def test_family_factorizes_each_point_once(tmp_path, monkeypatch):
     assert main(["family", "1,0,1", "--ibound", "100", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert (doc["points"], doc["irreducible_points"], doc["primitive_points"]) == (28, 12, 20)
-    # the kernel tests the points with a4 = A != 0
-    kernel = sum(1 for (A, _) in counting.ellipse_points(forms.QuadraticForm(1, 0, 1), 100) if A)
+    # the kernel tests the points with a4 = A != 0 that square_split leaves
+    f = forms.QuadraticForm(1, 0, 1)
+    kernel = sum(
+        1
+        for (A, B) in counting.ellipse_points(f, 100)
+        if A and square_split(f, A, B, forms.QuarticForm(*family_coefficients(f, A, B))) is None
+    )
+    assert 0 < kernel < sum(1 for (A, _) in counting.ellipse_points(f, 100) if A)
     assert calls == {"kernel": kernel, "rows": 0}
     csv_path = tmp_path / "fam.csv"
     assert main(["family", "1,0,1", "--ibound", "100", "--csv", str(csv_path)]) == 0

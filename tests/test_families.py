@@ -1,5 +1,6 @@
 """Tests for the J = 0 family parametrization and pair machinery."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from jzero.families import (
     outer_h0,
     outer_value,
     plane_residual,
+    square_split,
 )
 from jzero.forms import (
     QuadraticForm,
@@ -33,6 +35,7 @@ from jzero.forms import (
     hessian,
     hessian_sqrt,
     invariants,
+    quartic_factorization,
 )
 from reference import contains
 F101 = QuadraticForm(1, 0, 1)
@@ -292,3 +295,53 @@ def test_family_coefficients_round_trip_property(a, b, c, s, t):
     F = QuarticForm(*family_coefficients(f, A, B))
     assert member_of(f, F) == FamilyPoint(f, A, B)
     assert member_of(f, QuarticForm(F.a4, F.a3, F.a2, F.a1, F.a0 + 1)) is None
+
+
+def _product(g, h):
+    return (
+        g.a * h.a,
+        g.a * h.b + g.b * h.a,
+        g.a * h.c + g.b * h.b + g.c * h.a,
+        g.b * h.c + g.c * h.b,
+        g.c * h.c,
+    )
+
+
+def test_square_split_type2_example():
+    # a Type 2 product with a non-square disc: q(-8, -20) = 784 = 28^2
+    f = F111
+    F = QuarticForm(*family_coefficients(f, -8, -20))
+    assert F.coeffs() == (-8, -20, 18, 32, 5)
+    G, H = square_split(f, -8, -20, F)
+    assert (G.coeffs(), H.coeffs()) == ((-32, 16, 40), (-32, -96, -16))
+    assert _product(G, H) == tuple(-128 * x for x in F.coeffs())
+    # (1, -4, -12, -4, 1) is irreducible: q(1, -4) = 48
+    assert square_split(f, 1, -4, QuarticForm(*family_coefficients(f, 1, -4))) is None
+
+
+_DIVISORS = st.one_of(
+    # positive definite a x^2 + b xy + c y^2
+    st.tuples(st.integers(1, 12), st.integers(-12, 12), st.integers(1, 12)),
+    # a x^2 + n xy, disc n^2
+    st.tuples(st.integers(1, 12), st.integers(1, 12), st.just(0)),
+)
+
+
+@settings(max_examples=300, deadline=2000, database=None)
+@given(_DIVISORS, st.integers(-6, 6), st.integers(-6, 6))
+def test_square_split_property(abc, s, t):
+    f = QuadraticForm(*abc)
+    assume(f.is_primitive() and (f.disc() < 0 or f.c == 0))
+    A, B = lattice_Lfa(f).point(s, t)
+    F = QuarticForm(*family_coefficients(f, A, B))
+    disc = invariants(F).disc
+    assume(disc != 0)
+    split = square_split(f, A, B, F)
+    reducible = not quartic_factorization(F).is_irreducible()
+    if split is not None:
+        G, H = split
+        assert _product(G, H) == tuple(16 * f.a**4 * A * x for x in F.coeffs())
+        assert reducible
+    elif reducible and F.a4 * F.a0 != 0:
+        # every reducible point the split misses is Type 1: square disc(F)
+        assert disc > 0 and math.isqrt(disc) ** 2 == disc, (f, A, B)

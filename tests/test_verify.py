@@ -65,7 +65,7 @@ def test_oracle_findings_do_not_follow_hash_seed():
     assert outs[0] == outs[1] and "fiber size" in outs[0]
 
 
-def test_reducibility_suite_checks_fast_path():
+def test_reducibility_suite_checks_fast_path(monkeypatch):
     r = run_suite(
         "reducibility", dmax=12, coeff_box=6, certificate_x=10**6, sympy_samples=40
     )
@@ -76,6 +76,15 @@ def test_reducibility_suite_checks_fast_path():
             for key in ("points", "irreducible", "settled")
         )
         assert 0 < settled <= irreducible < points
+        assert 0 < r.stats[f"square_split_{kind}"] <= points - irreducible
+        assert r.stats[f"type2_missed_{kind}"] == 0
+    from jzero import families
+
+    monkeypatch.setattr(families, "square_split", lambda f, A, B, F: (f, f))
+    r = run_suite(
+        "reducibility", dmax=3, coeff_box=2, certificate_x=10**6, sympy_samples=0
+    )
+    assert any(msg.startswith("square split on the irreducible") for msg in r.failures)
 
 
 def test_reducibility_without_sympy_is_a_failure_not_a_crash(monkeypatch):
