@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 import numpy as np
 
-from .forms import QuadraticForm, Unimodular, _divisors, act_quadratic
+from .forms import QuadraticForm, Unimodular, _divisors, act_quadratic, substitute
 
 
 class Group(Enum):
@@ -583,12 +583,6 @@ def _signed_divisors(n: int) -> list[int]:
     return [-d for d in reversed(ds)] + ds
 
 
-def _bilinear(f: QuadraticForm, v: tuple[int, int], w: tuple[int, int]) -> int:
-    """The xy-coefficient of f(v x + w y)."""
-    a, b, c = f.coeffs()
-    return 2 * a * v[0] * w[0] + b * (v[0] * w[1] + v[1] * w[0]) + 2 * c * v[1] * w[1]
-
-
 def signed_automorphisms(f: QuadraticForm) -> list[Unimodular]:
     """All T in GL2(Z) with f_T = f or f_T = -f.
 
@@ -600,36 +594,32 @@ def signed_automorphisms(f: QuadraticForm) -> list[Unimodular]:
     if D < 0:
         if f.a < 0:
             raise ValueError("normalize negative definite forms first")
-        out = []
-        for v in representations(f, f.a):
-            for w in representations(f, f.c):
-                if v[0] * w[1] - w[0] * v[1] not in (1, -1):
-                    continue
-                if _bilinear(f, v, w) == f.b:
-                    out.append(Unimodular(v[0], w[0], v[1], w[1]))
-        return out
-    n = math.isqrt(D)
-    if n * n != D or D == 0:
-        raise ValueError("signed automorphisms only for definite or square disc")
-    g, T0 = (f, None)
-    if f.a == 0:
-        raise ValueError("translate to nonzero leading coefficient first")
+        searches = [(f.coeffs(), representations(f, f.a), representations(f, f.c))]
+    else:
+        n = math.isqrt(D)
+        if n * n != D or D == 0:
+            raise ValueError("signed automorphisms only for definite or square disc")
+        if f.a == 0:
+            raise ValueError("translate to nonzero leading coefficient first")
+        searches = []
+        for eps in (1, -1):
+            if f.c != 0:
+                cols2 = _solve_value_square_disc(f, eps * f.c)
+            else:
+                cols2 = _zero_directions(f, n)
+                cols2 += [(-x, -y) for (x, y) in cols2]
+            target = (eps * f.a, eps * f.b, eps * f.c)
+            searches.append((target, _solve_value_square_disc(f, eps * f.a), cols2))
+    # T has the columns v = T(1, 0) and w = T(0, 1)
     out = []
-    for eps in (1, -1):
-        cols1 = _solve_value_square_disc(f, eps * f.a)
-        if f.c != 0:
-            cols2 = _solve_value_square_disc(f, eps * f.c)
-        else:
-            cols2 = [d for d in _zero_directions(f, n)]
-            cols2 += [(-x, -y) for (x, y) in cols2]
+    for target, cols1, cols2 in searches:
         for v in cols1:
             for w in cols2:
                 if v[0] * w[1] - w[0] * v[1] not in (1, -1):
                     continue
-                if _bilinear(f, v, w) == eps * f.b and f.value(*w) == eps * f.c:
-                    T = Unimodular(v[0], w[0], v[1], w[1])
-                    if T not in out:
-                        out.append(T)
+                T = Unimodular(v[0], w[0], v[1], w[1])
+                if substitute(f.coeffs(), T.entries()) == target and T not in out:
+                    out.append(T)
     return out
 
 

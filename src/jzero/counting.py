@@ -139,12 +139,8 @@ def ellipse_points(f: QuadraticForm, ibound: int) -> Iterator[tuple[int, int]]:
         lam, bound = 16 * a**3, ibound // (12 * D)
     else:
         lam, bound = a**3, 4 * ibound // (3 * D)
-    # the Gram form of q on the basis (d1, k), (0, d2), divided by lam
-    Qa = a * k * k - 4 * b * d1 * k + 16 * c * d1 * d1
-    Qb = 2 * d2 * (a * k - 2 * b * d1)
-    Qc = a * d2 * d2
-    assert Qa % lam == Qb % lam == Qc % lam == 0, (f, lam)
-    (ga, gb, gc), (t1, t2, t3, t4) = gauss_reduce(Qa // lam, Qb // lam, Qc // lam)
+    # the Gram form of q = 16c A^2 - 4b AB + a B^2 on the basis, over lam
+    (ga, gb, gc), (t1, t2, t3, t4) = gauss_reduce(*L.transport((16 * c, -4 * b, a), lam))
     if ga > bound:
         return
     # rows y of the reduced form: (2 ga x + gb y)^2 <= 4 ga bound - delta y^2
@@ -244,14 +240,18 @@ def family_points(f: QuadraticForm, Z: int) -> Iterable[tuple[int, int]]:
 def count_family(f: QuadraticForm, Z: int) -> FamilyCount:
     """Exact point, irreducible-point and orbit tallies for the family of f
     with |I| <= Z, over `family_points(f, Z)`.  A point is reducible when
-    a4 = 0 or `square_split` factors it; the rest go to `is_irreducible_Q`."""
+    a4 = A = 0 (skipped before its coefficients are built: the enumerators
+    yield lattice points by construction) or `square_split` factors it; the
+    rest go to `is_irreducible_Q`."""
     out = FamilyCount()
     action: Optional[FiberAction] = None
     canon: set = set()
     for (A, B) in family_points(f, Z):
         out.points += 1
+        if A == 0:
+            continue
         F = QuarticForm(*family_coefficients(f, A, B))
-        if F.a4 == 0 or square_split(f, A, B, F) or not is_irreducible_Q(F):
+        if square_split(f, A, B, F) or not is_irreducible_Q(F):
             continue
         out.irreducible_points += 1
         if action is None:

@@ -38,6 +38,7 @@ from .forms import (
     hessian_sqrt,
     invariants,
     normalize_quadratic_sign,
+    quadratic_product,
 )
 from .lattices import SubLattice
 
@@ -161,7 +162,7 @@ def square_split(
     G = QuadraticForm(lead, 2 * a * (a * B + s), b * (a * B + s) - 4 * a * c * A)
     H = QuadraticForm(lead, 2 * a * (a * B - s), b * (a * B - s) - 4 * a * c * A)
     scale = 4 * a * a * lead
-    if _form_product(G, H) != tuple(scale * x for x in F.coeffs()):
+    if quadratic_product(G.coeffs(), H.coeffs()) != tuple(scale * x for x in F.coeffs()):
         return None
     return G, H
 
@@ -221,23 +222,12 @@ def invariant_form(u: QuadraticForm, v: QuadraticForm) -> QuadraticForm:
 
 def outer_value(h2: int, h1: int, h0: int, u: QuadraticForm, v: QuadraticForm) -> QuarticForm:
     """The quartic h2 u^2 + h1 uv + h0 v^2."""
-    uu = _form_square(u)
-    vv = _form_square(v)
-    uv = _form_product(u, v)
+    uu = quadratic_product(u.coeffs(), u.coeffs())
+    vv = quadratic_product(v.coeffs(), v.coeffs())
+    uv = quadratic_product(u.coeffs(), v.coeffs())
     return QuarticForm(
         *(h2 * x + h1 * y + h0 * z for x, y, z in zip(uu, uv, vv))
     )
-
-
-def _form_square(u: QuadraticForm):
-    a, b, c = u.coeffs()
-    return (a * a, 2 * a * b, 2 * a * c + b * b, 2 * b * c, c * c)
-
-
-def _form_product(u: QuadraticForm, v: QuadraticForm):
-    a, b, c = u.coeffs()
-    d, e, g = v.coeffs()
-    return (a * d, a * e + b * d, a * g + b * e + c * d, b * g + c * e, c * g)
 
 
 def outer_h0(h2: int, h1: int, u: QuadraticForm, v: QuadraticForm) -> int:

@@ -326,15 +326,32 @@ def act_quartic(F: QuarticForm, T: Unimodular) -> QuarticForm:
     return QuarticForm(*out)
 
 
-def act_quadratic(f: QuadraticForm, T: Unimodular) -> QuadraticForm:
-    """f(t1 x + t2 y, t3 x + t4 y) for unimodular T."""
-    a, b, c = f.coeffs()
-    t1, t2, t3, t4 = T.entries()
-    return QuadraticForm(
+def substitute(
+    f: tuple[int, int, int], t: tuple[int, int, int, int]
+) -> tuple[int, int, int]:
+    """Coefficients of f(t1 x + t2 y, t3 x + t4 y) for f = (a, b, c) and
+    any integer matrix t = (t1, t2, t3, t4); disc scales by det(t)^2."""
+    a, b, c = f
+    t1, t2, t3, t4 = t
+    return (
         a * t1 * t1 + b * t1 * t3 + c * t3 * t3,
         2 * a * t1 * t2 + b * (t1 * t4 + t2 * t3) + 2 * c * t3 * t4,
         a * t2 * t2 + b * t2 * t4 + c * t4 * t4,
     )
+
+
+def act_quadratic(f: QuadraticForm, T: Unimodular) -> QuadraticForm:
+    """f(t1 x + t2 y, t3 x + t4 y) for unimodular T."""
+    return QuadraticForm(*substitute(f.coeffs(), T.entries()))
+
+
+def quadratic_product(
+    g: tuple[int, int, int], h: tuple[int, int, int]
+) -> tuple[int, int, int, int, int]:
+    """Quartic coefficients (x^4 first) of the product of g and h."""
+    a, b, c = g
+    d, e, k = h
+    return (a * d, a * e + b * d, a * k + b * e + c * d, b * k + c * e, c * k)
 
 
 # ---------------------------------------------------------------------------

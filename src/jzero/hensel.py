@@ -41,7 +41,6 @@ from .classes import (
     class_group,
     class_of,
     inverse,
-    reduce_form,
     representations,
 )
 from .forms import QuadraticForm, Unimodular, act_quadratic
@@ -225,60 +224,14 @@ def split_lattices(
     return lats[0], lats[1]
 
 
-def restrict_to_lattice(f: QuadraticForm, L: SubLattice) -> QuadraticForm:
-    """f composed with the basis matrix of L (disc scales by index^2)."""
-    (b11, b21), (b12, b22) = L.basis()
-    return QuadraticForm(
-        f.value(b11, b21),
-        2 * f.a * b11 * b12 + f.b * (b11 * b22 + b12 * b21) + 2 * f.c * b21 * b22,
-        f.value(b12, b22),
-    )
-
-
-def lattice_form(
-    f: QuadraticForm, L: SubLattice
-) -> tuple[QuadraticForm, QuadraticForm, Unimodular]:
-    """Restrict f to L and divide by the index.
-
-    Returns (g_reduced, g_raw, basis_as_matrix) where
-    f(basis * (x,y)) = index * g_raw(x,y) exactly, disc(g_raw) = disc(f),
-    and g_reduced is the Gauss-reduced representative of g_raw (equal to
-    g_raw when f is not positive definite).
-    """
-    raw = restrict_to_lattice(f, L)
-    idx = L.index
-    if any(c % idx != 0 for c in raw.coeffs()):
-        raise ValueError(
-            f"form {f} does not vanish mod {idx} on lattice {L}"
-        )
-    g = QuadraticForm(*(c // idx for c in raw.coeffs()))
-    assert g.disc() == f.disc()
+def lattice_form(f: QuadraticForm, L: SubLattice) -> QuadraticForm:
+    """The primitive g with f(d1 x, k x + d2 y) = index * g(x, y) on the
+    basis (d1, k), (0, d2) of L, so disc(g) = disc(f); ValueError unless f
+    vanishes mod the index on L."""
+    g = QuadraticForm(*L.transport(f.coeffs(), L.index))
     if not g.is_primitive():
         raise AssertionError(f"transported form {g} is imprimitive")
-    basis_matrix = _basis_matrix(L)
-    if g.is_positive_definite():
-        g_red, _ = reduce_form(g)
-    else:
-        g_red = g
-    return g_red, g, basis_matrix
-
-
-@dataclass(frozen=True)
-class BasisMatrix:
-    """2x2 integer matrix of lattice basis columns (determinant = index)."""
-
-    t1: int
-    t2: int
-    t3: int
-    t4: int
-
-    def entries(self):
-        return (self.t1, self.t2, self.t3, self.t4)
-
-
-def _basis_matrix(L: SubLattice) -> BasisMatrix:
-    (b11, b21), (b12, b22) = L.basis()
-    return BasisMatrix(b11, b12, b21, b22)
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -296,24 +249,14 @@ def w_of(f: QuadraticForm, c: Optional[CanonicalFp] = None) -> QuadraticForm:
     return QuadraticForm(c.p, -4 * c.m, 16 * c.n)
 
 
-def second_branch_lattice(g: QuadraticForm, p: int, k: int) -> SubLattice:
-    """The k-th lift of the branch {g.b * x + g.c * y = 0 (mod p)} for a
-    form with p | g.a (the analogue of the second split lattice)."""
-    assert g.a % p == 0
-    L1, L2 = split_lattices(g, p, k)
-    # ordering guarantees L2 is the {x = t y} branch when p | a
-    return L2
-
-
 def nu_of(f: QuadraticForm, c: Optional[CanonicalFp] = None) -> FormClass:
     """The class of the form carrying w(f) on the 3rd lift of its 2nd branch;
     c is the canonical translate of f (computed here when not given)."""
     if c is None:
         c = canonical_fp(f)
     w = w_of(f, c)
-    L = second_branch_lattice(w, c.p, 3)
-    g_red, _, _ = lattice_form(w, L)
-    return class_of(g_red)
+    # p | w.a, so the branch ordering puts the {x = t y} lift second
+    return class_of(lattice_form(w, split_lattices(w, c.p, 3)[1]))
 
 
 def eta_of(f: QuadraticForm) -> QuadraticForm:
@@ -327,15 +270,10 @@ def xi_of(f: QuadraticForm) -> FormClass:
     eta = eta_of(f)
     a, b, cc = eta.a, -eta.b // 2, eta.c // 4
     Lp = SubLattice.from_congruences([(b, -2 * cc, 2 * a)])
-    raw = restrict_to_lattice(eta, Lp)
-    if any(co % a != 0 for co in raw.coeffs()):
-        raise AssertionError(f"eta not divisible by {a} on {Lp}")
-    xi = QuadraticForm(*(co // a for co in raw.coeffs()))
     # the transported form carries a content (4 when b is odd); its
     # primitive part is what lives in a Picard group
-    xi = xi.primitive_part()
-    red, _ = reduce_form(xi)
-    return class_of(red)
+    xi = QuadraticForm(*Lp.transport(eta.coeffs(), a))
+    return class_of(xi.primitive_part())
 
 
 def xi_m_of(f: QuadraticForm, m: int) -> FormClass:
@@ -358,12 +296,7 @@ def xi_m_of(f: QuadraticForm, m: int) -> FormClass:
         congs.append(_singular_line(xi, p))
     L = SubLattice.from_congruences(congs)
     assert L.index == m, (L.index, m)
-    raw = restrict_to_lattice(xi, L)
-    if any(co % m != 0 for co in raw.coeffs()):
-        raise AssertionError("xi does not vanish mod m on the singular lattice")
-    out = QuadraticForm(*(co // m for co in raw.coeffs()))
-    red, _ = reduce_form(out)
-    return class_of(red)
+    return class_of(QuadraticForm(*L.transport(xi.coeffs(), m)))
 
 
 def _singular_line(g: QuadraticForm, p: int) -> tuple[int, int, int]:
@@ -405,7 +338,10 @@ def prime_form_class(D: int, p: int) -> FormClass:
 
 
 def _classes_equal_up_to_inverse(c1: FormClass, c2: FormClass) -> bool:
-    return c1 == c2 or c1 == inverse(c2)
+    """The inverse of reduced (a, b, c) is (a, -b, c), or itself when that
+    is not reduced."""
+    a, b, c = c2.rep.coeffs()
+    return c1.rep.coeffs() in ((a, b, c), (a, -b, c))
 
 
 def hensel_class_check(f: QuadraticForm, p: int, kmax: int = 3) -> HenselCheckResult:
@@ -451,9 +387,7 @@ def hensel_class_check(f: QuadraticForm, p: int, kmax: int = 3) -> HenselCheckRe
     got = {}
     for k in range(1, kmax + 1):
         L1, L2 = split_lattices(f, p, k)
-        g1, _, _ = lattice_form(f, L1)
-        g2, _, _ = lattice_form(f, L2)
-        got[k] = (class_of(g1), class_of(g2))
+        got[k] = (class_of(lattice_form(f, L1)), class_of(lattice_form(f, L2)))
     witnesses = []
     for swap in (False, True):
         ok = True

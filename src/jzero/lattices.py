@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .forms import substitute
+
 
 def _solve_kernel(c1: int, c2: int, N: int) -> tuple[int, int, int]:
     """HNF data (d1, k, d2) for {(z1, z2): c1 z1 + c2 z2 = 0 mod N},
@@ -55,9 +57,13 @@ class SubLattice:
     def index(self) -> int:
         return self.d1 * self.d2
 
-    def basis(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        """Basis vectors (columns): (d1, k) and (0, d2)."""
-        return ((self.d1, self.k), (0, self.d2))
+    def transport(self, f: tuple[int, int, int], scale: int) -> tuple[int, int, int]:
+        """Coefficients of the quadratic f on the basis (d1, k), (0, d2),
+        divided by scale; ValueError unless scale divides all three."""
+        a, b, c = substitute(f, (self.d1, 0, self.k, self.d2))
+        if a % scale or b % scale or c % scale:
+            raise ValueError(f"{scale} does not divide {(a, b, c)} on {self}")
+        return a // scale, b // scale, c // scale
 
     def point(self, s: int, t: int) -> tuple[int, int]:
         return (self.d1 * s, self.k * s + self.d2 * t)

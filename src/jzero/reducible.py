@@ -28,7 +28,9 @@ from .forms import (
     QuadraticForm,
     QuarticForm,
     invariants,
+    quadratic_product,
     quartic_factorization,
+    substitute,
 )
 from .hensel import canonical_fp, nu_of
 from .lattices import SubLattice
@@ -52,22 +54,13 @@ class ReducibleWitness:
     def product_equals(self, F: QuarticForm) -> bool:
         if self.g is None or self.h is None:
             return False
-        g, h = self.g, self.h
-        prod = (
-            g.a * h.a,
-            g.a * h.b + g.b * h.a,
-            g.a * h.c + g.b * h.b + g.c * h.a,
-            g.b * h.c + g.c * h.b,
-            g.c * h.c,
-        )
+        prod = quadratic_product(self.g.coeffs(), self.h.coeffs())
         return tuple(self.scale * x for x in prod) == F.coeffs()
 
 
 def _linear_product(l1: LinearFactor, l2: LinearFactor) -> QuadraticForm:
-    # (s1 x - r1 y)(s2 x - r2 y)
-    return QuadraticForm(
-        l1.s * l2.s, -(l1.s * l2.r + l1.r * l2.s), l1.r * l2.r
-    )
+    """(s1 x - r1 y)(s2 x - r2 y), i.e. xy at (s1 x - r1 y, s2 x - r2 y)."""
+    return QuadraticForm(*substitute((0, 1, 0), (l1.s, -l1.r, l2.s, -l2.r)))
 
 
 # ---------------------------------------------------------------------------
@@ -101,11 +94,7 @@ def in_lambda(f: QuadraticForm, g: QuadraticForm) -> bool:
 def apply_mf(f: QuadraticForm, g: QuadraticForm) -> QuadraticForm:
     """g(bx + 2cy, -2ax - by), the unscaled involution image."""
     (m11, m12), (m21, m22) = mf_unscaled(f)
-    return QuadraticForm(
-        g.a * m11 * m11 + g.b * m11 * m21 + g.c * m21 * m21,
-        2 * g.a * m11 * m12 + g.b * (m11 * m22 + m12 * m21) + 2 * g.c * m21 * m22,
-        g.a * m12 * m12 + g.b * m12 * m22 + g.c * m22 * m22,
-    )
+    return QuadraticForm(*substitute(g.coeffs(), (m11, m12, m21, m22)))
 
 
 def _proportional(g: QuadraticForm, h: QuadraticForm) -> bool:

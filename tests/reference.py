@@ -29,7 +29,7 @@ def contains(L: SubLattice, x: int, y: int) -> bool:
 
 
 def is_sublattice_of(L: SubLattice, M: SubLattice) -> bool:
-    return all(contains(M, *v) for v in L.basis())
+    return contains(M, L.d1, L.k) and contains(M, 0, L.d2)
 
 
 def equivalent_by_matrix_search(

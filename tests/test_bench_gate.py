@@ -17,7 +17,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["n-ladder", "m-ladder", "oracle-bind"])
+@pytest.mark.parametrize("workload", ["n-ladder", "m-ladder", "oracle-bind", "class-groups"])
 def test_smoke_trace_run_is_correct(workload):
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,

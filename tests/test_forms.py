@@ -5,6 +5,8 @@ import random
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jzero.classes import enumerate_reduced
 from jzero.families import family_coefficients, lattice_Lfa
@@ -25,8 +27,10 @@ from jzero.forms import (
     invariants,
     irreducible_mod_p,
     is_irreducible_Q,
+    quadratic_product,
     quartic_factorization,
     splitting_type,
+    substitute,
 )
 from jzero.oracle import brute_quartics
 from jzero.reducible import ReducibleKind, classify
@@ -128,6 +132,29 @@ def test_action_invariance_and_group_law():
         assert act_quadratic(act_quadratic(f, T), S) == act_quadratic(f, T.mul(S))
 
 
+_QUADRATIC = st.tuples(*[st.integers(-50, 50)] * 3)
+_POINT = st.tuples(st.integers(-20, 20), st.integers(-20, 20))
+
+
+@settings(max_examples=300, deadline=2000, database=None)
+@given(_QUADRATIC, st.tuples(*[st.integers(-9, 9)] * 4), _POINT)
+def test_substitute_property(f, t, pt):
+    # any integer matrix, singular ones included
+    t1, t2, t3, t4 = t
+    x, y = pt
+    g = QuadraticForm(*substitute(f, t))
+    f = QuadraticForm(*f)
+    assert g.value(x, y) == f.value(t1 * x + t2 * y, t3 * x + t4 * y)
+    assert g.disc() == (t1 * t4 - t2 * t3) ** 2 * f.disc()
+
+
+@settings(max_examples=300, deadline=2000, database=None)
+@given(_QUADRATIC, _QUADRATIC, _POINT)
+def test_quadratic_product_property(g, h, pt):
+    gh = QuarticForm(*quadratic_product(g, h))
+    assert gh.value(*pt) == QuadraticForm(*g).value(*pt) * QuadraticForm(*h).value(*pt)
+
+
 def test_hessian_covariance():
     rng = random.Random(4)
     for _ in range(1500):
@@ -159,7 +186,7 @@ def test_splitting_type_act_invariant():
 
 
 def test_count_real_roots_basics():
-    assert count_real_roots([1, 0, -144, 0, 0]) == 0 or True
+    assert count_real_roots([1, 0, -144, 0, 0]) == 2  # 1 - 144 t^2: t = +-1/12
     # t^2 - 2: two real roots
     assert count_real_roots([-2, 0, 1]) == 2
     # t^2 + 1: none

@@ -110,12 +110,11 @@ def test_split_lattice_nesting():
 def test_lattice_form_exact():
     f = QuadraticForm(1, 1, 6)
     L1, L2 = split_lattices(f, 3, 1)
-    g1, raw1, B1 = lattice_form(f, L1)
-    g2, raw2, B2 = lattice_form(f, L2)
-    assert raw1.disc() == f.disc() and raw2.disc() == f.disc()
-    assert {g1, g2} == {
-        class_of(QuadraticForm(2, 1, 3)).rep,
-        class_of(QuadraticForm(2, -1, 3)).rep,
+    g1, g2 = lattice_form(f, L1), lattice_form(f, L2)
+    assert g1.disc() == f.disc() and g2.disc() == f.disc()
+    assert {class_of(g1), class_of(g2)} == {
+        class_of(QuadraticForm(2, 1, 3)),
+        class_of(QuadraticForm(2, -1, 3)),
     }
     assert g1.is_positive_definite() and g2.is_positive_definite()
 
@@ -179,10 +178,8 @@ def test_hensel_class_check_examples():
     res = hensel_class_check(f, 3, 1)
     assert res.passed and res.s == 0
     L1, L2 = split_lattices(f, 3, 1)
-    g1, _, _ = lattice_form(f, L1)
-    g2, _, _ = lattice_form(f, L2)
     P = prime_form_class(-23, 3)
-    got = {class_of(g1), class_of(g2)}
+    got = {class_of(lattice_form(f, L1)), class_of(lattice_form(f, L2))}
     assert got == {P, inverse(P)}
     res = hensel_class_check(QuadraticForm(2, 1, 3), 3, 3)
     assert res.passed and res.s == 1
@@ -249,7 +246,7 @@ def _reference_class_check(f, p, kmax):
     got = {}
     for k in range(1, kmax + 1):
         L1, L2 = split_lattices(f, p, k)
-        got[k] = (class_of(lattice_form(f, L1)[0]), class_of(lattice_form(f, L2)[0]))
+        got[k] = (class_of(lattice_form(f, L1)), class_of(lattice_form(f, L2)))
     for swap in (False, True):
         ok = True
         for k in range(1, kmax + 1):

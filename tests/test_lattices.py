@@ -1,7 +1,13 @@
 """Brute-force validation of the HNF sublattice machinery."""
 
+import math
 import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from jzero.forms import substitute
 from jzero.lattices import SubLattice
 from reference import contains, is_sublattice_of
 
@@ -55,3 +61,23 @@ def test_nesting():
     L2 = SubLattice.from_congruences([(1, 1, 9)])
     assert is_sublattice_of(L2, L1)
     assert not is_sublattice_of(L1, L2)
+
+
+@settings(max_examples=300, deadline=2000, database=None)
+@given(
+    st.tuples(*[st.integers(-30, 30)] * 3),
+    st.tuples(st.integers(1, 12), st.integers(0, 11), st.integers(1, 12)),
+    st.integers(1, 60),
+    st.booleans(),
+)
+def test_transport_property(f, hnf, m, from_content):
+    d1, k, d2 = hnf
+    L = SubLattice(d1, k % d2, d2)
+    sub = substitute(f, (L.d1, 0, L.k, L.d2))
+    # a divisor of the content half the time, so both outcomes occur
+    scale = math.gcd(math.gcd(*sub), m) if from_content else m
+    if any(c % scale for c in sub):
+        with pytest.raises(ValueError):
+            L.transport(f, scale)
+    else:
+        assert tuple(scale * c for c in L.transport(f, scale)) == sub
