@@ -52,7 +52,11 @@ a -> a^(-1) (GL2) and a -> -a^(-1) (the divisor is only defined up to
 sign), with the point sets cut by |I| <= Z.
 
 Both counts run one kernel, `count_family`, over the families of each
-discriminant (N) or modulus (M), through one aggregator.
+discriminant (N) or modulus (M), through one aggregator.  The kernel
+decides irreducibility without factoring wherever it can: A = 0 and a
+`square_split` make a point reducible, and a nonzero non-square disc(F)
+makes it irreducible (the cover statement, proved at `decide_member`);
+only the rest, mostly points with a square disc(F), are factored.
 """
 
 from __future__ import annotations
@@ -78,7 +82,7 @@ from .families import (
     lattice_Lfa,
     square_split,
 )
-from .forms import QuadraticForm, QuarticForm, is_irreducible_Q
+from .forms import QuadraticForm, QuarticForm, _exact_sqrt, is_irreducible_Q
 
 
 def icbrt(n: int) -> int:
@@ -217,6 +221,14 @@ def square_family_points(a: int, n: int, ibound: int) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
+# How `count_family` decided its points, in the order it tries the tests.
+BRANCHES = ("zero_a", "split", "nonsquare_disc", "factored")
+
+
+def _branch_counts() -> dict[str, int]:
+    return dict.fromkeys(BRANCHES, 0)
+
+
 @dataclass
 class FamilyCount:
     points: int = 0
@@ -224,6 +236,7 @@ class FamilyCount:
     irreducible_orbits: int = 0
     max_coeff: int = 0  # over orbits: the least max |coefficient| of a member
     n_f: Optional[int] = None  # cover multiplicity, when there are irreducible points
+    decided: dict[str, int] = field(default_factory=dict)  # points by branch, if any
 
 
 def family_points(f: QuadraticForm, Z: int) -> Iterable[tuple[int, int]]:
@@ -237,34 +250,104 @@ def family_points(f: QuadraticForm, Z: int) -> Iterable[tuple[int, int]]:
     raise ValueError(f"no family point set for the divisor {f}")
 
 
+def _nonsquare_disc(F: QuarticForm) -> bool:
+    """Whether disc(F) = 4 I^3 / 27 of the J = 0 quartic F is nonzero and
+    not a square.  It is a nonzero square exactly when 3I is: if 3I = r^2
+    then 3 | r and disc(F) = (2 (r/3)^3)^2; if disc(F) = m^2 != 0 then
+    (3I)^3 = (27m/2)^2, so 3I is a rational square and, being an integer,
+    a perfect square (positive, as I != 0)."""
+    a4, a3, a2, a1, a0 = F.coeffs()
+    I = 12 * a4 * a0 - 3 * a3 * a1 + a2 * a2
+    return I != 0 and _exact_sqrt(3 * I) is None
+
+
+def decide_member(f: QuadraticForm, A: int, B: int, F: QuarticForm) -> tuple[str, bool]:
+    """(branch, irreducible) for the member F at (A, B), A != 0, of the
+    family of f, where f is positive definite or a x^2 + n xy:
+
+    * "split": `square_split` factors F, so F is reducible;
+    * "nonsquare_disc": a0 != 0 and disc(F) is nonzero and not a square,
+      so F is irreducible (the cover statement below);
+    * "factored": the rest (square or zero disc(F), or a0 = 0), decided by
+      `is_irreducible_Q`.
+
+    The cover statement: if A != 0, disc(F) != 0, `square_split` finds no
+    split and disc(F) is not a square, then F is irreducible over Q.
+
+    The resolvent.  For binary quadratics G = (g2, g1, g0), H = (h2, h1, h0)
+    let psi(G, H) = 2 g2 h0 - g1 h1 + 2 g0 h2 (`families.joint_disc`).  The
+    polynomial identity psi^3 - 3 I(GH) psi + J(GH) = 0 holds (the cubic
+    resolvent of Kappe and Warren, Amer. Math. Monthly 96 (1989), in the
+    normalization of I and J; `tests/test_families.py` checks it
+    symbolically).  With J = 0 it reads psi (psi^2 - 3I) = 0: the roots are
+    0 and +-sqrt(3I), three distinct numbers since I != 0.
+
+    A linear factor forces a second one.  Say F has the rational linear
+    factor x - r1 y (A = F(1, 0) != 0, so no factor is y).  Over a
+    splitting field F = A (x - r1 y)(x - r2 y)(x - r3 y)(x - r4 y) with
+    distinct roots, since disc(F) != 0.  The pairing {1j | kl} gives
+    psi_j = psi(A (x - r1 y)(x - rj y), (x - rk y)(x - rl y)), a root of the
+    resolvent, and psi_2 - psi_3 = 3A (r1 - r4)(r2 - r3) and its analogues
+    do not vanish, so psi_2, psi_3, psi_4 are the three roots, one of them 0.
+    A Galois automorphism fixes r1 and maps psi_j to psi_sigma(j); it fixes
+    the root 0, hence the pairing that has it.  So the Galois group does not
+    act transitively on r2, r3, r4: the cubic cofactor is reducible over Q
+    and has a rational linear factor too.  Hence every reducible F with
+    A != 0 and disc(F) != 0 is a product G H of two rational quadratics
+    (the two linear factors make one of them).
+
+    The two cases.  psi = psi(G, H) is rational and a root of the
+    resolvent.  If psi != 0, then 3I = psi^2 and disc(F) = (2 psi^3 / 27)^2
+    is a nonzero square.  If psi = 0, then `square_split` returns a split:
+    the proof is in its docstring, and it holds for both kinds of divisor
+    (it uses only a != 0 and q(A, B) != 0, which I != 0 gives).  So a
+    reducible F is split or has a square disc(F); contrapositively, the
+    points of the "nonsquare_disc" branch are irreducible.  For a0 = 0 the
+    statement still holds, but such points are sent to `is_irreducible_Q`,
+    which settles them at once.
+    """
+    if square_split(f, A, B, F) is not None:
+        return "split", False
+    if F.a0 and _nonsquare_disc(F):
+        return "nonsquare_disc", True
+    return "factored", is_irreducible_Q(F)
+
+
 def count_family(f: QuadraticForm, Z: int) -> FamilyCount:
     """Exact point, irreducible-point and orbit tallies for the family of f
-    with |I| <= Z, over `family_points(f, Z)`.  A point is reducible when
-    a4 = A = 0 (skipped before its coefficients are built: the enumerators
-    yield lattice points by construction) or `square_split` factors it; the
-    rest go to `is_irreducible_Q`."""
+    with |I| <= Z, over `family_points(f, Z)`, with the points counted by
+    the branch that decided them (`decided`).  A point with a4 = A = 0 is
+    reducible and skipped before its coefficients are built (the enumerators
+    yield lattice points by construction); every other point goes to
+    `decide_member`, so only points with a square (or zero) disc(F) or
+    a0 = 0 reach `is_irreducible_Q`.
+
+    The fiber action maps irreducible points with |I| <= Z to irreducible
+    points with the same I, so every member of a counted orbit is itself
+    visited here; the orbit's least max |coefficient| is therefore the
+    least over its visited points, and no orbit is computed twice."""
     out = FamilyCount()
     action: Optional[FiberAction] = None
-    canon: set = set()
+    height: dict[tuple[int, int], int] = {}  # canonical point -> least max |coefficient|
     for (A, B) in family_points(f, Z):
         out.points += 1
         if A == 0:
+            out.decided["zero_a"] = out.decided.get("zero_a", 0) + 1
             continue
         F = QuarticForm(*family_coefficients(f, A, B))
-        if square_split(f, A, B, F) or not is_irreducible_Q(F):
+        branch, irreducible = decide_member(f, A, B, F)
+        out.decided[branch] = out.decided.get(branch, 0) + 1
+        if not irreducible:
             continue
         out.irreducible_points += 1
         if action is None:
             action = fiber_action(f)
-        canon.add(action.canonical(A, B))
-    out.irreducible_orbits = len(canon)
-    for c in canon:
-        best = min(
-            max(abs(x) for x in family_coefficients(f, A2, B2))
-            for (A2, B2) in action.orbit(*c)
-        )
-        out.max_coeff = max(out.max_coeff, best)
-    if out.irreducible_points:
+        c = action.canonical(A, B)
+        h = max(map(abs, F.coeffs()))
+        height[c] = min(height.get(c, h), h)
+    if height:
+        out.irreducible_orbits = len(height)
+        out.max_coeff = max(height.values())
         out.n_f = cover_multiplicity(class_of(f, Group.GL2))
     return out
 
@@ -282,6 +365,7 @@ class CountReport:
     max_coeff: int = 0
     stated_constant: float = 0.0
     ratio: float = 0.0
+    decided: dict[str, int] = field(default_factory=_branch_counts)  # points by branch
 
     def check_sums(self) -> bool:
         return (
@@ -324,26 +408,32 @@ def unit_families(kind: str, u: int) -> tuple[int, list[QuadraticForm]]:
     return u * u, [QuadraticForm(a, u, 0) for a in merged_square_labels(u)]
 
 
-def _count_unit(job: tuple[str, int, int]) -> tuple[int, int, int, int, list[str], int]:
+def _count_unit(
+    job: tuple[str, int, int]
+) -> tuple[int, int, int, int, list[str], int, dict[str, int]]:
     """All families of one discriminant D ("N") or modulus n ("M"), as
-    (disc, points, orbits, irreducible points, cover findings, max_coeff);
-    picklable for process pools."""
+    (disc, points, orbits, irreducible points, cover findings, max_coeff,
+    points by branch); picklable for process pools."""
     kind, u, Z = job
     disc, fams = unit_families(kind, u)
     pts = orbs = irr = mc = 0
     findings = []
+    decided = _branch_counts()
     for f in fams:
         fc = count_family(f, Z)
         pts += fc.points
         orbs += fc.irreducible_orbits
         irr += fc.irreducible_points
         mc = max(mc, fc.max_coeff)
+        if fc.points:
+            for branch, n in fc.decided.items():
+                decided[branch] += n
         if fc.n_f is not None and fc.irreducible_points != fc.n_f * fc.irreducible_orbits:
             findings.append(
                 f"f={f}: {fc.irreducible_points} irreducible points over "
                 f"{fc.irreducible_orbits} orbits, n_f={fc.n_f}"
             )
-    return (disc, pts, orbs, irr, findings, mc)
+    return (disc, pts, orbs, irr, findings, mc, decided)
 
 
 # The most worker processes a count may start (the CLI's --threads ceiling).
@@ -368,7 +458,7 @@ def _count(kind: str, X: int, policy: HeightPolicy, workers: int) -> CountReport
     else:
         results = [_count_unit(job) for job in jobs]
     rep = CountReport(X, policy.mode, Z, 0, 0, 0)
-    for (disc, pts, orbs, irr, findings, mc) in results:
+    for (disc, pts, orbs, irr, findings, mc, decided) in results:
         if pts:
             rep.per_D[disc] = (pts, orbs)
         rep.raw_points += pts
@@ -376,6 +466,8 @@ def _count(kind: str, X: int, policy: HeightPolicy, workers: int) -> CountReport
         rep.irreducible_points += irr
         rep.cover_findings.extend(findings)
         rep.max_coeff = max(rep.max_coeff, mc)
+        for branch, n in decided.items():
+            rep.decided[branch] += n
     rep.stated_constant = C1_STATED if kind == "N" else C2_STATED
     denom = X ** (1 / 3) * math.log(X) if X > 1 else 1.0
     rep.ratio = rep.irreducible_orbits / (rep.stated_constant * denom)
@@ -677,6 +769,8 @@ def ladder_summary_json(rep: LadderReport) -> dict:
                 "irreducible_orbits": r.irreducible_orbits,
                 "ratio_to_stated": r.ratio,
                 "cover_findings": len(r.cover_findings),
+                "cover_findings_text": r.cover_findings,
+                "points_by_branch": r.decided,
             }
             for r in rep.reports
         ],

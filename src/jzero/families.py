@@ -137,20 +137,27 @@ def square_split(
     F = G H / (16 a^4 A) is reducible over Q: a returned split proves
     that without the argument below, for any divisor f.
 
-    Why the split finds every Type 2 point (`reducible.py`).  There
-    F = g h with g, h in Lambda(f), where 2a g0 = b g1 - 2c g2.  With
-    A = g2 h2 != 0, scale g to x^2 + g1 xy + g0 y^2 and h to
-    x^2 + h1 xy + h0 y^2, so F = A g h.  Matching the x^4, x^3 y and
-    x^2 y^2 coefficients with F = (A, B, -3(4cA - bB)/(2a), ...) gives
-    B = A (g1 + h1) and, after eliminating h1, g0 and h0,
+    Why the split finds every point F = u v whose rational quadratic
+    factors have psi(u, v) = `joint_disc`(u, v) = 0; the argument uses
+    only a != 0 and I(F) != 0, so it covers positive definite f and
+    a x^2 + n xy alike.  Write u = u2 (x^2 + g1 xy + g0 y^2) and
+    v = v2 (x^2 + h1 xy + h0 y^2) with A = u2 v2 != 0; psi = 0 reads
+    g0 + h0 = g1 h1 / 2.  Matching the x^4, x^3 y and x^2 y^2 coefficients
+    with F = (A, B, -3(4cA - bB)/(2a), ...) gives B = A (g1 + h1) and
+    (3/2) A g1 h1 = -3(4cA - bB)/(2a), so g1 and h1 are the roots of
 
-        A g1^2 - B g1 - (4cA - bB)/a = 0,
+        A t^2 - B t - (4cA - bB)/a,
 
-    whose discriminant B^2 + 4A(4cA - bB)/a is q/a.  Its root g1 is
-    rational, so a q = a^2 (q/a) is an integer square s^2, and
-    g1 = (aB + s)/(2aA), h1 = (aB - s)/(2aA) up to the sign of s;
-    4a^2 A times the two quadratics are G and H.  Type 1 points (factors
-    swapped by the involution, square disc(F)) need not be split.
+    whose discriminant is q/a.  Since I(F) = -3 q disc(f) / (4a^3) != 0,
+    g1 != h1, a q = (aA (g1 - h1))^2 is a nonzero integer square s^2, and
+    {g1, h1} = {(aB + s)/(2aA), (aB - s)/(2aA)}.  The x y^3 coefficient
+    a1 = ((b^2 - ac) B - 4bc A)/a^2 and psi = 0 give h1 g0 + g1 h0 = a1/A
+    and g0 + h0 = g1 h1 / 2, a nonsingular system (g1 != h1) that
+    g0 = (b g1 - 2c)/(2a), h0 = (b h1 - 2c)/(2a) solve.  So u and v are,
+    up to order and scale, the G and H above, the product check passes,
+    and the split is returned.  Points whose factors
+    have psi != 0 have a square disc(F) (`counting.decide_member`) and
+    need not be split.
     """
     if A == 0:
         return None

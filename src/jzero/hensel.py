@@ -377,7 +377,7 @@ def hensel_class_check(f: QuadraticForm, p: int, kmax: int = 3) -> HenselCheckRe
         if acc == fcls:
             s, orient = e, 1
             break
-        if inverse(acc) == fcls:
+        if _classes_equal_up_to_inverse(fcls, acc):
             s, orient = e, -1
             break
     if s is None:

@@ -326,9 +326,10 @@ def suite_reducibility(
     certificate_x: int = 10**9,
     sympy_samples: int = 300,
 ) -> SuiteResult:
-    """Also checks the irreducibility fast path against slow ones: the mod-p
-    certificate against full factorization on every family point of N(X)
-    and M(X) for X = certificate_x, and `is_irreducible_Q` against
+    """Also checks the irreducibility fast paths against slow ones: the mod-p
+    certificate, the square split and the counting kernel's decision
+    against full factorization on every family point of N(X) and M(X) for
+    X = certificate_x, and `is_irreducible_Q` against
     `sympy.factor_list` on a seeded sample of sympy_samples J = 0 forms of
     height at most 12 (this check needs sympy, from the dev extra)."""
     res = SuiteResult("reducibility")
@@ -454,15 +455,18 @@ def suite_reducibility(
 
 
 def _check_irreducibility_certificate(res: SuiteResult, X: int) -> None:
-    """A certified point must not factor, and `families.square_split` must
-    not split an irreducible point.  Records per slice the share of
-    irreducible points the certificate settles, the points the split
-    settles, and the reducible points with a4 a0 != 0 and a non-square
-    disc(F) that it misses (0 when every such point is Type 2; points with
-    a4 a0 = 0 are reducible at once and never reach the split)."""
+    """The fast paths against full factorization on every family point of
+    N(X) and M(X): a certified point must not factor, `families.square_split`
+    must not split an irreducible point, `counting.decide_member` (the
+    kernel's decision; A = 0 points are reducible) must agree, and no
+    reducible point with a4 a0 != 0 and a non-square disc(F) may escape the
+    split (the cover statement at `decide_member`).  Records per slice the
+    share of irreducible points the certificate settles, the points the
+    split settles, those missed points, and the points by kernel branch."""
     Z = counting.DISC_POLICY.ibound(X)
     for kind in ("N", "M"):
         points = irreducible = settled = split = missed = 0
+        decided = dict.fromkeys(counting.BRANCHES, 0)
         for u in counting.count_units(kind, Z):
             for f in counting.unit_families(kind, u)[1]:
                 for (A, B) in counting.family_points(f, Z):
@@ -474,6 +478,12 @@ def _check_irreducibility_certificate(res: SuiteResult, X: int) -> None:
                     settled += full and p is not None
                     if p is not None and not full:
                         res.fail(f"certificate mod {p} on the reducible {F}")
+                    branch, kernel = (
+                        counting.decide_member(f, A, B, F) if A else ("zero_a", False)
+                    )
+                    decided[branch] += 1
+                    if kernel != full:
+                        res.fail(f"the kernel's {branch} branch decides {F} wrongly")
                     if families.square_split(f, A, B, F) is not None:
                         split += 1
                         if full:
@@ -484,17 +494,18 @@ def _check_irreducibility_certificate(res: SuiteResult, X: int) -> None:
                         and forms._exact_sqrt(forms.invariants(F).disc) is None
                     ):
                         missed += 1
+                        res.fail(
+                            f"the square split misses the reducible {F}, whose "
+                            "disc(F) is not a square"
+                        )
         res.checks += points
         res.stats[f"certificate_{kind}_points"] = points
         res.stats[f"certificate_{kind}_irreducible"] = irreducible
         res.stats[f"certificate_{kind}_settled"] = settled
         res.stats[f"square_split_{kind}"] = split
         res.stats[f"type2_missed_{kind}"] = missed
-        if missed:
-            res.note(
-                f"the square split misses {missed} reducible {kind} points "
-                "with a4 a0 != 0 and a non-square disc(F)"
-            )
+        for branch, n in decided.items():
+            res.stats[f"kernel_{kind}_{branch}"] = n
 
 
 def _check_against_sympy(res: SuiteResult, rng: random.Random, samples: int) -> None:

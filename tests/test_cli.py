@@ -85,6 +85,23 @@ def test_count_n_reproducible(tmp_path):
     assert (tmp_path / "a.csv").read_text() == (tmp_path / "b.csv").read_text()
 
 
+def test_count_m_summary_reports_branches_and_findings(tmp_path):
+    # the per-branch point counts and the findings text repeat exactly and
+    # stay out of config_hash
+    docs = []
+    for name in ("a", "b"):
+        out = tmp_path / f"{name}.json"
+        assert main(["count-m", "--ladder", "100000,1000000", "--out", str(out)]) == 0
+        docs.append(json.loads(out.read_text()))
+    assert docs[0]["config_hash"] == docs[1]["config_hash"]
+    assert docs[0]["points"] == docs[1]["points"]
+    for pt in docs[0]["points"]:
+        assert sum(pt["points_by_branch"].values()) == pt["raw_points"]
+        assert pt["points_by_branch"]["nonsquare_disc"] > pt["points_by_branch"]["factored"] > 0
+        assert len(pt["cover_findings_text"]) == pt["cover_findings"] > 0
+        assert all(line.startswith("f=") for line in pt["cover_findings_text"])
+
+
 def test_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("threads = 2\nseed = 7\n")
@@ -244,7 +261,8 @@ def test_config_hash_ignores_output_paths(tmp_path):
 
 
 def test_family_factorizes_each_point_once(tmp_path, monkeypatch):
-    # count_family classifies every point; the row loop calls
+    # count_family decides every point and factors only those with a square
+    # disc(F) (or a0 = 0) that square_split leaves; the row loop calls
     # is_irreducible_Q only for the --csv column
     from jzero import counting, forms
     from jzero.families import family_coefficients, square_split
@@ -261,19 +279,22 @@ def test_family_factorizes_each_point_once(tmp_path, monkeypatch):
     monkeypatch.setattr(counting, "is_irreducible_Q", counted("kernel", forms.is_irreducible_Q))
     monkeypatch.setattr(forms, "is_irreducible_Q", counted("rows", forms.is_irreducible_Q))
     out = tmp_path / "fam.json"
-    assert main(["family", "1,0,1", "--ibound", "100", "--out", str(out)]) == 0
+    assert main(["family", "1,1,0", "--ibound", "50", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    assert (doc["points"], doc["irreducible_points"], doc["primitive_points"]) == (28, 12, 20)
-    # the kernel tests the points with a4 = A != 0 that square_split leaves
-    f = forms.QuadraticForm(1, 0, 1)
+    assert (doc["points"], doc["irreducible_points"], doc["primitive_points"]) == (32, 20, 28)
+    f = forms.QuadraticForm(1, 1, 0)
+    unsplit = [
+        F
+        for (A, B) in counting.family_points(f, 50)
+        if A
+        and square_split(f, A, B, F := forms.QuarticForm(*family_coefficients(f, A, B))) is None
+    ]
     kernel = sum(
-        1
-        for (A, B) in counting.ellipse_points(f, 100)
-        if A and square_split(f, A, B, forms.QuarticForm(*family_coefficients(f, A, B))) is None
+        1 for F in unsplit if not F.a0 or forms._exact_sqrt(forms.invariants(F).disc) is not None
     )
-    assert 0 < kernel < sum(1 for (A, _) in counting.ellipse_points(f, 100) if A)
+    assert 0 < kernel < len(unsplit)
     assert calls == {"kernel": kernel, "rows": 0}
     csv_path = tmp_path / "fam.csv"
-    assert main(["family", "1,0,1", "--ibound", "100", "--csv", str(csv_path)]) == 0
-    assert calls == {"kernel": 2 * kernel, "rows": 28}
-    assert len(csv_path.read_text().splitlines()) == 29
+    assert main(["family", "1,1,0", "--ibound", "50", "--csv", str(csv_path)]) == 0
+    assert calls == {"kernel": 2 * kernel, "rows": 32}
+    assert len(csv_path.read_text().splitlines()) == 33

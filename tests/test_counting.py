@@ -180,6 +180,7 @@ def test_workers_deterministic():
         assert r1.irreducible_points == r2.irreducible_points
         assert r1.cover_findings == r2.cover_findings
         assert r1.max_coeff == r2.max_coeff
+        assert r1.decided == r2.decided
 
 
 def test_imprimitive_scaling_consistency():

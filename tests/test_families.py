@@ -4,10 +4,12 @@ import math
 import random
 from fractions import Fraction
 
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jzero.classes import enumerate_reduced, signed_automorphisms
+from jzero.counting import decide_member
 from jzero.families import (
     FamilyPoint,
     family_coefficients,
@@ -35,6 +37,7 @@ from jzero.forms import (
     hessian,
     hessian_sqrt,
     invariants,
+    is_irreducible_Q,
     quartic_factorization,
 )
 from reference import contains
@@ -345,3 +348,28 @@ def test_square_split_property(abc, s, t):
     elif reducible and F.a4 * F.a0 != 0:
         # every reducible point the split misses is Type 1: square disc(F)
         assert disc > 0 and math.isqrt(disc) ** 2 == disc, (f, A, B)
+
+
+@settings(max_examples=300, deadline=2000, database=None)
+@given(_DIVISORS, st.integers(-6, 6), st.integers(-6, 6))
+def test_kernel_decision_property(abc, s, t):
+    # the counting kernel decides without factoring wherever disc(F) is
+    # not a square, and must agree with full factorization everywhere
+    f = QuadraticForm(*abc)
+    assume(f.is_primitive() and (f.disc() < 0 or f.c == 0))
+    A, B = lattice_Lfa(f).point(s, t)
+    assume(A != 0)
+    F = QuarticForm(*family_coefficients(f, A, B))
+    assert decide_member(f, A, B, F)[1] == is_irreducible_Q(F), (f, A, B)
+
+
+def test_resolvent_identity():
+    # psi = joint_disc(G, H) is a root of x^3 - 3 I x + J for F = G H
+    # (the cover statement at counting.decide_member rests on it)
+    g2, g1, g0, h2, h1, h0, x = sympy.symbols("g2 g1 g0 h2 h1 h0 x")
+    poly = sympy.Poly((g2 * x**2 + g1 * x + g0) * (h2 * x**2 + h1 * x + h0), x)
+    a4, a3, a2, a1, a0 = poly.all_coeffs()
+    I = 12 * a4 * a0 - 3 * a3 * a1 + a2 * a2
+    J = 72 * a4 * a2 * a0 + 9 * a3 * a2 * a1 - 27 * a4 * a1**2 - 27 * a0 * a3**2 - 2 * a2**3
+    psi = joint_disc(QuadraticForm(g2, g1, g0), QuadraticForm(h2, h1, h0))
+    assert sympy.expand(psi**3 - 3 * I * psi + J) == 0

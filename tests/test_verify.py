@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import jzero
+from jzero import counting, families
 from jzero.verify import SUITES, run_suite
 
 # The subprocesses import the same jzero as these tests.
@@ -78,13 +79,25 @@ def test_reducibility_suite_checks_fast_path(monkeypatch):
         assert 0 < settled <= irreducible < points
         assert 0 < r.stats[f"square_split_{kind}"] <= points - irreducible
         assert r.stats[f"type2_missed_{kind}"] == 0
-    from jzero import families
+        # every point is decided once, and some reach factoring
+        assert sum(r.stats[f"kernel_{kind}_{b}"] for b in counting.BRANCHES) == points
+        assert r.stats[f"kernel_{kind}_factored"] > 0
 
-    monkeypatch.setattr(families, "square_split", lambda f, A, B, F: (f, f))
-    r = run_suite(
-        "reducibility", dmax=3, coeff_box=2, certificate_x=10**6, sympy_samples=0
-    )
-    assert any(msg.startswith("square split on the irreducible") for msg in r.failures)
+    def reducibility_failures():
+        return run_suite(
+            "reducibility", dmax=3, coeff_box=2, certificate_x=10**6, sympy_samples=0
+        ).failures
+
+    with monkeypatch.context() as m:
+        m.setattr(families, "square_split", lambda f, A, B, F: (f, f))
+        assert any(msg.startswith("square split on the irreducible") for msg in reducibility_failures())
+    with monkeypatch.context() as m:
+        m.setattr(families, "square_split", lambda f, A, B, F: None)
+        assert any(msg.startswith("the square split misses") for msg in reducibility_failures())
+    # a decision that calls square-disc reducible points irreducible
+    monkeypatch.setattr(counting, "_nonsquare_disc", lambda F: True)
+    failures = reducibility_failures()
+    assert any("nonsquare_disc branch decides" in msg for msg in failures)
 
 
 def test_reducibility_without_sympy_is_a_failure_not_a_crash(monkeypatch):
@@ -103,8 +116,6 @@ def test_failure_reporting_shape():
 
 
 def test_parametrization_suite_checks_reduced_enumeration(monkeypatch):
-    from jzero import counting
-
     enumerate_points = counting.ellipse_points
 
     def drop_last_point(f, Z):
