@@ -678,16 +678,43 @@ def indefinite_cycle(f: QuadraticForm) -> list[QuadraticForm]:
 def indefinite_class_key(f: QuadraticForm) -> tuple:
     """Canonical label of the GL2-class-pair {C(f), C(-f)} for non-square
     positive discriminant: the minimum over the reduction cycles of the
-    four sign/orientation variants."""
+    four sign/orientation variants f, (a, -b, c), -f and (-a, b, -c),
+    read off the one cycle of f as the least of (a, b, c), (-a, b, -c),
+    (c, b, a) and (-c, b, -a) over its reduced forms.
+
+    Let s = isqrt(D).  Since D is not a square, the reducedness test
+    0 < b <= s, s - b < 2|a| <= s + b is exactly 0 < b < sqrt(D),
+    sqrt(D) - b < 2|a| < sqrt(D) + b.  Two maps relate the variants' cycles.
+
+    sigma(a, b, c) = (-a, b, -c) keeps reducedness and commutes with rho.
+    The test above reads only |a| and b.  The step `_rho` takes (a, b, c)
+    to (c, b', (b'^2 - D)/4c), where b' depends only on b, |c| and s; on
+    (-a, b, -c) it gives the same b', so rho(sigma h) = sigma(rho h).  So
+    sigma maps the reduction path and cycle of f onto those of sigma f, and
+    -f = sigma(a, -b, c) has the cycle sigma of the cycle of (a, -b, c).
+
+    The cycle of (a, -b, c) is tau of f's cycle, tau(a, b, c) = (c, b, a).
+    For reduced h = (a, b, c), 4|a||c| = D - b^2 = (sqrt(D) - b)(sqrt(D) + b)
+    since b^2 < D forces ac < 0; so 2|c| = (sqrt(D) - b)(sqrt(D) + b)/2|a|
+    lies strictly between sqrt(D) - b and sqrt(D) + b, and tau h is reduced.
+    Next, rho(tau rho tau h) = h: rho(c, b, a) = (a, b', e) with
+    b' = -b (mod 2|a|), and rho(e, b', a) = (a, b'', .) with b'' = b
+    (mod 2|a|) in (s - 2|a|, s] (reduced forms have |a| <= s), the one
+    residue there that b is, so b'' = b and the last entry is c.  rho keeps
+    reducedness (Cohen, GTM 138, 5.6; `indefinite_cycle` asserts it), so
+    tau rho tau h is a reduced preimage of h: rho maps the finite set of
+    reduced forms of disc D onto itself, hence permutes it, and
+    tau rho tau = rho^-1 there.  tau therefore maps f's rho-cycle onto
+    a rho-cycle.  Both tau f = f(y, x) and (a, -b, c) = f(x, -y) come from
+    f by determinant -1 substitutions, so they are properly equivalent to
+    each other, and the reduced forms properly equivalent to a form make up exactly one
+    rho-cycle (Cohen, GTM 138, 5.6); so tau of f's cycle is the cycle of
+    (a, -b, c).  With sigma, the cycle of -f is sigma tau of f's cycle.
+    """
     best = None
-    for g in (
-        f,
-        QuadraticForm(f.a, -f.b, f.c),
-        f.neg(),
-        QuadraticForm(-f.a, f.b, -f.c),
-    ):
-        cyc = indefinite_cycle(g)
-        m = min(h.coeffs() for h in cyc)
+    for h in indefinite_cycle(f):
+        a, b, c = h.a, h.b, h.c
+        m = min((a, b, c), (-a, b, -c), (c, b, a), (-c, b, -a))
         if best is None or m < best:
             best = m
     return best

@@ -256,10 +256,12 @@ def cmd_family(args) -> int:
         F = forms.QuarticForm(*coeffs)
         if F.content() == 1:
             primitive_points += 1
-        if args.csv:  # count_family has already classified every point
+        if args.csv:  # the decision count_family made for this point
             I, _ = family_invariant(FamilyPoint(f, A, B))
-            rows.append([A, B, *coeffs, I, forms.is_irreducible_Q(F)])
+            irreducible = A != 0 and counting.decide_member(f, A, B, F)[1]
+            rows.append([A, B, *coeffs, I, irreducible])
     if args.csv:
+        assert sum(row[-1] for row in rows) == fc.irreducible_points, (f, args.ibound)
         with open(args.csv, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["A", "B", "a4", "a3", "a2", "a1", "a0", "I", "irreducible"])

@@ -212,9 +212,11 @@ def _exact_sqrt(n: int) -> Optional[int]:
     return r if r * r == n else None
 
 
-def _square_root_of_quartic(G: QuarticForm) -> Optional[QuadraticForm]:
-    """If G = f^2 for an integral quadratic f, return f (lex-normalized sign)."""
-    g4, g3, g2, g1, g0 = G.coeffs()
+def _square_root_of_quartic(
+    g4: int, g3: int, g2: int, g1: int, g0: int
+) -> Optional[tuple[int, int, int]]:
+    """If g4 x^4 + ... + g0 y^4 = f^2 for an integral quadratic f, return the
+    coefficients of f, with its first nonzero coefficient positive."""
     if g4 > 0:
         a = _exact_sqrt(g4)
         if a is None:
@@ -226,11 +228,11 @@ def _square_root_of_quartic(G: QuarticForm) -> Optional[QuadraticForm]:
         if num % (2 * a) != 0:
             return None
         c = num // (2 * a)
-        f = QuadraticForm(a, b, c)
     elif g4 == 0:
         # a = 0, so f = b xy + c y^2 and G has no x^4 or x^3 y term
         if g3 != 0:
             return None
+        a = 0
         b = _exact_sqrt(g2)
         if b is None:
             return None
@@ -238,16 +240,13 @@ def _square_root_of_quartic(G: QuarticForm) -> Optional[QuadraticForm]:
             c = _exact_sqrt(g0)
             if c is None or g1 != 0:
                 return None
-            f = QuadraticForm(0, 0, c)
         else:
             if g1 % (2 * b) != 0:
                 return None
             c = g1 // (2 * b)
-            f = QuadraticForm(0, b, c)
     else:
         return None
     # verify the full expansion, not just the solved-for coefficients
-    a, b, c = f.coeffs()
     if (
         a * a == g4
         and 2 * a * b == g3
@@ -255,7 +254,7 @@ def _square_root_of_quartic(G: QuarticForm) -> Optional[QuadraticForm]:
         and 2 * b * c == g1
         and c * c == g0
     ):
-        return f
+        return a, b, c
     return None
 
 
@@ -276,17 +275,19 @@ def hessian_sqrt(F: QuarticForm) -> Optional[tuple[QuadraticForm, int]]:
     hence positive definite orientation whenever disc(f) < 0) and c the
     integer scale carrying the sign; None when H_F is not a square up to
     scale.  For integral F this succeeds exactly when J(F) = 0.
+
+    H_F is divided by its content k, and the primitive quotient G is tried
+    as +f^2 and as -f^2; f^2 primitive forces f primitive.
     """
-    H = hessian(F)
-    if H.is_zero():
+    h = hessian(F).coeffs()
+    k = math.gcd(*h)
+    if k == 0:
         return None
-    k = H.content()
-    G = H.primitive_part()
+    g4, g3, g2, g1, g0 = (c // k for c in h)
     for sign in (1, -1):
-        cand = QuarticForm(*(sign * c for c in G.coeffs()))
-        f = _square_root_of_quartic(cand)
+        f = _square_root_of_quartic(sign * g4, sign * g3, sign * g2, sign * g1, sign * g0)
         if f is not None:
-            return normalize_quadratic_sign(f), sign * k
+            return QuadraticForm(*f), sign * k
     return None
 
 
@@ -295,35 +296,34 @@ def hessian_sqrt(F: QuarticForm) -> Optional[tuple[QuadraticForm, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _poly_mul(p: list[int], q: list[int]) -> list[int]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, pi in enumerate(p):
-        if pi:
-            for j, qj in enumerate(q):
-                out[i + j] += pi * qj
-    return out
-
-
 def act_quartic(F: QuarticForm, T: Unimodular) -> QuarticForm:
-    """F(t1 x + t2 y, t3 x + t4 y) for unimodular T."""
-    a4, a3, a2, a1, a0 = F.coeffs()
-    u = [T.t1, T.t2]  # coefficients of t1 x + t2 y in the basis (x, y)
-    v = [T.t3, T.t4]
-    u2, v2, uv = _poly_mul(u, u), _poly_mul(v, v), _poly_mul(u, v)
-    u3, v3 = _poly_mul(u2, u), _poly_mul(v2, v)
-    terms = [
-        (a4, _poly_mul(u2, u2)),
-        (a3, _poly_mul(u3, v)),
-        (a2, _poly_mul(u2, v2)),
-        (a1, _poly_mul(u, v3)),
-        (a0, _poly_mul(v2, v2)),
-    ]
-    out = [0] * 5
-    for coef, poly in terms:
-        if coef:
-            for i, p in enumerate(poly):
-                out[i] += coef * p
-    return QuarticForm(*out)
+    """F(t1 x + t2 y, t3 x + t4 y) for unimodular T, in closed form: with
+    u = t1 x + t2 y and v = t3 x + t4 y, each coefficient collects the
+    x^i y^(4-i) terms of a4 u^4, a3 u^3 v, a2 u^2 v^2, a1 u v^3 and a0 v^4."""
+    a4, a3, a2, a1, a0 = F.a4, F.a3, F.a2, F.a1, F.a0
+    p, q, r, s = T.t1, T.t2, T.t3, T.t4
+    p2, q2, r2, s2 = p * p, q * q, r * r, s * s
+    ps, qr = p * s, q * r
+    m = ps + qr
+    return QuarticForm(
+        a4 * p2 * p2 + a3 * p2 * p * r + a2 * p2 * r2 + a1 * p * r2 * r + a0 * r2 * r2,
+        4 * a4 * p2 * p * q
+        + a3 * p2 * (ps + 3 * qr)
+        + 2 * a2 * p * r * m
+        + a1 * r2 * (qr + 3 * ps)
+        + 4 * a0 * r2 * r * s,
+        6 * a4 * p2 * q2
+        + 3 * a3 * p * q * m
+        + a2 * (m * m + 2 * ps * qr)
+        + 3 * a1 * r * s * m
+        + 6 * a0 * r2 * s2,
+        4 * a4 * p * q2 * q
+        + a3 * q2 * (3 * ps + qr)
+        + 2 * a2 * q * s * m
+        + a1 * s2 * (3 * qr + ps)
+        + 4 * a0 * r * s2 * s,
+        a4 * q2 * q2 + a3 * q2 * q * s + a2 * q2 * s2 + a1 * q * s2 * s + a0 * s2 * s2,
+    )
 
 
 def substitute(

@@ -7,9 +7,14 @@ surviving form is keyed by transporting it into the canonical coordinates
 of its Hessian divisor class and canonicalizing the family point under
 the divisor's finite symmetry group.  Everything that depends only on the
 Hessian divisor (its canonical form and transform, fiber action and n_f)
-is computed once per divisor (`divisor`).  Two forms get the same key
-exactly when they are GL2(Z)-equivalent; the tests check this against an
-explicit matrix search at small height (`tests/reference.py`).
+is computed once per divisor (`divisor`).  The per-form steps are integer
+closed forms: `hessian_sqrt` works on the Hessian's coefficient tuple,
+`act_quartic` expands the substitution directly in the matrix entries,
+and an indefinite divisor is labelled from its one reduction cycle
+(`indefinite_class_key`).  Two forms get the same key exactly when they
+are GL2(Z)-equivalent; the tests check this against an explicit matrix
+search at small height, and the keys against slow references of all three
+steps (`tests/reference.py`).
 
 The box height needed to see every orbit up to a given height bound is
 certified from the family enumeration itself (the canonical representative

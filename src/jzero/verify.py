@@ -717,6 +717,14 @@ def suite_identities(trials: int = 10000, seed: int = 20260809) -> SuiteResult:
         t0, t1 = forms.invariants(F), forms.invariants(forms.act_quartic(F, T))
         if (t0.I, t0.J, t0.disc) != (t1.I, t1.J, t1.disc):
             res.fail(f"invariants move under {T} for {F}")
+        # the closed-form act_quartic against F(T(x, y)) at five pairwise
+        # non-proportional points, which fix a binary quartic
+        res.checks += 1
+        G = forms.act_quartic(F, T).coeffs()
+        for x, y in _FIVE_POINTS:
+            if _horner(G, x, y) != _horner(F.coeffs(), T.t1 * x + T.t2 * y, T.t3 * x + T.t4 * y):
+                res.fail(f"act_quartic({F}, {T.entries()}) differs from F(T(x, y)) at ({x}, {y})")
+                break
     for _ in range(trials):
         # outer action scales the half-Jacobian by det T (equality on SL2)
         u = forms.QuadraticForm(*(rng.randint(-12, 12) for _ in range(3)))
@@ -749,7 +757,37 @@ def suite_identities(trials: int = 10000, seed: int = 20260809) -> SuiteResult:
         if Fraction(forms.invariants(F).I) != families.outer_I(h2, h1, u, v):
             res.fail(f"outer I mismatch for {u}, {v}, ({h2},{h1},{h0})")
         done += 1
+    # the one-cycle indefinite class key against the least reduced form over
+    # the cycles of f, (a, -b, c), -f and (-a, b, -c), each walked on its own
+    done = 0
+    while done < trials // 10:
+        f = forms.QuadraticForm(*(rng.randint(-30, 30) for _ in range(3)))
+        D = f.disc()
+        if D <= 0 or math.isqrt(D) ** 2 == D:
+            continue
+        a, b, c = f.coeffs()
+        variants = ((a, b, c), (a, -b, c), (-a, -b, -c), (-a, b, -c))
+        want = min(
+            min(h.coeffs() for h in classes.indefinite_cycle(forms.QuadraticForm(*g)))
+            for g in variants
+        )
+        res.checks += 1
+        if classes.indefinite_class_key(f) != want:
+            res.fail(f"indefinite_class_key({f}) is not the least over the four variant cycles")
+        done += 1
     return res
+
+
+_FIVE_POINTS = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2))
+
+
+def _horner(coeffs, x: int, y: int) -> int:
+    """a4 x^4 + a3 x^3 y + a2 x^2 y^2 + a1 x y^3 + a0 y^4 by homogeneous Horner."""
+    r, yk = coeffs[0], 1
+    for c in coeffs[1:]:
+        yk *= y
+        r = r * x + c * yk
+    return r
 
 
 def _rand_unimodular(rng):

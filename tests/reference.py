@@ -6,7 +6,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from jzero.classes import canonical_square_label, indefinite_class_key, reduce_form
+from jzero.classes import canonical_square_label, indefinite_cycle, reduce_form
 from jzero.families import fiber_action, member_of
 from jzero.forms import (
     QuadraticForm,
@@ -14,8 +14,9 @@ from jzero.forms import (
     Unimodular,
     act_quadratic,
     act_quartic,
-    hessian_sqrt,
+    hessian,
     invariants,
+    normalize_quadratic_sign,
 )
 from jzero.lattices import SubLattice
 from jzero.oracle import OrbitKey
@@ -79,12 +80,104 @@ def brute_quartics_per_form(height: int) -> Iterator[QuarticForm]:
                     yield F
 
 
+def _poly_mul(p: list[int], q: list[int]) -> list[int]:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, pi in enumerate(p):
+        if pi:
+            for j, qj in enumerate(q):
+                out[i + j] += pi * qj
+    return out
+
+
+def act_quartic_by_products(F: QuarticForm, T: Unimodular) -> QuarticForm:
+    """F(t1 x + t2 y, t3 x + t4 y) by multiplying out the coefficient lists
+    of u = t1 x + t2 y and v = t3 x + t4 y; a slow validator for
+    forms.act_quartic."""
+    a4, a3, a2, a1, a0 = F.coeffs()
+    u = [T.t1, T.t2]  # coefficients of t1 x + t2 y in the basis (x, y)
+    v = [T.t3, T.t4]
+    u2, v2 = _poly_mul(u, u), _poly_mul(v, v)
+    u3, v3 = _poly_mul(u2, u), _poly_mul(v2, v)
+    terms = [
+        (a4, _poly_mul(u2, u2)),
+        (a3, _poly_mul(u3, v)),
+        (a2, _poly_mul(u2, v2)),
+        (a1, _poly_mul(u, v3)),
+        (a0, _poly_mul(v2, v2)),
+    ]
+    out = [0] * 5
+    for coef, poly in terms:
+        if coef:
+            for i, p in enumerate(poly):
+                out[i] += coef * p
+    return QuarticForm(*out)
+
+
+def _square_root_of_quartic(G: QuarticForm) -> Optional[QuadraticForm]:
+    """If G = f^2 for an integral quadratic f, return f."""
+    g4, g3, g2, g1, g0 = G.coeffs()
+    if g4 > 0:
+        a = math.isqrt(g4)
+        if a * a != g4 or g3 % (2 * a) != 0:
+            return None
+        b = g3 // (2 * a)
+        num = g2 - b * b
+        if num % (2 * a) != 0:
+            return None
+        f = QuadraticForm(a, b, num // (2 * a))
+    elif g4 == 0:
+        # a = 0, so f = b xy + c y^2 and G has no x^4 or x^3 y term
+        if g3 != 0 or g2 < 0 or math.isqrt(g2) ** 2 != g2:
+            return None
+        b = math.isqrt(g2)
+        if b == 0:
+            if g1 != 0 or g0 < 0 or math.isqrt(g0) ** 2 != g0:
+                return None
+            f = QuadraticForm(0, 0, math.isqrt(g0))
+        else:
+            if g1 % (2 * b) != 0:
+                return None
+            f = QuadraticForm(0, b, g1 // (2 * b))
+    else:
+        return None
+    # verify the full expansion, not just the solved-for coefficients
+    a, b, c = f.coeffs()
+    if (a * a, 2 * a * b, 2 * a * c + b * b, 2 * b * c, c * c) == G.coeffs():
+        return f
+    return None
+
+
+def hessian_sqrt_by_forms(F: QuarticForm) -> Optional[tuple[QuadraticForm, int]]:
+    """H_F = k * f^2 through the form objects: Hessian, content, primitive
+    part and a signed square root, sign-normalized; a slow validator for
+    forms.hessian_sqrt."""
+    H = hessian(F)
+    if H.is_zero():
+        return None
+    k = H.content()
+    G = H.primitive_part()
+    for sign in (1, -1):
+        f = _square_root_of_quartic(QuarticForm(*(sign * c for c in G.coeffs())))
+        if f is not None:
+            return normalize_quadratic_sign(f), sign * k
+    return None
+
+
+def indefinite_class_key_four_cycles(f: QuadraticForm) -> tuple:
+    """The least reduced form over the reduction cycles of f, (a, -b, c),
+    -f and (-a, b, -c), each walked on its own; a slow validator for
+    classes.indefinite_class_key."""
+    variants = (f, QuadraticForm(f.a, -f.b, f.c), f.neg(), QuadraticForm(-f.a, f.b, -f.c))
+    return min(min(h.coeffs() for h in indefinite_cycle(g)) for g in variants)
+
+
 def orbit_key_uncached(F: QuarticForm) -> OrbitKey:
-    """oracle.orbit_key with every divisor step recomputed for each form."""
+    """oracle.orbit_key with every divisor step recomputed for each form,
+    through the slow validators above rather than the package's closed forms."""
     t = invariants(F)
     if t.J != 0 or t.disc == 0:
         raise ValueError("orbit keys need J = 0 and disc != 0")
-    f, _ = hessian_sqrt(F)
+    f, _ = hessian_sqrt_by_forms(F)
     d = f.disc()
     inv_t = (t.I, t.J, t.disc)
     if d < 0:
@@ -92,11 +185,11 @@ def orbit_key_uncached(F: QuarticForm) -> OrbitKey:
         if g.b < 0:
             g = act_quadratic(g, _FLIP)
             T = T.mul(_FLIP)
-        pt = member_of(g, act_quartic(F, T))
+        pt = member_of(g, act_quartic_by_products(F, T))
         return OrbitKey("posdef", g.coeffs(), fiber_action(g).canonical(pt.A, pt.B), inv_t)
     n = math.isqrt(d)
     if n * n != d:
-        return OrbitKey("indefinite", indefinite_class_key(f), (0, 0), inv_t)
+        return OrbitKey("indefinite", indefinite_class_key_four_cycles(f), (0, 0), inv_t)
     cands = []
     for h in (f, f.neg()):
         lab, U = canonical_square_label(h)
@@ -106,5 +199,5 @@ def orbit_key_uncached(F: QuarticForm) -> OrbitKey:
     best = min(lab for lab, _ in cands)
     U = next(U for lab, U in cands if lab == best)
     g = QuadraticForm(best, n, 0)
-    pt = member_of(g, act_quartic(F, U))
+    pt = member_of(g, act_quartic_by_products(F, U))
     return OrbitKey("square", g.coeffs(), fiber_action(g).canonical(pt.A, pt.B), inv_t)

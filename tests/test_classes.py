@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from jzero.classes import (
     ClassGroup,
@@ -14,6 +16,7 @@ from jzero.classes import (
     cover_multiplicity,
     enumerate_reduced,
     gauss_reduce,
+    indefinite_class_key,
     inverse,
     is_ambiguous,
     is_opaque,
@@ -26,6 +29,7 @@ from jzero.classes import (
     square_label_negation,
 )
 from jzero.forms import QuadraticForm, Unimodular, act_quadratic
+from reference import indefinite_class_key_four_cycles
 
 
 def test_reduce_examples():
@@ -283,3 +287,12 @@ def test_class_number_sum_report():
     r2 = class_number_sum_report(2000)
     assert r1.total < r2.total
     assert r1.total == sum(len(enumerate_reduced(D)) for D in range(1, 1001))
+
+
+@settings(max_examples=400, deadline=2000, database=None)
+@given(st.integers(-300, 300), st.integers(-300, 300), st.integers(-300, 300))
+def test_indefinite_class_key_matches_four_cycles(a, b, c):
+    D = b * b - 4 * a * c
+    assume(D > 0 and math.isqrt(D) ** 2 != D)
+    f = QuadraticForm(a, b, c)
+    assert indefinite_class_key(f) == indefinite_class_key_four_cycles(f)

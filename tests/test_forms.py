@@ -34,6 +34,7 @@ from jzero.forms import (
 )
 from jzero.oracle import brute_quartics
 from jzero.reducible import ReducibleKind, classify
+from reference import act_quartic_by_products, hessian_sqrt_by_forms
 
 X4_PLUS_Y4 = QuarticForm(1, 0, 0, 0, 1)
 BIQUAD = QuarticForm(1, 0, -6, 0, 1)  # x^4 - 6x^2y^2 + y^4
@@ -161,6 +162,58 @@ def test_hessian_covariance():
         F = QuarticForm(*(rng.randint(-200, 200) for _ in range(5)))
         T = _random_unimodular(rng)
         assert hessian(act_quartic(F, T)) == act_quartic(hessian(F), T)
+
+
+# unimodular matrices with large entries: products of shears by up to 10^6,
+# with the swap and the reflection mixed in
+_STEP = st.tuples(st.booleans(), st.integers(-(10**6), 10**6), st.booleans(), st.booleans())
+
+
+def _unimodular_from(steps):
+    T = IDENTITY
+    for lower, k, swap, flip in steps:
+        T = T.mul(Unimodular(1, 0, k, 1) if lower else Unimodular(1, k, 0, 1))
+        if swap:
+            T = T.mul(Unimodular(0, -1, 1, 0))
+        if flip:
+            T = T.mul(Unimodular(1, 0, 0, -1))
+    return T
+
+
+@settings(max_examples=300, deadline=2000, database=None)
+@given(st.tuples(*[st.integers(-(10**15), 10**15)] * 5), st.lists(_STEP, min_size=1, max_size=4))
+def test_act_quartic_matches_products_property(coeffs, steps):
+    F, T = QuarticForm(*coeffs), _unimodular_from(steps)
+    assert act_quartic(F, T) == act_quartic_by_products(F, T)
+
+
+_J0_BOX = list(brute_quartics(4))
+
+
+@settings(max_examples=300, deadline=2000, database=None)
+@given(st.tuples(*[st.integers(-40, 40)] * 5))
+def test_hessian_sqrt_matches_reference_on_random_quartics(coeffs):
+    # almost every draw has J != 0, so both sides return None
+    F = QuarticForm(*coeffs)
+    assert hessian_sqrt(F) == hessian_sqrt_by_forms(F)
+
+
+@settings(max_examples=300, deadline=2000, database=None)
+@given(st.sampled_from(_J0_BOX), st.lists(_STEP, min_size=1, max_size=3))
+def test_hessian_sqrt_matches_reference_on_j_zero_quartics(F, steps):
+    G = act_quartic(F, _unimodular_from(steps))
+    assert invariants(G).J == 0
+    got = hessian_sqrt(G)
+    assert got is not None and got == hessian_sqrt_by_forms(G)
+
+
+@settings(max_examples=200, deadline=2000, database=None)
+@given(st.integers(-(10**6), 10**6), st.integers(-50, 50), st.integers(-50, 50))
+def test_hessian_sqrt_matches_reference_on_zero_hessians(k, p, q):
+    # every k (p x + q y)^4 has a zero Hessian
+    F = QuarticForm(k * p**4, 4 * k * p**3 * q, 6 * k * p * p * q * q, 4 * k * p * q**3, k * q**4)
+    assert hessian(F).is_zero()
+    assert hessian_sqrt(F) is None and hessian_sqrt_by_forms(F) is None
 
 
 def test_non_unimodular_rejected():

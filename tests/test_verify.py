@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import jzero
-from jzero import counting, families
+from jzero import classes, counting, families, forms
 from jzero.verify import SUITES, run_suite
 
 # The subprocesses import the same jzero as these tests.
@@ -127,3 +127,24 @@ def test_parametrization_suite_checks_reduced_enumeration(monkeypatch):
     monkeypatch.setattr(counting, "_admissible_discs", lambda Z: range(3, 4 * Z // 3 + 1))
     r = run_suite("parametrization", dmax=20, coeff_box=0, det_alpha=0)
     assert any("not admitted exactly" in msg for msg in r.failures)
+
+
+def test_identities_suite_checks_closed_forms(monkeypatch):
+    act_quartic = forms.act_quartic
+
+    def flip_a1(F, T):
+        G = act_quartic(F, T)
+        return forms.QuarticForm(G.a4, G.a3, G.a2, -G.a1, G.a0)
+
+    monkeypatch.setattr(forms, "act_quartic", flip_a1)
+    r = run_suite("identities", trials=200)
+    assert any("differs from F(T(x, y))" in msg for msg in r.failures)
+    monkeypatch.undo()
+
+    # the least reduced form of f's own cycle, without the other variants
+    def own_cycle(f):
+        return min(h.coeffs() for h in classes.indefinite_cycle(f))
+
+    monkeypatch.setattr(classes, "indefinite_class_key", own_cycle)
+    r = run_suite("identities", trials=300)
+    assert any("least over the four variant cycles" in msg for msg in r.failures)
