@@ -246,20 +246,18 @@ def cmd_classgroup(args) -> int:
 
 def cmd_family(args) -> int:
     f = parse_quadratic(args.form)
-    fc = counting.count_family(f, args.ibound)
+    irreducible_points: set[tuple[int, int]] = set()
+    fc = counting.count_family(f, args.ibound, irreducible_points)
     rows = []
     primitive_points = 0
     from .families import family_coefficients, family_invariant, FamilyPoint
 
     for (A, B) in counting.family_points(f, args.ibound):
         coeffs = family_coefficients(f, A, B)
-        F = forms.QuarticForm(*coeffs)
-        if F.content() == 1:
-            primitive_points += 1
+        primitive_points += forms.QuarticForm(*coeffs).content() == 1
         if args.csv:  # the decision count_family made for this point
             I, _ = family_invariant(FamilyPoint(f, A, B))
-            irreducible = A != 0 and counting.decide_member(f, A, B, F)[1]
-            rows.append([A, B, *coeffs, I, irreducible])
+            rows.append([A, B, *coeffs, I, (A, B) in irreducible_points])
     if args.csv:
         assert sum(row[-1] for row in rows) == fc.irreducible_points, (f, args.ibound)
         with open(args.csv, "w", newline="") as fh:

@@ -250,22 +250,23 @@ def family_points(f: QuadraticForm, Z: int) -> Iterable[tuple[int, int]]:
     raise ValueError(f"no family point set for the divisor {f}")
 
 
-def _nonsquare_disc(F: QuarticForm) -> bool:
-    """Whether disc(F) = 4 I^3 / 27 of the J = 0 quartic F is nonzero and
-    not a square.  It is a nonzero square exactly when 3I is: if 3I = r^2
-    then 3 | r and disc(F) = (2 (r/3)^3)^2; if disc(F) = m^2 != 0 then
-    (3I)^3 = (27m/2)^2, so 3I is a rational square and, being an integer,
-    a perfect square (positive, as I != 0)."""
-    a4, a3, a2, a1, a0 = F.coeffs()
+def _nonsquare_disc(coeffs: tuple[int, int, int, int, int]) -> bool:
+    """Whether disc(F) = 4 I^3 / 27 of the J = 0 quartic with coefficients
+    `coeffs` is nonzero and not a square.  It is a nonzero square exactly
+    when 3I is: if 3I = r^2 then 3 | r and disc(F) = (2 (r/3)^3)^2; if
+    disc(F) = m^2 != 0 then (3I)^3 = (27m/2)^2, so 3I is a rational square
+    and, being an integer, a perfect square (positive, as I != 0)."""
+    a4, a3, a2, a1, a0 = coeffs
     I = 12 * a4 * a0 - 3 * a3 * a1 + a2 * a2
     return I != 0 and _exact_sqrt(3 * I) is None
 
 
-def decide_member(f: QuadraticForm, A: int, B: int, F: QuarticForm) -> tuple[str, bool]:
+def decide_member(f: QuadraticForm, A: int, B: int, coeffs: tuple[int, ...]) -> tuple[str, bool]:
     """(branch, irreducible) for the member F at (A, B), A != 0, of the
-    family of f, where f is positive definite or a x^2 + n xy:
+    family of f, given by its coefficients, where f is positive definite
+    or a x^2 + n xy:
 
-    * "split": `square_split` factors F, so F is reducible;
+    * "split": `square_split` factors F (tried when a q(A, B) is a square);
     * "nonsquare_disc": a0 != 0 and disc(F) is nonzero and not a square,
       so F is irreducible (the cover statement below);
     * "factored": the rest (square or zero disc(F), or a0 = 0), decided by
@@ -306,21 +307,26 @@ def decide_member(f: QuadraticForm, A: int, B: int, F: QuarticForm) -> tuple[str
     statement still holds, but such points are sent to `is_irreducible_Q`,
     which settles them at once.
     """
-    if square_split(f, A, B, F) is not None:
-        return "split", False
-    if F.a0 and _nonsquare_disc(F):
+    a, b, c = f.coeffs()
+    F = None
+    if _exact_sqrt(a * (a * B * B - 4 * b * A * B + 16 * c * A * A)) is not None:
+        F = QuarticForm(*coeffs)
+        if square_split(f, A, B, F) is not None:
+            return "split", False
+    if coeffs[4] and _nonsquare_disc(coeffs):
         return "nonsquare_disc", True
-    return "factored", is_irreducible_Q(F)
+    return "factored", is_irreducible_Q(F or QuarticForm(*coeffs))
 
 
-def count_family(f: QuadraticForm, Z: int) -> FamilyCount:
+def count_family(f: QuadraticForm, Z: int, seen: Optional[set] = None) -> FamilyCount:
     """Exact point, irreducible-point and orbit tallies for the family of f
     with |I| <= Z, over `family_points(f, Z)`, with the points counted by
     the branch that decided them (`decided`).  A point with a4 = A = 0 is
     reducible and skipped before its coefficients are built (the enumerators
-    yield lattice points by construction); every other point goes to
-    `decide_member`, so only points with a square (or zero) disc(F) or
-    a0 = 0 reach `is_irreducible_Q`.
+    yield lattice points by construction); every other point's coefficient
+    tuple goes to `decide_member`, so only points with a square (or zero)
+    disc(F) or a0 = 0 reach `is_irreducible_Q`.  Irreducible points are
+    added to `seen`, if given.
 
     The fiber action maps irreducible points with |I| <= Z to irreducible
     points with the same I, so every member of a counted orbit is itself
@@ -334,16 +340,18 @@ def count_family(f: QuadraticForm, Z: int) -> FamilyCount:
         if A == 0:
             out.decided["zero_a"] = out.decided.get("zero_a", 0) + 1
             continue
-        F = QuarticForm(*family_coefficients(f, A, B))
-        branch, irreducible = decide_member(f, A, B, F)
+        coeffs = family_coefficients(f, A, B)
+        branch, irreducible = decide_member(f, A, B, coeffs)
         out.decided[branch] = out.decided.get(branch, 0) + 1
         if not irreducible:
             continue
         out.irreducible_points += 1
+        if seen is not None:
+            seen.add((A, B))
         if action is None:
             action = fiber_action(f)
         c = action.canonical(A, B)
-        h = max(map(abs, F.coeffs()))
+        h = max(map(abs, coeffs))
         height[c] = min(height.get(c, h), h)
     if height:
         out.irreducible_orbits = len(height)

@@ -16,7 +16,9 @@ map bijectively onto that family via
 
 and then I(F) = -3 (a B^2 - 4b A B + 16c A^2) disc(f) / (4 a^3) with J(F) = 0.
 
-The lattice has determinant 4a^3 when b is odd and a^3 when b is even.
+The lattice has determinant 4|a|^3 when b is odd and |a|^3 when b is even.
+When gcd(a, b) = 1 it is {(A, kA + d2 t)} with d2 that determinant and k
+in closed form (`lattice_Lfa`): the third congruence alone.
 
 The second half of the module handles pairs of quadratic forms (u, v):
 their half-Jacobian, joint discriminant, the invariant form with
@@ -26,6 +28,7 @@ quadratic h composed with the pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -57,22 +60,52 @@ def _check_family_form(f: QuadraticForm) -> None:
         raise ValueError("family forms must be primitive")
 
 
+def _lattice_congruences(f: QuadraticForm) -> list[tuple[int, int, int]]:
+    """The congruences A1 = 0 (mod 2a), A2 = 0 (mod a^2), A3 = 0 (mod 4a^3)."""
+    a, b, c = f.coeffs()
+    return [
+        (4 * c, -b, 2 * a),
+        (4 * b * c, -(b * b - a * c), a * a),
+        (4 * c * (b * b - a * c), -b * (b * b - 2 * a * c), 4 * a**3),
+    ]
+
+
 def lattice_Lfa(f: QuadraticForm) -> SubLattice:
-    """The lattice of coefficient pairs (A, B) giving integral members."""
+    """The lattice of coefficient pairs (A, B) giving integral members.
+
+    When gcd(a, b) = 1 it is SubLattice(1, k, d2), in closed form:
+    b odd: d2 = 4|a|^3, k = 4c(b^2 - ac) / (b(b^2 - 2ac)) mod d2;
+    b even, h = b/2: d2 = |a|^3, k = c(b^2 - ac) / (h(2h^2 - ac)) mod d2.
+    The divisor is a unit mod d2: b, h, and b^2 - 2ac = b^2, 2h^2 - ac = 2h^2
+    mod p | a are prime to a, b(b^2 - 2ac) is odd, and a is odd when b is
+    even.  As A3 = 4(c(b^2 - ac) A - h(2h^2 - ac) B) for b = 2h, the third
+    congruence is B = kA (mod d2), and it implies the other two:
+    A3 = (b^2 - ac) A1 + abc B with b^2 - ac a unit mod a gives a | A1; with
+    A1 = a m, (b^2 - ac) m = -bc B (mod a^2) gives a | bm + cB, so
+    a^2 | A2 = bA1 + acB = a(bm + cB).  And 2a | A1: for b even A1 is even
+    and a odd; for b odd 4 | A3 gives 4 | B, so 2 | A1 = 4cA - bB, and if
+    a is even b^2 - ac is odd and (b^2 - ac) A1 = -abc B (mod 4a^3) puts
+    one more 2 in A1 than in a.  Other forms go through
+    `SubLattice.from_congruences`.
+    """
     _check_family_form(f)
     a, b, c = f.coeffs()
-    return SubLattice.from_congruences(
-        [
-            (4 * c, -b, 2 * a),
-            (4 * b * c, -(b * b - a * c), a * a),
-            (4 * c * (b * b - a * c), -b * (b * b - 2 * a * c), 4 * a**3),
-        ]
-    )
+    if math.gcd(a, b) != 1:
+        return SubLattice.from_congruences(_lattice_congruences(f))
+    if b % 2:
+        d2 = 4 * abs(a) ** 3
+        k = 4 * c * (b * b - a * c) * pow(b * (b * b - 2 * a * c), -1, d2) % d2
+    else:
+        h, d2 = b // 2, abs(a) ** 3
+        k = c * (b * b - a * c) * pow(h * (2 * h * h - a * c), -1, d2) % d2
+    return SubLattice(1, k, d2)
 
 
 def lattice_det(f: QuadraticForm) -> int:
-    """Index of the (A, B) lattice; asserted against the closed form."""
+    """Index of the (A, B) lattice; the triple is asserted against
+    `SubLattice.from_congruences` and the index against 4|a|^3 or |a|^3."""
     L = lattice_Lfa(f)
+    assert L == SubLattice.from_congruences(_lattice_congruences(f)), (f, L)
     a = abs(f.a)
     expected = 4 * a**3 if f.b % 2 else a**3
     assert L.index == expected, (f, L.index, expected)

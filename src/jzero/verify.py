@@ -479,7 +479,7 @@ def _check_irreducibility_certificate(res: SuiteResult, X: int) -> None:
                     if p is not None and not full:
                         res.fail(f"certificate mod {p} on the reducible {F}")
                     branch, kernel = (
-                        counting.decide_member(f, A, B, F) if A else ("zero_a", False)
+                        counting.decide_member(f, A, B, F.coeffs()) if A else ("zero_a", False)
                     )
                     decided[branch] += 1
                     if kernel != full:

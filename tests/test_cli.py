@@ -262,8 +262,8 @@ def test_config_hash_ignores_output_paths(tmp_path):
 
 def test_family_factorizes_each_point_once(tmp_path, monkeypatch):
     # count_family decides every point and factors only those with a square
-    # disc(F) (or a0 = 0) that square_split leaves; the --csv column repeats
-    # that decision through decide_member, so it factors the same points
+    # disc(F) (or a0 = 0) that square_split leaves; the --csv column takes
+    # each row's flag from that one decision, so no point is factored twice
     from jzero import counting, forms
     from jzero.families import family_coefficients, square_split
 
@@ -296,7 +296,7 @@ def test_family_factorizes_each_point_once(tmp_path, monkeypatch):
     assert calls == {"kernel": kernel, "rows": 0}
     csv_path = tmp_path / "fam.csv"
     assert main(["family", "1,1,0", "--ibound", "50", "--csv", str(csv_path)]) == 0
-    assert calls == {"kernel": 3 * kernel, "rows": 0}
+    assert calls == {"kernel": 2 * kernel, "rows": 0}
     lines = csv_path.read_text().splitlines()
     assert len(lines) == 33
     assert sum(line.endswith(",True") for line in lines) == doc["irreducible_points"]

@@ -41,6 +41,15 @@ def test_policies():
     assert ABS_I_POLICY.ibound(1000) == 1000
 
 
+def test_branch_split_at_1e9():
+    # how the kernel decides its points, and what it counts, on both slices
+    n, m = count_N(10**9), count_M(10**9)
+    assert n.decided == {"zero_a": 5158, "split": 694, "nonsquare_disc": 888, "factored": 56}
+    assert (n.irreducible_orbits, n.raw_points, n.max_coeff) == (452, 6796, 40)
+    assert m.decided == {"zero_a": 216, "split": 340, "nonsquare_disc": 5174, "factored": 172}
+    assert (m.irreducible_orbits, m.raw_points, m.max_coeff) == (2676, 5902, 1372)
+
+
 def test_ellipse_points_example():
     pts = list(ellipse_points(QuadraticForm(1, 0, 1), 100))
     assert len(pts) == 28

@@ -40,6 +40,7 @@ from jzero.forms import (
     is_irreducible_Q,
     quartic_factorization,
 )
+from jzero.lattices import SubLattice
 from reference import contains
 F101 = QuadraticForm(1, 0, 1)
 F111 = QuadraticForm(1, 1, 1)
@@ -171,6 +172,24 @@ def test_lattice_det_sweep():
                 if f.disc() == 0 or not f.is_primitive():
                     continue
                 lattice_det(f)  # asserts the closed form internally
+
+
+@settings(max_examples=400, deadline=2000, database=None)
+@given(st.integers(-30, 30).filter(bool), st.integers(-30, 30), st.integers(-60, 60))
+def test_lattice_Lfa_matches_congruences_property(a, b, c):
+    # the closed form (gcd(a, b) = 1) against the three congruences solved
+    # directly; a < 0 and c <= 0 included, which covers M's a x^2 + n xy
+    f = QuadraticForm(a, b, c)
+    assume(f.is_primitive() and f.disc() != 0)
+    reference = SubLattice.from_congruences(
+        [
+            (4 * c, -b, 2 * a),
+            (4 * b * c, -(b * b - a * c), a * a),
+            (4 * c * (b * b - a * c), -b * (b * b - 2 * a * c), 4 * a**3),
+        ]
+    )
+    assert lattice_Lfa(f) == reference, f
+    assert lattice_det(f) == (4 if b % 2 else 1) * abs(a) ** 3
 
 
 def test_jacobian_examples():
@@ -360,7 +379,7 @@ def test_kernel_decision_property(abc, s, t):
     A, B = lattice_Lfa(f).point(s, t)
     assume(A != 0)
     F = QuarticForm(*family_coefficients(f, A, B))
-    assert decide_member(f, A, B, F)[1] == is_irreducible_Q(F), (f, A, B)
+    assert decide_member(f, A, B, F.coeffs())[1] == is_irreducible_Q(F), (f, A, B)
 
 
 def test_resolvent_identity():
