@@ -30,7 +30,9 @@ import csv
 import decimal
 import hashlib
 import json
+import math
 import os
+import re
 import sys
 import time
 
@@ -246,18 +248,17 @@ def cmd_classgroup(args) -> int:
 
 def cmd_family(args) -> int:
     f = parse_quadratic(args.form)
-    irreducible_points: set[tuple[int, int]] = set()
-    fc = counting.count_family(f, args.ibound, irreducible_points)
     rows = []
     primitive_points = 0
-    from .families import family_coefficients, family_invariant, FamilyPoint
 
-    for (A, B) in counting.family_points(f, args.ibound):
-        coeffs = family_coefficients(f, A, B)
-        primitive_points += forms.QuarticForm(*coeffs).content() == 1
-        if args.csv:  # the decision count_family made for this point
-            I, _ = family_invariant(FamilyPoint(f, A, B))
-            rows.append([A, B, *coeffs, I, (A, B) in irreducible_points])
+    def visit(A, B, coeffs, irreducible):
+        nonlocal primitive_points
+        primitive_points += math.gcd(*coeffs) == 1
+        if args.csv:
+            a4, a3, a2, a1, a0 = coeffs
+            rows.append([A, B, *coeffs, 12 * a4 * a0 - 3 * a3 * a1 + a2 * a2, irreducible])
+
+    fc = counting.count_family(f, args.ibound, visit)
     if args.csv:
         assert sum(row[-1] for row in rows) == fc.irreducible_points, (f, args.ibound)
         with open(args.csv, "w", newline="") as fh:
@@ -330,6 +331,16 @@ def cmd_audit_constants(args) -> int:
     return EXIT_OK if res.passed else EXIT_VERIFY_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads a comma-separated integer list with a
+    leading minus, such as the form -1,0,0,0,1, as a value, as it reads a
+    negative number, not as an unknown option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+(,-?\d+)+$")
+
+
 def _global_options(**defaults) -> argparse.ArgumentParser:
     """The options every command takes, on either side of its name.
 
@@ -357,7 +368,7 @@ def _env_threads() -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="jzero",
         description="Enumerate, classify and count GL2(Z)-orbits of integral "
         "binary quartic forms with vanishing J-invariant.",

@@ -64,7 +64,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .classes import (
     Group,
@@ -188,15 +188,16 @@ def merged_square_labels(n: int) -> list[int]:
 def square_family_points(a: int, n: int, ibound: int) -> list[tuple[int, int]]:
     """Nonzero lattice points of the family of a x^2 + n xy with |I| <= ibound.
 
-    With the B-modulus d from the lattice, |I| = 3 n^2 |B (aB - 4nA)| / (4a^3)
+    With the B-modulus d from the lattice, |I| = 3 n^2 |B (aB - 4nA)| / (4|a|^3)
     and both integer factors are nonzero, so |B| is bounded and A runs over
-    an interval for each B.
+    an interval for each B.  The bound takes |a|: for a < 0 the family is
+    that of -a, since (-a, n, 0)(-x, y) = -(a x^2 + n xy).
     """
     f = QuadraticForm(a, n, 0)
     L = lattice_Lfa(f)
     assert L.d1 == 1 and L.k == 0
     d = L.d2
-    K = 4 * a**3 * ibound
+    K = 4 * abs(a) ** 3 * ibound
     out = []
     Bpp = 1
     while 3 * n * n * d * Bpp <= K:
@@ -309,24 +310,30 @@ def decide_member(f: QuadraticForm, A: int, B: int, coeffs: tuple[int, ...]) -> 
     """
     a, b, c = f.coeffs()
     F = None
-    if _exact_sqrt(a * (a * B * B - 4 * b * A * B + 16 * c * A * A)) is not None:
+    s = _exact_sqrt(a * (a * B * B - 4 * b * A * B + 16 * c * A * A))
+    if s is not None:
         F = QuarticForm(*coeffs)
-        if square_split(f, A, B, F) is not None:
+        if square_split(f, A, B, F, s) is not None:
             return "split", False
     if coeffs[4] and _nonsquare_disc(coeffs):
         return "nonsquare_disc", True
     return "factored", is_irreducible_Q(F or QuarticForm(*coeffs))
 
 
-def count_family(f: QuadraticForm, Z: int, seen: Optional[set] = None) -> FamilyCount:
+def count_family(
+    f: QuadraticForm,
+    Z: int,
+    visit: Optional[Callable[[int, int, tuple[int, ...], bool], None]] = None,
+) -> FamilyCount:
     """Exact point, irreducible-point and orbit tallies for the family of f
     with |I| <= Z, over `family_points(f, Z)`, with the points counted by
     the branch that decided them (`decided`).  A point with a4 = A = 0 is
     reducible and skipped before its coefficients are built (the enumerators
     yield lattice points by construction); every other point's coefficient
     tuple goes to `decide_member`, so only points with a square (or zero)
-    disc(F) or a0 = 0 reach `is_irreducible_Q`.  Irreducible points are
-    added to `seen`, if given.
+    disc(F) or a0 = 0 reach `is_irreducible_Q`.  If given,
+    visit(A, B, coefficients, irreducible) is called on every point, in
+    order; only then are the coefficients of A = 0 points built.
 
     The fiber action maps irreducible points with |I| <= Z to irreducible
     points with the same I, so every member of a counted orbit is itself
@@ -339,15 +346,17 @@ def count_family(f: QuadraticForm, Z: int, seen: Optional[set] = None) -> Family
         out.points += 1
         if A == 0:
             out.decided["zero_a"] = out.decided.get("zero_a", 0) + 1
+            if visit is not None:
+                visit(A, B, family_coefficients(f, A, B), False)
             continue
         coeffs = family_coefficients(f, A, B)
         branch, irreducible = decide_member(f, A, B, coeffs)
         out.decided[branch] = out.decided.get(branch, 0) + 1
+        if visit is not None:
+            visit(A, B, coeffs, irreducible)
         if not irreducible:
             continue
         out.irreducible_points += 1
-        if seen is not None:
-            seen.add((A, B))
         if action is None:
             action = fiber_action(f)
         c = action.canonical(A, B)

@@ -156,11 +156,13 @@ def family_invariant(pt: FamilyPoint) -> tuple[int, Fraction]:
 
 
 def square_split(
-    f: QuadraticForm, A: int, B: int, F: QuarticForm
+    f: QuadraticForm, A: int, B: int, F: QuarticForm, s: Optional[int] = None
 ) -> Optional[tuple[QuadraticForm, QuadraticForm]]:
     """Integral quadratics (G, H) with G H = 16 a^4 A F, where F is the
     member of the family of f at (A, B), when a q(A, B) is a perfect
-    square s^2 (q = a B^2 - 4b AB + 16c A^2); otherwise None.
+    square s^2 (q = a B^2 - 4b AB + 16c A^2); otherwise None.  A caller
+    that has taken the root s already passes it; a wrong s fails the
+    product check below and gives None, never a false split.
 
         G = (4a^2 A, 2a(aB + s), b(aB + s) - 4ac A),
         H = (4a^2 A, 2a(aB - s), b(aB - s) - 4ac A).
@@ -195,9 +197,10 @@ def square_split(
     if A == 0:
         return None
     a, b, c = f.coeffs()
-    s = _exact_sqrt(a * (a * B * B - 4 * b * A * B + 16 * c * A * A))
     if s is None:
-        return None
+        s = _exact_sqrt(a * (a * B * B - 4 * b * A * B + 16 * c * A * A))
+        if s is None:
+            return None
     lead = 4 * a * a * A
     G = QuadraticForm(lead, 2 * a * (a * B + s), b * (a * B + s) - 4 * a * c * A)
     H = QuadraticForm(lead, 2 * a * (a * B - s), b * (a * B - s) - 4 * a * c * A)

@@ -1,8 +1,14 @@
 """Independent brute-force ground truth for the orbit counts.
 
 Quartics with J = 0 are enumerated from a coefficient box by solving
-J(F) = 0 for a0 given the other four coefficients, one numpy grid over
-(a2, a1) per (a4, a3), which also applies the bound on |I|; each
+J(F) = 0 for a0 given the other four coefficients, on numpy grids over
+(a3, a2, a1) per a4, which also apply the bound on |I|.  Half of the box
+is solved: J = a0 den - num with 9 | den and num = 2 a2^3 (mod 9), so a
+solved a0 needs 3 | a2, and F -> -F negates J and keeps I, so the lines
+with (a4, a3) > (0, 0) are minus the solved ones, emitted in reverse
+(`brute_quartics`, whose order is unchanged by either step).  F and -F
+are irreducible together, so the box decides irreducibility once per
+pair (`irreducible_pairs`), while every form still gets its own key: each
 surviving form is keyed by transporting it into the canonical coordinates
 of its Hessian divisor class and canonicalizing the family point under
 the divisor's finite symmetry group.  Everything that depends only on the
@@ -26,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -71,52 +77,96 @@ def brute_quartics(
     on I run on the grid.  Within each a4 the solved forms come in
     (a3, a2, a1) order, followed by the forms where J does not involve a0
     (every a0 qualifies), in (a3, a2, a1, a0) order.
+
+    Two identities halve the work without changing the forms or their
+    order.  Write J = a0 den - num with den = 9 (8 a4 a2 - 3 a3^2); since
+    num = 2 a2^3 (mod 9), a solved a0 needs 9 | a2^3, so the grid holds
+    only the rows with 3 | a2.  Where den = 0 (J does not involve a0),
+    num is a quadratic in a1 of discriminant 27 a2^2 (3 a3^2 - 8 a4 a2) = 0,
+    so each (a4, a3) with a4 != 0 has at most one such cell, a2 =
+    3 a3^2 / (8 a4), a1 = a3^3 / (16 a4^2) when both are integers, found
+    in integer arithmetic apart from the grid (for a4 = 0 they force
+    a3 = a2 = 0 and so I = 0).  And F -> -F
+    negates J and keeps I, so the forms with a4 > 0, and those with a4 = 0
+    and a3 > 0, are minus the earlier ones in reverse order, solved forms
+    and the others each on their own: only the lines (a4, a3) < (0, 0) are
+    solved, and the rest is emitted from their stash.  So -F comes before
+    F whenever F's leading coefficient is positive.
     """
     if height > max_height:
         raise ValueError(f"height {height} above configured maximum {max_height}")
     if height <= 0:
         return
     H = height
-    side = np.arange(-H, H + 1, dtype=np.int64)
-    a2g, a1g = np.meshgrid(side, side, indexing="ij")
+    a2g, a1g = np.meshgrid(
+        np.arange(-(H // 3) * 3, H + 1, 3, dtype=np.int64),
+        np.arange(-H, H + 1, dtype=np.int64),
+        indexing="ij",
+    )
     a2f, a1f = a2g.ravel(), a1g.ravel()
     a2a1, a1sq, a2sq, a2cube = a2f * a1f, a1f * a1f, a2f * a2f, a2f**3
-    for a4 in range(-H, H + 1):
-        # J = a0 * den - num on the grid of one (a4, a3)
+
+    cells = a2f.size
+    step = max(1, 8192 // cells)  # lines per numpy pass, about 64 KB an array
+
+    def solved(a4: int, a3s: range) -> np.ndarray:
+        # (a3, a2, a1, a0) rows of the lines (a4, a3), J = a0 * den - num,
+        # solved on a (line, cell) grid a few lines at a time
         den4 = 72 * a4 * a2f
         num4 = 27 * a4 * a1sq + 2 * a2cube
-        degenerate = []
-        for a3 in range(-H, H + 1):
-            den = den4 - 27 * a3 * a3
-            num = num4 - 9 * a3 * a2a1
+        lines = []
+        for first in range(a3s.start, a3s.stop, step):
+            a3c = np.arange(first, min(first + step, a3s.stop), dtype=np.int64)[:, None]
+            den = den4 - 27 * a3c * a3c
+            num = num4 - 9 * a3c * a2a1
             ok = den != 0
-            solvable = ok.all()
-            if not solvable:
-                deg = np.flatnonzero(~ok & (num == 0))
-                for a2, a1 in zip(a2f[deg].tolist(), a1f[deg].tolist()):
-                    degenerate.append((a3, a2, a1))
+            if not ok.all():
                 den = np.where(ok, den, 1)
             a0, rem = np.divmod(num, den)
-            good = (rem == 0) & (np.abs(a0) <= H)
-            if not solvable:
-                good &= ok
-            idx = np.flatnonzero(good)
-            a2, a1, a0 = a2f[idx], a1f[idx], a0[idx]
-            I = 12 * a4 * a0 - 3 * a3 * a1 + a2sq[idx]
+            idx = np.flatnonzero(ok & (rem == 0) & (np.abs(a0) <= H))
+            a3, cell, a0 = first + idx // cells, idx % cells, a0.ravel()[idx]
+            I = 12 * a4 * a0 - 3 * a3 * a1f[cell] + a2sq[cell]
             keep = I != 0
             if imax is not None:
                 keep &= np.abs(I) <= imax
-            rows = np.stack((a2[keep], a1[keep], a0[keep]), axis=1).tolist()
-            for a2v, a1v, a0v in rows:
-                yield QuarticForm(a4, a3, a2v, a1v, a0v)
-        for a3, a2, a1 in degenerate:
-            for a0v in range(-H, H + 1):
-                F = QuarticForm(a4, a3, a2, a1, a0v)
-                t = invariants(F)
+            cell = cell[keep]
+            lines.append(np.stack((a3[keep], a2f[cell], a1f[cell], a0[keep]), axis=1))
+        return np.concatenate(lines).astype(np.int16)
+
+    def degenerate(a4: int) -> np.ndarray:
+        # (a3, a2, a1, a0) rows of the cells where J does not involve a0
+        rows = []
+        for a3 in range(-H, H + 1):
+            a2, r2 = divmod(3 * a3 * a3, 8 * a4)
+            a1, r1 = divmod(a3**3, 16 * a4 * a4)
+            if r2 or r1 or abs(a2) > H or abs(a1) > H:
+                continue
+            for a0 in range(-H, H + 1):
+                t = invariants(QuarticForm(a4, a3, a2, a1, a0))
                 if t.J != 0:
                     raise AssertionError("degenerate branch must have J = 0")
                 if t.I != 0 and (imax is None or abs(t.I) <= imax):
-                    yield F
+                    rows.append((a3, a2, a1, a0))
+        return np.array(rows, dtype=np.int16).reshape(-1, 4)
+
+    def emit(a4: int, rows: np.ndarray) -> Iterator[QuarticForm]:
+        # a few hundred rows at a time, so that no block is one big list
+        for start in range(0, len(rows), 256):
+            for a3, a2, a1, a0 in rows[start : start + 256].tolist():
+                yield QuarticForm(a4, a3, a2, a1, a0)
+
+    stash = []  # blocks of a4 = -1, -2, ... at the front
+    for a4 in range(-H, 0):
+        block = (solved(a4, range(-H, H + 1)), degenerate(a4))
+        stash.insert(0, block)
+        for rows in block:
+            yield from emit(a4, rows)
+    half = solved(0, range(-H, 0))
+    yield from emit(0, half)
+    yield from emit(0, -half[::-1])
+    for a4, block in enumerate(stash, 1):
+        for rows in block:
+            yield from emit(a4, -rows[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +304,39 @@ def certify_cover(
     return max(n_rep.max_coeff, m_rep.max_coeff), n_rep, m_rep
 
 
+_PAIR_BASE = 1 << 12
+
+
+def irreducible_pairs(
+    forms: Iterable[QuarticForm],
+) -> Iterator[tuple[QuarticForm, bool]]:
+    """Each form with its `is_irreducible_Q` verdict, decided once per
+    {F, -F} pair of a sequence closed under F -> -F in which the member
+    with a negative leading coefficient comes first, as in `brute_quartics`.
+
+    F and -F factor alike over Q, so the later member takes the verdict
+    of the earlier one.  A form whose partner has not come, or a form
+    left without one at the end, raises.  Forms are keyed by one signed
+    integer in base 2^12, whose sign is that of the leading coefficient,
+    so coefficients must stay below 2^11 in absolute value.
+    """
+    pending: dict[int, bool] = {}
+    for F in forms:
+        a4, a3, a2, a1, a0 = coeffs = F.coeffs()
+        if max(map(abs, coeffs)) >= _PAIR_BASE // 2:
+            raise ValueError(f"coefficient of {F} too large to key")
+        key = (((a4 * _PAIR_BASE + a3) * _PAIR_BASE + a2) * _PAIR_BASE + a1) * _PAIR_BASE + a0
+        if key < 0:
+            irreducible = pending[key] = is_irreducible_Q(F)
+        elif -key in pending:
+            irreducible = pending.pop(-key)
+        else:
+            raise AssertionError(f"the partner -F of {F} has not come before it")
+        yield F, irreducible
+    if pending:
+        raise AssertionError(f"{len(pending)} forms came without their partner -F")
+
+
 def orbit_count_bruteforce(
     X: int,
     policy: HeightPolicy = DISC_POLICY,
@@ -274,8 +357,8 @@ def orbit_count_bruteforce(
     # In disc mode ibound(X) = icbrt(27X // 4), so for an integer I the box
     # filter |I| <= ibound(X) holds exactly when 4|I|^3 <= 27X: it is the
     # whole height condition |disc F| <= X.
-    for F in brute_quartics(height, imax=policy.ibound(X)):
-        if not is_irreducible_Q(F):
+    for F, irreducible in irreducible_pairs(brute_quartics(height, imax=policy.ibound(X))):
+        if not irreducible:
             continue
         key = orbit_key(F)
         if key.slice == "posdef":

@@ -300,3 +300,26 @@ def test_family_factorizes_each_point_once(tmp_path, monkeypatch):
     lines = csv_path.read_text().splitlines()
     assert len(lines) == 33
     assert sum(line.endswith(",True") for line in lines) == doc["irreducible_points"]
+
+
+def test_forms_with_a_leading_minus(tmp_path, capsys):
+    # -1,0,0,0,1 is the form, not an option, with or without "--"
+    docs = []
+    for argv in (["invariants", "-1,0,0,0,1"], ["invariants", "--", "-1,0,0,0,1"]):
+        out = tmp_path / "inv.json"
+        assert main(["--out", str(out), *argv]) == 0
+        docs.append(json.loads(out.read_text()))
+    assert (docs[0]["I"], docs[0]["J"], docs[0]["disc"]) == (-12, 0, -256)
+    assert docs[0]["config_hash"] == docs[1]["config_hash"]
+    # reduce takes the form and rejects it as negative definite
+    assert main(["reduce", "-2,1,-3"]) == 2
+    err = capsys.readouterr().err
+    assert "negative definite" in err and "required" not in err
+    # the family of -1,3,0 is minus that of 1,3,0, point for point
+    counts = []
+    for form in ("-1,3,0", "1,3,0"):
+        out = tmp_path / "fam.json"
+        assert main(["family", form, "--ibound", "2000", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        counts.append((doc["points"], doc["irreducible_points"], doc["irreducible_orbits"]))
+    assert counts[0] == counts[1] == (78, 58, 30)

@@ -93,20 +93,41 @@ def test_counted_points_have_valid_invariants():
                 assert t.disc != 0
 
 
+def _naive_square_family_points(a, n, Z):
+    # every lattice point in a box beyond the bound on |B|, kept on |I|
+    f = QuadraticForm(a, n, 0)
+    L = lattice_Lfa(f)
+    R = 4 * abs(a) ** 3 * Z // (3 * n * n) + 20
+    want = []
+    for B in range(-R, R + 1):
+        for A in range(-R, R + 1):
+            if (A, B) == (0, 0) or not contains(L, A, B):
+                continue
+            I, _ = family_invariant(FamilyPoint(f, A, B))
+            if I != 0 and abs(I) <= Z:
+                want.append((A, B))
+    return sorted(want)
+
+
 def test_square_family_points_match_naive():
     for (a, n, Z) in [(1, 1, 60), (1, 2, 60), (1, 4, 100), (3, 4, 200), (2, 5, 300)]:
-        f = QuadraticForm(a, n, 0)
-        L = lattice_Lfa(f)
-        R = 4 * a**3 * Z // (3 * n * n) + 20
-        want = []
-        for B in range(-R, R + 1):
-            for A in range(-R, R + 1):
-                if (A, B) == (0, 0) or not contains(L, A, B):
-                    continue
-                I, _ = family_invariant(FamilyPoint(f, A, B))
-                if I != 0 and abs(I) <= Z:
-                    want.append((A, B))
-        assert sorted(square_family_points(a, n, Z)) == sorted(want), (a, n, Z)
+        assert sorted(square_family_points(a, n, Z)) == _naive_square_family_points(a, n, Z), (a, n, Z)
+
+
+def test_square_family_points_negative_a():
+    # (-a, n, 0)(-x, y) = -(a x^2 + n xy): the family of -a has as many
+    # points as that of a, and the bound on |B| takes |a|^3
+    for (a, n, Z) in [(1, 1, 60), (1, 3, 200), (3, 4, 200), (2, 5, 300)]:
+        assert sorted(square_family_points(-a, n, Z)) == _naive_square_family_points(-a, n, Z), (a, n, Z)
+    for (a, n) in [(1, 1), (1, 2), (1, 3), (1, 4), (2, 5), (3, 4), (5, 6)]:
+        pos = count_family(QuadraticForm(a, n, 0), 2000)
+        neg = count_family(QuadraticForm(-a, n, 0), 2000)
+        assert neg.points > 0, (a, n)
+        assert (neg.points, neg.irreducible_points, neg.irreducible_orbits) == (
+            pos.points,
+            pos.irreducible_points,
+            pos.irreducible_orbits,
+        ), (a, n)
 
 
 def test_merged_square_labels():

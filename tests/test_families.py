@@ -341,6 +341,17 @@ def test_square_split_type2_example():
     assert square_split(f, 1, -4, QuarticForm(*family_coefficients(f, 1, -4))) is None
 
 
+def test_square_split_takes_the_callers_root():
+    # q(-8, -20) = 784 = 28^2 for F111: a passed root gives the same split,
+    # and a wrong one fails the product check instead of a false split
+    f = F111
+    F = QuarticForm(*family_coefficients(f, -8, -20))
+    assert square_split(f, -8, -20, F, 28) == square_split(f, -8, -20, F)
+    assert square_split(f, -8, -20, F, -28) is not None  # the factors swap
+    for wrong in (0, 1, 27, 29, 56):
+        assert square_split(f, -8, -20, F, wrong) is None
+
+
 _DIVISORS = st.one_of(
     # positive definite a x^2 + b xy + c y^2
     st.tuples(st.integers(1, 12), st.integers(-12, 12), st.integers(1, 12)),

@@ -36,6 +36,7 @@ from jzero.oracle import (
     brute_quartics,
     certify_cover,
     compose_oracle,
+    irreducible_pairs,
     orbit_count_bruteforce,
     orbit_key,
     value_candidates,
@@ -81,6 +82,39 @@ def test_brute_quartics_matches_per_form_reference():
         for imax in (None, 1, 50, 407):
             want = [F for F, i in ref if imax is None or i <= imax]
             assert list(brute_quartics(h, imax)) == want, (h, imax)
+
+
+def test_brute_quartics_sign_and_mod_3_identities():
+    # the box is closed under F -> -F, which keeps I; every solved form
+    # (8 a4 a2 != 3 a3^2, where J involves a0) has 3 | a2
+    forms = list(brute_quartics(12))
+    coeffs = {F.coeffs() for F in forms}
+    assert len(coeffs) == len(forms)
+    for F in forms:
+        assert F.neg().coeffs() in coeffs, F
+        assert invariants(F.neg()).I == invariants(F).I, F
+        if 8 * F.a4 * F.a2 != 3 * F.a3 * F.a3:
+            assert F.a2 % 3 == 0, F
+    assert any(8 * F.a4 * F.a2 == 3 * F.a3 * F.a3 for F in forms)
+
+
+def test_irreducible_pairs_match_per_form_verdicts():
+    forms = list(brute_quartics(12))
+    got = list(irreducible_pairs(forms))
+    assert [F for F, _ in got] == forms
+    assert [v for _, v in got] == [is_irreducible_Q(F) for F in forms]
+    assert 0 < sum(v for _, v in got) < len(forms)
+
+
+def test_irreducible_pairs_reject_a_missing_partner():
+    F = QuarticForm(-1, 0, 0, 0, 1)
+    with pytest.raises(AssertionError):
+        list(irreducible_pairs([F.neg(), F]))  # the positive member first
+    with pytest.raises(AssertionError):
+        list(irreducible_pairs([F]))  # -F never comes
+    with pytest.raises(ValueError):
+        list(irreducible_pairs([QuarticForm(-(1 << 11), 0, 0, 0, 1)]))
+    assert list(irreducible_pairs([F, F.neg()])) == [(F, False), (F.neg(), False)]
 
 
 def test_orbit_key_memo_matches_uncached_reference():
