@@ -131,6 +131,26 @@ def representations(f: QuadraticForm, m: int) -> list[tuple[int, int]]:
     return sorted(set(out))
 
 
+def represents(f: QuadraticForm, m: int) -> bool:
+    """Whether f(x, y) = m has an integer solution, for positive definite f
+    and m >= 1; `representations(f, m)` is non-empty exactly when this holds.
+
+    f(-x, -y) = f(x, y), so a solution with y < 0 gives one with y > 0 and
+    only y >= 0 is scanned.  From 4a f = (2ax + by)^2 + D y^2, row y holds a
+    solution exactly when 4am - D y^2 = s^2 and 2a divides s - by or s + by
+    (the roots 2ax + by = s and = -s); the scan stops at the first such row.
+    """
+    a, b, _ = f.coeffs()
+    D = -f.disc()
+    a4m, a2 = 4 * a * m, 2 * a
+    for y in range(math.isqrt(a4m // D) + 1):
+        rest = a4m - D * y * y
+        s = math.isqrt(rest)
+        if s * s == rest and ((s - b * y) % a2 == 0 or (s + b * y) % a2 == 0):
+            return True
+    return False
+
+
 # ---------------------------------------------------------------------------
 # Form classes and composition
 # ---------------------------------------------------------------------------
@@ -259,6 +279,13 @@ class ClassGroup:
         self.disc = -D
         self.elements = [class_of(f) for f in enumerate_reduced(D)]
         self.by_coeffs = {c.rep.coeffs(): c for c in self.elements}
+        # one rep (a, b, c) with b >= 0 per inverse pair, with the keys of
+        # (a, b, c) and of (a, -b, c) when that is a rep too
+        self._inverse_pairs = []
+        for f in (c.rep for c in self.elements):
+            if f.b >= 0:
+                keys = {f.coeffs(), (f.a, -f.b, f.c)} & self.by_coeffs.keys()
+                self._inverse_pairs.append((f, frozenset(keys)))
         self._table: dict[tuple, FormClass] = {}
         self._represented: dict[int, frozenset] = {}
         self._small: dict[tuple, list[int]] = {}
@@ -278,31 +305,47 @@ class ClassGroup:
         return got
 
     def represented(self, m: int) -> frozenset:
-        """Coefficients of the class reps that represent m."""
+        """Coefficients of the class reps that represent m.
+
+        Only the reps (a, b, c) with b >= 0 are tested.  (a, -b, c)(x, -y)
+        = (a, b, c)(x, y), so the inverse rep (a, -b, c), when it is a rep
+        (0 < b < a < c), represents exactly the same values and joins
+        (a, b, c) without a test of its own.
+        """
         got = self._represented.get(m)
         if got is None:
             got = frozenset(
-                k for k, c in self.by_coeffs.items() if representations(c.rep, m)
+                k for f, keys in self._inverse_pairs if represents(f, m) for k in keys
             )
             self._represented[m] = got
         return got
 
     def small_values(self, f: QuadraticForm, avoid: int) -> list[int]:
         """Values 0 < f(x, y) <= 4000 coprime to avoid at primitive (x, y),
-        from the least box |x|, |y| <= r (r <= 12) that has any."""
-        key = (f.coeffs(), avoid)
+        from the least box |x|, |y| <= r (r <= 12) that has any.
+
+        The scan goes ring by ring, max(|x|, |y|) = r, and stops after the
+        first ring with a value.  The box of that r is the union of the
+        rings up to r, and the rings before it held no value, so the set is
+        that of the whole box.  f(-x, -y) = f(x, y), so each ring takes one
+        point of each pair +-(x, y): (x, r) for |x| <= r, which also stands
+        for the corners, and (r, y) for |y| < r.
+        """
+        a, b, c = coeffs = f.coeffs()
+        key = (coeffs, avoid)
         got = self._small.get(key)
         if got is None:
             out = set()
             r = 1
             while not out and r <= 12:
-                for x in range(-r, r + 1):
-                    for y in range(-r, r + 1):
-                        if math.gcd(x, y) != 1:
-                            continue
-                        v = f.value(x, y)
-                        if 0 < v <= 4000 and math.gcd(v, avoid) == 1:
-                            out.add(v)
+                ring = [(x, r) for x in range(-r, r + 1)]
+                ring += [(r, y) for y in range(-r + 1, r)]
+                for x, y in ring:
+                    if math.gcd(x, y) != 1:
+                        continue
+                    v = (a * x + b * y) * x + c * y * y
+                    if 0 < v <= 4000 and math.gcd(v, avoid) == 1:
+                        out.add(v)
                 r += 1
             got = self._small[key] = sorted(out)
         return got

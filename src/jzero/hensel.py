@@ -42,6 +42,7 @@ from .classes import (
     class_of,
     inverse,
     representations,
+    represents,
 )
 from .forms import QuadraticForm, Unimodular, act_quadratic
 from .lattices import SubLattice
@@ -109,7 +110,7 @@ def least_split_prime(f: QuadraticForm, prime_bound: int = 100000) -> int:
     D = f.disc()
     p = 3
     while p <= prime_bound:
-        if _is_prime(p) and D % p != 0 and representations(f, p):
+        if _is_prime(p) and D % p != 0 and represents(f, p):
             return p
         p += 2
     raise SearchExhausted(f"no represented odd prime for {f}", prime_bound)

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from jzero.classes import (
@@ -25,6 +25,7 @@ from jzero.classes import (
     reduce_form,
     reducible_class_reps,
     representations,
+    represents,
     square_label_inverse,
     square_label_negation,
 )
@@ -280,6 +281,37 @@ def test_representations():
     f = QuadraticForm(1, 0, 1)
     assert (1, 2) in representations(f, 5)
     assert representations(f, 2) and not representations(f, 3)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    st.integers(1, 40),
+    st.integers(-80, 80),
+    st.integers(1, 40),
+    st.integers(1, 10**5),
+)
+@example(1, 0, 1, 5)
+@example(1, 0, 1, 3)
+@example(3, 7, 5, 5)  # not reduced: disc -11, f(0, 1) = 5
+@example(3, 7, 5, 2)
+def test_represents_matches_representations(a, b, c, m):
+    f = QuadraticForm(a, b, c)
+    assume(f.disc() < 0 and f.is_primitive())
+    assert represents(f, m) == bool(representations(f, m))
+
+
+def test_represented_matches_every_class_test():
+    reps = []
+    for D in (3, 4, 23, 84, 420, 1000):
+        G = ClassGroup(D)
+        reps += G.by_coeffs
+        for m in range(1, 2001):
+            want = frozenset(k for k, c in G.by_coeffs.items() if representations(c.rep, m))
+            assert G.represented(m) == want, (D, m)
+    # every shape of rep that is its own inverse pair occurs
+    assert any(b == 0 for a, b, c in reps)
+    assert any(b == a for a, b, c in reps)
+    assert any(a == c and b > 0 for a, b, c in reps)
 
 
 def test_class_number_sum_report():

@@ -264,6 +264,37 @@ def _reference_small_values(f, avoid):
     return sorted(out)
 
 
+def _box_values(f, avoid, r):
+    """The values small_values keeps from the box |x|, |y| <= r alone."""
+    return {
+        v
+        for x in range(-r, r + 1)
+        for y in range(-r, r + 1)
+        for v in [f.value(x, y)]
+        if math.gcd(x, y) == 1 and 0 < v <= 4000 and math.gcd(v, avoid) == 1
+    }
+
+
+def test_small_values_ring_scan_matches_box_scan():
+    primes = (3, 5, 7, 11, 13, 17, 19, 23)
+    deepest = 0
+    for D in range(3, 160):
+        if D % 4 not in (0, 3):
+            continue
+        G = ClassGroup(D)
+        avoids = [2 * D] + [2 * D * p for p in primes] + [2 * D * math.prod(primes)]
+        for c in G.elements:
+            for avoid in avoids:
+                got = G.small_values(c.rep, avoid)
+                assert got == _reference_small_values(c.rep, avoid), (c.rep, avoid)
+                if got:
+                    r = next(r for r in range(1, 13) if _box_values(c.rep, avoid, r))
+                    deepest = max(deepest, r)
+    # past r = 1 the ring scan and the box scan read different points, so
+    # the comparison must reach there (here it reaches r = 5)
+    assert deepest >= 3
+
+
 def _reference_value_candidates(c1, c2, pairs=2):
     """value_candidates without any cache: a fresh class list and one
     representations call per class and value."""
