@@ -20,15 +20,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from enum import Enum
 import numpy as np
 
 from .forms import QuadraticForm, Unimodular, _divisors, act_quadratic, substitute
-
-
-class Group(Enum):
-    SL2 = "SL2"
-    GL2 = "GL2"
 
 
 # ---------------------------------------------------------------------------
@@ -158,19 +152,18 @@ def represents(f: QuadraticForm, m: int) -> bool:
 
 @dataclass(frozen=True)
 class FormClass:
-    """An SL2(Z) (or GL2(Z)) equivalence class, stored by canonical
-    representative.  Positive definite: the reduced form (b >= 0 forced for
-    GL2).  Square discriminant n^2: the representative a x^2 + n xy."""
+    """An SL2(Z) equivalence class, stored by canonical representative.
+    Positive definite: the reduced form.  Square discriminant n^2: the
+    representative a x^2 + n xy."""
 
     rep: QuadraticForm
     disc: int
-    group: Group = Group.SL2
 
     def __post_init__(self):
         assert self.rep.disc() == self.disc
 
 
-def class_of(f: QuadraticForm, group: Group = Group.SL2) -> FormClass:
+def class_of(f: QuadraticForm) -> FormClass:
     """The class of a primitive form (positive definite or square disc)."""
     if not f.is_primitive():
         raise ValueError(f"form {f} is imprimitive")
@@ -179,16 +172,12 @@ def class_of(f: QuadraticForm, group: Group = Group.SL2) -> FormClass:
         if f.a < 0:
             raise ValueError("negative definite form; use its negation")
         g, _ = reduce_form(f)
-        if group is Group.GL2 and g.b < 0:
-            g = QuadraticForm(g.a, -g.b, g.c)
-        return FormClass(g, D, group)
+        return FormClass(g, D)
     n = math.isqrt(D)
     if n * n != D or D == 0:
         raise ValueError("only negative or square-discriminant forms are classed")
     a, _ = canonical_square_label(f)
-    if group is Group.GL2:
-        a = min(a, pow(a, -1, n) % n if n > 1 else a)
-    return FormClass(QuadraticForm(a, n, 0), D, group)
+    return FormClass(QuadraticForm(a, n, 0), D)
 
 
 def principal_class(D: int) -> FormClass:
@@ -239,8 +228,6 @@ def compose(c1: FormClass, c2: FormClass) -> FormClass:
         raise ValueError("discriminant mismatch")
     if c1.disc >= 0:
         raise ValueError("composition implemented for negative discriminants")
-    if c1.group is not Group.SL2 or c2.group is not Group.SL2:
-        raise ValueError("composition needs SL2 classes")
     D = c1.disc
     f1, f2 = c1.rep, c2.rep
     g2 = _concordant_partner(f2, f1.a)
@@ -254,7 +241,7 @@ def compose(c1: FormClass, c2: FormClass) -> FormClass:
 
 def inverse(c: FormClass) -> FormClass:
     f = c.rep
-    return class_of(QuadraticForm(f.a, -f.b, f.c), c.group)
+    return class_of(QuadraticForm(f.a, -f.b, f.c))
 
 
 def order(c: FormClass) -> int:
@@ -294,8 +281,6 @@ class ClassGroup:
         return len(self.elements)
 
     def compose(self, c1: FormClass, c2: FormClass) -> FormClass:
-        if c1.group is not Group.SL2 or c2.group is not Group.SL2:
-            raise ValueError("composition needs SL2 classes")
         key = (c1.rep.coeffs(), c2.rep.coeffs())
         got = self._table.get(key)
         if got is None:
@@ -497,7 +482,9 @@ def cover_multiplicity(c: FormClass) -> int:
     """n_f: family points per orbit class (generically).
 
     1 when the class is neither ambiguous nor opaque, 6 for the class of
-    x^2 + xy + y^2, 4 for ambiguous-and-opaque, 2 otherwise.
+    x^2 + xy + y^2, 4 for ambiguous-and-opaque, 2 otherwise.  Both tests
+    read only a, |b| and c, or the labels {a, a^-1}, so the SL2 classes of
+    f and of its GL2 twin (a, -b, c) give the same n_f.
     """
     amb = is_ambiguous(c)
     opq = is_opaque(c)

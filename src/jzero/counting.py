@@ -67,7 +67,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
 
 from .classes import (
-    Group,
     class_of,
     cover_multiplicity,
     enumerate_reduced,
@@ -365,7 +364,7 @@ def count_family(
     if height:
         out.irreducible_orbits = len(height)
         out.max_coeff = max(height.values())
-        out.n_f = cover_multiplicity(class_of(f, Group.GL2))
+        out.n_f = cover_multiplicity(class_of(f))
     return out
 
 

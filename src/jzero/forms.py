@@ -16,12 +16,13 @@ quadratic form up to a rational scale; extracting that square root is
 what ties quartics to binary quadratic forms throughout this package.
 
 Everything here is pure integer arithmetic: no floats, no rounding.
-Real-root counting is done with exact Sturm sequences.  Irreducibility
+The real splitting type is read off disc(F) and two coefficient
+expressions in closed form (Rees, 1922).  Irreducibility
 over Q is first tried by a certificate mod small primes
 (`irreducible_mod_p`: a prime p not dividing a4 with (disc/p) = -1 and no
 root of F mod p proves it, by Stickelberger's theorem); forms it does not
 settle are factored, with rational roots and quadratic factors found by
-divisor enumeration under a recorded Mignotte-style coefficient bound.
+divisor enumeration under a Mignotte-style coefficient bound.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Optional
 
 
@@ -355,150 +355,35 @@ def quadratic_product(
 
 
 # ---------------------------------------------------------------------------
-# Real splitting type via exact Sturm sequences
+# Real splitting type
 # ---------------------------------------------------------------------------
 
 
-def _poly_trim(p: list[int]) -> list[int]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_deriv(p: list[int]) -> list[int]:
-    return [i * c for i, c in enumerate(p)][1:]
-
-
-def _poly_content(p: list[int]) -> int:
-    g = 0
-    for c in p:
-        g = math.gcd(g, abs(c))
-    return g
-
-
-def _poly_primitive(p: list[int]) -> list[int]:
-    g = _poly_content(p)
-    return [c // g for c in p] if g > 1 else list(p)
-
-
-def _pseudo_rem(p: list[int], q: list[int]) -> list[int]:
-    """A positive-scalar multiple of (p mod q), in exact integer arithmetic.
-
-    Scaling by the positive factor |lc(q)| keeps every intermediate value's
-    sign intact, which is all the Sturm chain needs.
-    """
-    p = _poly_trim(list(p))
-    dq = len(q) - 1
-    lq = q[-1]
-    while p and len(p) - 1 >= dq:
-        dp = len(p) - 1
-        if p[-1] % lq != 0:
-            p = [c * abs(lq) for c in p]
-        factor = p[-1] // lq
-        shift = dp - dq
-        for i, qc in enumerate(q):
-            p[i + shift] -= factor * qc
-        assert p[-1] == 0
-        p = _poly_trim(p)
-    return p
-
-
-def _sturm_chain(p: list[int]) -> list[list[int]]:
-    chain = [_poly_primitive(_poly_trim(list(p)))]
-    d = _poly_trim(_poly_deriv(chain[0]))
-    if d:
-        chain.append(_poly_primitive(d))
-    while len(chain[-1]) > 1:
-        rem = _pseudo_rem(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append(_poly_primitive([-c for c in rem]))
-    return chain
-
-
-def _sign_changes_at_inf(chain: list[list[int]], positive: bool) -> int:
-    signs = []
-    for p in chain:
-        lead = p[-1]
-        s = lead if positive else lead * (-1) ** (len(p) - 1)
-        if s:
-            signs.append(1 if s > 0 else -1)
-    changes = 0
-    for u, v in zip(signs, signs[1:]):
-        if u != v:
-            changes += 1
-    return changes
-
-
-def _poly_gcd(p: list[int], q: list[int]) -> list[int]:
-    p, q = _poly_trim(list(p)), _poly_trim(list(q))
-    while q:
-        r = _pseudo_rem(p, q)
-        p, q = q, _poly_primitive(_poly_trim(r))
-    return _poly_primitive(p)
-
-
-def _poly_div_exact(p: list[int], q: list[int]) -> list[int]:
-    """Exact quotient p / q over Q, asserting integrality of the result.
-
-    Used for p primitive and q a primitive divisor of p, where Gauss's
-    lemma forces an integral quotient.
-    """
-    rem = [Fraction(c) for c in p]
-    qf = [Fraction(c) for c in q]
-    dq = len(qf) - 1
-    out = [Fraction(0)] * (len(p) - dq)
-    while rem and len(rem) - 1 >= dq:
-        dp = len(rem) - 1
-        coef = rem[-1] / qf[-1]
-        out[dp - dq] = coef
-        for i, c in enumerate(qf):
-            rem[i + dp - dq] -= coef * c
-        rem.pop()
-        while rem and rem[-1] == 0:
-            rem.pop()
-    assert not rem, "division must be exact"
-    assert all(c.denominator == 1 for c in out)
-    return [int(c) for c in out]
-
-
-def _squarefree_part(p: list[int]) -> list[int]:
-    d = _poly_trim(_poly_deriv(p))
-    if not d:
-        return p[:1] if p else []
-    g = _poly_gcd(p, d)
-    if len(g) == 1:
-        return list(p)
-    return _poly_primitive(_poly_div_exact(_poly_primitive(list(p)), g))
-
-
-def count_real_roots(p: list[int]) -> int:
-    """Distinct real roots of p (integer coefficient list, low degree first)."""
-    p = _poly_trim(list(p))
-    if len(p) <= 1:
-        return 0
-    chain = _sturm_chain(_squarefree_part(p))
-    return _sign_changes_at_inf(chain, positive=False) - _sign_changes_at_inf(
-        chain, positive=True
-    )
-
-
 def splitting_type(F: QuarticForm) -> SplittingType:
-    """Real splitting type by the number of distinct real projective roots."""
-    if invariants(F).disc == 0:
+    """Real splitting type from disc(F) and two coefficient expressions
+    (E. L. Rees, Amer. Math. Monthly 29 (1922)).
+
+    disc < 0 leaves exactly one pair of complex conjugate roots (S112).
+    disc > 0 gives four real or no real roots: four exactly when both
+
+        P = 8 a4 a2 - 3 a3^2  and
+        R = 64 a4^3 a0 - 16 a4^2 a2^2 + 16 a4 a3^2 a2 - 16 a4^2 a3 a1 - 3 a3^4
+
+    are negative (S1111), none otherwise (S22).  a4 = 0 needs no branch of
+    its own: then P = -3 a3^2 and R = -3 a3^4 with a3 != 0, since disc != 0
+    rules out y^2 | F, and the cubic cofactor of y has three real roots
+    (its discriminant is disc / a3^2 > 0), with y the fourth.
+    """
+    disc = invariants(F).disc
+    if disc == 0:
         return SplittingType.DEGENERATE
-    a4, a3, a2, a1, a0 = F.coeffs()
-    p = [a0, a1, a2, a3, a4]  # F(t, 1) with low degree first
-    roots = count_real_roots(p)
-    if a4 == 0:
-        roots += 1  # the projective root at infinity (factor y)
-    if roots == 4:
-        return SplittingType.S1111
-    if roots == 2:
+    if disc < 0:
         return SplittingType.S112
-    if roots == 0:
-        return SplittingType.S22
-    raise AssertionError(f"odd real root count {roots} for nondegenerate F={F}")
+    a4, a3, a2, a1, a0 = F.coeffs()
+    q = a3 * a3
+    P = 8 * a4 * a2 - 3 * q
+    R = 16 * a4 * (4 * a4 * a4 * a0 - a4 * a2 * a2 + q * a2 - a4 * a3 * a1) - 3 * q * q
+    return SplittingType.S1111 if P < 0 and R < 0 else SplittingType.S22
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +407,7 @@ class QuarticFactorization:
     multiplies back to F exactly.  Linear and quadratic factors are primitive
     integral, the quadratics irreducible over Q; `cubic` (x-descending
     coefficients) is a residual irreducible cubic, `quartic` the residual
-    irreducible quartic when F has no rational factor at all.  `search_bound`
-    records the coefficient bound the quadratic-factor search was run under.
+    irreducible quartic when F has no rational factor at all.
     """
 
     content: int
@@ -531,7 +415,6 @@ class QuarticFactorization:
     quadratics: list[QuadraticForm]
     cubic: Optional[tuple[int, int, int, int]]
     quartic: Optional[QuarticForm]
-    search_bound: int
 
     def is_irreducible(self) -> bool:
         return self.quartic is not None
@@ -614,7 +497,6 @@ def quartic_factorization(F: QuarticForm) -> QuarticFactorization:
         raise ValueError("cannot factor the zero form")
     content = F.content()
     work = list(F.primitive_part().coeffs())  # degree-descending in x
-    bound = _mignotte_bound(work)
     linears: list[LinearFactor] = []
     # peel off linear factors with multiplicity
     progress = True
@@ -641,14 +523,14 @@ def quartic_factorization(F: QuarticForm) -> QuarticFactorization:
     elif deg == 3:
         cubic = (work[0], work[1], work[2], work[3])
     elif deg == 4:
-        pair = _quadratic_split(work, bound)
+        pair = _quadratic_split(work, _mignotte_bound(work))
         if pair is not None:
             quadratics.extend(pair)
         else:
             residual = QuarticForm(*work)
     else:
         raise AssertionError("degree-1 residual after linear peeling")
-    return QuarticFactorization(content, linears, quadratics, cubic, residual, bound)
+    return QuarticFactorization(content, linears, quadratics, cubic, residual)
 
 
 def _quadratic_split(

@@ -105,18 +105,28 @@ class SearchExhausted(RuntimeError):
         self.bound = bound
 
 
-def least_split_prime(f: QuadraticForm, prime_bound: int = 100000) -> int:
+PRIME_BOUND = 100000  # where the search for a represented prime gives up
+
+
+def least_split_prime(f: QuadraticForm) -> int:
     """Least odd prime represented by f and coprime to disc(f)."""
     D = f.disc()
     p = 3
-    while p <= prime_bound:
+    while p <= PRIME_BOUND:
         if _is_prime(p) and D % p != 0 and represents(f, p):
             return p
         p += 2
-    raise SearchExhausted(f"no represented odd prime for {f}", prime_bound)
+    raise SearchExhausted(f"no represented odd prime for {f}", PRIME_BOUND)
 
 
-def canonical_fp(f: QuadraticForm, prime_bound: int = 100000) -> CanonicalFp:
+def _prime_form(D: int, p: int) -> QuadraticForm:
+    """p x^2 + m xy + n y^2 of discriminant D with the least m >= 0, that is
+    the least m >= 0 with m^2 = D (mod 4p)."""
+    m = next(m for m in range(0, 2 * p + 1) if (m * m - D) % (4 * p) == 0)
+    return QuadraticForm(p, m, (m * m - D) // (4 * p))
+
+
+def canonical_fp(f: QuadraticForm) -> CanonicalFp:
     """The canonical translate (p, m, n) of a primitive positive definite f.
 
     n is the least positive integer with p x^2 + m xy + n y^2 equivalent to
@@ -125,10 +135,8 @@ def canonical_fp(f: QuadraticForm, prime_bound: int = 100000) -> CanonicalFp:
     """
     if not f.is_primitive() or not f.is_positive_definite():
         raise ValueError("canonical_fp needs a primitive positive definite form")
-    D = f.disc()
-    p = least_split_prime(f, prime_bound)
-    m = next(m for m in range(0, 2 * p + 1) if (m * m - D) % (4 * p) == 0)
-    n = (m * m - D) // (4 * p)
+    target = _prime_form(f.disc(), least_split_prime(f))
+    p, m, n = target.coeffs()
     # build a transform: start from any representation f(x0, y0) = p
     x0, y0 = representations(f, p)[0]
     g = math.gcd(x0, y0)
@@ -147,7 +155,7 @@ def canonical_fp(f: QuadraticForm, prime_bound: int = 100000) -> CanonicalFp:
     shear = Unimodular(1, k, 0, 1)
     T = T.mul(shear)
     g1 = act_quadratic(g1, shear)
-    assert g1 == QuadraticForm(p, m, n), (f, g1, (p, m, n))
+    assert g1 == target, (f, g1, target)
     return CanonicalFp(p, m, n, T)
 
 
@@ -333,9 +341,7 @@ def prime_form_class(D: int, p: int) -> FormClass:
     """Class of the canonical form (p, m, n) of discriminant D representing p;
     p must be an odd prime splitting in D."""
     _check_split_prime(D, p)
-    m = next(m for m in range(0, 2 * p + 1) if (m * m - D) % (4 * p) == 0)
-    n = (m * m - D) // (4 * p)
-    return class_of(QuadraticForm(p, m, n))
+    return class_of(_prime_form(D, p))
 
 
 def _classes_equal_up_to_inverse(c1: FormClass, c2: FormClass) -> bool:

@@ -38,7 +38,6 @@ import numpy as np
 
 from .classes import (
     FormClass,
-    Group,
     class_group,
     class_of,
     canonical_square_label,
@@ -62,11 +61,7 @@ from .forms import (
 MAX_BRUTE_HEIGHT = 60
 
 
-def brute_quartics(
-    height: int,
-    imax: Optional[int] = None,
-    max_height: int = MAX_BRUTE_HEIGHT,
-) -> Iterator[QuarticForm]:
+def brute_quartics(height: int, imax: Optional[int] = None) -> Iterator[QuarticForm]:
     """All integral quartics with J = 0, disc != 0 and max |a_i| <= height,
     and |I| <= imax when imax is given, in deterministic order.
 
@@ -93,8 +88,8 @@ def brute_quartics(
     solved, and the rest is emitted from their stash.  So -F comes before
     F whenever F's leading coefficient is positive.
     """
-    if height > max_height:
-        raise ValueError(f"height {height} above configured maximum {max_height}")
+    if height > MAX_BRUTE_HEIGHT:
+        raise ValueError(f"height {height} above the maximum {MAX_BRUTE_HEIGHT}")
     if height <= 0:
         return
     H = height
@@ -232,7 +227,7 @@ def _new_divisor(f: QuadraticForm) -> Divisor:
         slice_ = "square"
     if g == f:
         action = fiber_action(g)
-        n_f = cover_multiplicity(class_of(g, Group.GL2))
+        n_f = cover_multiplicity(class_of(g))
     else:
         base = divisor(g)
         assert base.g == g, (f, g, base.g)  # g is its own canonical divisor
@@ -395,10 +390,13 @@ def _check_fiber_sizes(rep: BruteForceReport) -> None:
 # ---------------------------------------------------------------------------
 
 
+VALUE_PAIRS = 2  # coprime value pairs whose candidate sets are intersected
+
+
 def value_candidates(
-    c1: FormClass, c2: FormClass, pairs: int = 2
+    c1: FormClass, c2: FormClass
 ) -> tuple[list[FormClass], list[tuple[int, int]]]:
-    """Classes of disc(c1) representing m1*m2 for `pairs` coprime value
+    """Classes of disc(c1) representing m1*m2 for VALUE_PAIRS coprime value
     pairs represented by c1 and c2; intersected over the pairs."""
     if c1.disc != c2.disc or c1.disc >= 0:
         raise ValueError("need equal negative discriminants")
@@ -411,7 +409,7 @@ def value_candidates(
             got = G.represented(m1 * m2)
             cand = got if cand is None else (cand & got)
             used.append((m1, m2))
-            if len(used) >= pairs:
+            if len(used) >= VALUE_PAIRS:
                 return [G.by_coeffs[t] for t in sorted(cand)], used
     if cand is None:
         raise RuntimeError(f"no coprime value pairs found for {c1} and {c2}")

@@ -22,7 +22,7 @@ from enum import Enum
 from typing import Optional
 
 from .counting import icbrt
-from .families import jacobian, member_of, mf_unscaled
+from .families import member_of, mf_unscaled
 from .forms import (
     LinearFactor,
     QuadraticForm,
@@ -190,11 +190,6 @@ def _pair_linears_by_involution(f, lins):
     g = _linear_product(lins[pairs[0][0]], lins[pairs[0][1]])
     h = _linear_product(lins[pairs[1][0]], lins[pairs[1][1]])
     return g, h
-
-
-def jacobian_cofactor(f: QuadraticForm, u: QuadraticForm) -> QuadraticForm:
-    """The half-Jacobian of (f, u); the forced cofactor of u in Type 2."""
-    return jacobian(f, u)
 
 
 # ---------------------------------------------------------------------------

@@ -385,7 +385,7 @@ def suite_reducibility(
             res.fail(f"Lambda member not involution-stable: {f}, {u}")
         # symmetry u in Lambda(v) <-> v in Lambda(u), content divides gcd
         if u.a != 0 and u.disc() != 0:
-            v = reducible.jacobian_cofactor(f, u)
+            v = families.jacobian(f, u)  # the forced cofactor of u in Type 2
             if not v.is_zero() and u.is_primitive():
                 xi = v.content()
                 res.checks += 1

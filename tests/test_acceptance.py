@@ -62,7 +62,7 @@ def test_criterion_3_completeness():
         g = forms.QuadraticForm(*key.divisor)
         action = oracle.divisor(g).action
         size = action.orbit_size(*key.point)
-        n_f = classes.cover_multiplicity(classes.class_of(g, classes.Group.GL2))
+        n_f = classes.cover_multiplicity(classes.class_of(g))
         if n_f % size != 0:
             hard_failures.append(f"fiber {size} does not divide n_f={n_f} at {key}")
         if size == n_f:

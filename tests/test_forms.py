@@ -1,5 +1,6 @@
 """Unit and property tests for exact form arithmetic."""
 
+import itertools
 import math
 import random
 
@@ -21,7 +22,6 @@ from jzero.forms import (
     Unimodular,
     act_quadratic,
     act_quartic,
-    count_real_roots,
     hessian,
     hessian_sqrt,
     invariants,
@@ -238,16 +238,31 @@ def test_splitting_type_act_invariant():
         assert splitting_type(F) is splitting_type(act_quartic(F, T))
 
 
-def test_count_real_roots_basics():
-    assert count_real_roots([1, 0, -144, 0, 0]) == 2  # 1 - 144 t^2: t = +-1/12
-    # t^2 - 2: two real roots
-    assert count_real_roots([-2, 0, 1]) == 2
-    # t^2 + 1: none
-    assert count_real_roots([1, 0, 1]) == 0
-    # t^4 - 6t^2 + 1: four
-    assert count_real_roots([1, 0, -6, 0, 1]) == 4
-    # (t^2-2)^2: two distinct
-    assert count_real_roots([4, 0, -4, 0, 1]) == 2
+def test_splitting_type_matches_sympy():
+    # sympy counts the distinct real roots of F(t, 1); a4 = 0 adds the
+    # projective root at infinity (the factor y)
+    t = sympy.Symbol("t")
+    by_roots = {4: SplittingType.S1111, 2: SplittingType.S112, 0: SplittingType.S22}
+    rng = random.Random(16)
+    small = itertools.product(range(-2, 3), repeat=5)
+    big = [[rng.randint(-(10**6), 10**6) for _ in range(5)] for _ in range(200)]
+    for c in big[::5]:
+        c[0] = 0
+    checked = with_a4_zero = 0
+    seen = set()
+    for c in itertools.chain(small, big):
+        F = QuarticForm(*c)
+        if F.is_zero() or invariants(F).disc == 0:
+            continue
+        a4, a3, a2, a1, a0 = c
+        poly = sympy.Poly(a4 * t**4 + a3 * t**3 + a2 * t**2 + a1 * t + a0, t)
+        roots = poly.sqf_part().count_roots() + (a4 == 0)
+        assert splitting_type(F) is by_roots[roots], (c, roots)
+        seen.add(by_roots[roots])
+        checked += 1
+        with_a4_zero += a4 == 0
+    assert checked == 2824 + 200 and with_a4_zero > 300
+    assert seen == set(by_roots.values())
 
 
 def test_irreducibility_examples():

@@ -6,14 +6,13 @@ import random
 import pytest
 
 from jzero.classes import enumerate_reduced
-from jzero.families import FamilyPoint, family_coefficients
+from jzero.families import FamilyPoint, family_coefficients, jacobian
 from jzero.forms import QuadraticForm, QuarticForm, invariants, is_irreducible_Q
 from jzero.reducible import (
     ReducibleKind,
     apply_mf,
     classify,
     in_lambda,
-    jacobian_cofactor,
     lambda_f,
     lambda_form,
     square_disc_points,
@@ -119,7 +118,7 @@ def test_jacobian_cofactor_properties():
             continue
         if u.is_zero() or u.a == 0 or u.disc() == 0 or not u.is_primitive():
             continue
-        v = jacobian_cofactor(f, u)
+        v = jacobian(f, u)
         if v.is_zero():
             continue
         checked += 1
@@ -134,7 +133,7 @@ def test_cofactor_forced_in_type2():
     # if F = u*v with u, v in Lambda(f) non-proportional then v ~ J(f, u)
     f = F101
     u = QuadraticForm(0, 1, 0)
-    v = jacobian_cofactor(f, u)
+    v = jacobian(f, u)
     assert v.primitive_part().coeffs() in {(1, 0, -1), (-1, 0, 1)}
 
 
