@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Iterable
 import numpy as np
 
 from .forms import QuadraticForm, Unimodular, _divisors, act_quadratic, substitute
@@ -75,28 +76,56 @@ def reduce_form(f: QuadraticForm) -> tuple[QuadraticForm, Unimodular]:
     return g, T
 
 
+# _SQRT_4A[a][r] holds the b in [0, a] with b^2 = r (mod 4a), for every a up
+# to the largest one asked for so far and at most SQRT_4A_ROWS (slot 0 is
+# unused).  Rows depend on a alone, so the table holds no per-D results; the
+# bound keeps it below 2 * SQRT_4A_ROWS^2 slots (about 0.3 MB) plus its
+# tuples for the life of the process.
+SQRT_4A_ROWS = 128
+_SQRT_4A: list[list[tuple[int, ...]]] = [[]]
+
+
 def enumerate_reduced(D: int) -> list[QuadraticForm]:
-    """All primitive reduced forms of discriminant -D (D > 0)."""
+    """All primitive reduced forms of discriminant -D (D > 0), sorted by
+    (a, c, -b).
+
+    A reduced form has |b| <= a <= c, so D = 4ac - b^2 >= 3a^2 and a runs
+    over 1 ... isqrt(D // 3).  For each a the b in [0, a] with
+    b^2 = -D (mod 4a), which are those with an integral c = (b^2 + D) / 4a,
+    are read from `_SQRT_4A`, a table of square roots mod 4a that grows only
+    to the largest a asked for (isqrt(D // 3), so 91 rows for the D of
+    N(10^12)) and never past SQRT_4A_ROWS = 128 rows (every D < 49923); a larger
+    a tests the b = D (mod 2) in [0, a] directly.  The forms with c >= a and
+    gcd(a, b, c) = 1 are kept, with (a, -b, c) beside (a, b, c) when
+    0 < b < a < c.  This walks O(sqrt D) values of a instead of the O(D)
+    pairs (b, a) of a scan over the divisors of (b^2 + D) / 4 (Cohen,
+    GTM 138, §5.3).
+    """
     if D <= 0:
         raise ValueError("D must be positive")
     if D % 4 not in (0, 3):
         return []
-    out = []
-    b = D % 2
-    while 3 * b * b <= D:
-        m = (b * b + D) // 4
-        a = max(b, 1)
-        while a * a <= m:
-            if m % a == 0:
-                c = m // a
-                if math.gcd(math.gcd(a, b), c) == 1:
-                    out.append(QuadraticForm(a, b, c))
-                    if 0 < b < a < c:
-                        out.append(QuadraticForm(a, -b, c))
-            a += 1
-        b += 2
-    out.sort(key=lambda f: (f.a, f.c, -f.b))
-    return out
+    amax = math.isqrt(D // 3)
+    while len(_SQRT_4A) <= min(amax, SQRT_4A_ROWS):
+        a = len(_SQRT_4A)
+        row: list[tuple[int, ...]] = [()] * (4 * a)
+        for b in range(a + 1):
+            row[b * b % (4 * a)] += (b,)
+        _SQRT_4A.append(row)
+    keys = []
+    for a in range(1, amax + 1):
+        if a <= SQRT_4A_ROWS:
+            roots: Iterable[int] = _SQRT_4A[a][-D % (4 * a)]
+        else:
+            roots = (b for b in range(D % 2, a + 1, 2) if (b * b + D) % (4 * a) == 0)
+        for b in roots:
+            c = (b * b + D) // (4 * a)
+            if c >= a and math.gcd(a, b, c) == 1:
+                keys.append((a, c, -b))
+                if 0 < b < a < c:
+                    keys.append((a, c, b))
+    keys.sort()
+    return [QuadraticForm(a, -nb, c) for a, c, nb in keys]
 
 
 # ---------------------------------------------------------------------------

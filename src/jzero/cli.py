@@ -75,7 +75,8 @@ _MAX_LADDER_X = decimal.Decimal(sys.float_info.max)
 
 
 def parse_ladder(text: str) -> list[int]:
-    """Exact integers, also in scientific notation such as 1e9."""
+    """Exact non-negative integers, also in scientific notation such as
+    1e9."""
     out = []
     for p in text.split(","):
         if not p.strip():
@@ -86,7 +87,9 @@ def parse_ladder(text: str) -> list[int]:
             raise ConfigError(f"bad ladder value {p.strip()!r}")
         if not x.is_finite() or x != x.to_integral_value():
             raise ConfigError(f"ladder value {p.strip()!r} is not an integer")
-        if x.copy_abs() > _MAX_LADDER_X:
+        if x < 0:
+            raise ConfigError(f"ladder value {p.strip()!r} is negative")
+        if x > _MAX_LADDER_X:
             raise ConfigError(f"ladder value {p.strip()!r} is too large")
         out.append(int(x))
     if not out or any(b <= a for a, b in zip(out, out[1:])):
@@ -248,6 +251,8 @@ def cmd_classgroup(args) -> int:
 
 def cmd_family(args) -> int:
     f = parse_quadratic(args.form)
+    if args.ibound < 0:
+        raise ConfigError(f"--ibound must be non-negative, got {args.ibound}")
     rows = []
     primitive_points = 0
 

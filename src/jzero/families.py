@@ -18,7 +18,8 @@ and then I(F) = -3 (a B^2 - 4b A B + 16c A^2) disc(f) / (4 a^3) with J(F) = 0.
 
 The lattice has determinant 4|a|^3 when b is odd and |a|^3 when b is even.
 When gcd(a, b) = 1 it is {(A, kA + d2 t)} with d2 that determinant and k
-in closed form (`lattice_Lfa`): the third congruence alone.
+in closed form (`lattice_Lfa`): the third congruence alone.  Otherwise the
+second and third congruences cut it out; they imply the first.
 
 The second half of the module handles pairs of quadratic forms (u, v):
 their half-Jacobian, joint discriminant, the invariant form with
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .forms import (
@@ -51,18 +51,19 @@ from .lattices import SubLattice
 # ---------------------------------------------------------------------------
 
 
-def _check_family_form(f: QuadraticForm) -> None:
-    if f.a == 0:
+def _check_family_form(a: int, b: int, c: int) -> None:
+    """Raise ValueError unless (a, b, c) is a family form: a != 0,
+    disc != 0, primitive."""
+    if a == 0:
         raise ValueError("family forms need a nonzero leading coefficient")
-    if f.disc() == 0:
+    if b * b == 4 * a * c:
         raise ValueError("family forms need nonzero discriminant")
-    if not f.is_primitive():
+    if math.gcd(a, b, c) != 1:
         raise ValueError("family forms must be primitive")
 
 
-def _lattice_congruences(f: QuadraticForm) -> list[tuple[int, int, int]]:
+def _lattice_congruences(a: int, b: int, c: int) -> list[tuple[int, int, int]]:
     """The congruences A1 = 0 (mod 2a), A2 = 0 (mod a^2), A3 = 0 (mod 4a^3)."""
-    a, b, c = f.coeffs()
     return [
         (4 * c, -b, 2 * a),
         (4 * b * c, -(b * b - a * c), a * a),
@@ -85,13 +86,31 @@ def lattice_Lfa(f: QuadraticForm) -> SubLattice:
     a^2 | A2 = bA1 + acB = a(bm + cB).  And 2a | A1: for b even A1 is even
     and a odd; for b odd 4 | A3 gives 4 | B, so 2 | A1 = 4cA - bB, and if
     a is even b^2 - ac is odd and (b^2 - ac) A1 = -abc B (mod 4a^3) puts
-    one more 2 in A1 than in a.  Other forms go through
-    `SubLattice.from_congruences`.
+    one more 2 in A1 than in a.
+
+    Other forms go through `SubLattice.from_congruences` with the second
+    and third congruences only, since for any primitive f those imply
+    A1 = 0 (mod 2a).  It suffices that v_p(A1) >= v_p(2a) for each prime
+    p | 2a; let v = v_p(a).  The identities
+    a c A1 = b A2 - A3 and A2 = b A1 + a c B hold.
+    * p | a, p does not divide c, and p is odd or b even:
+      v + v_p(A1) = v_p(b A2 - A3) >= min(v_p(b) + 2v, 3v + 2 v_p(2)),
+      which is >= 2v, and >= 2v + 1 when p = 2 divides b; so
+      v_p(A1) >= v_p(2a).
+    * p | a and p | c: then p does not divide b (f is primitive), and
+      v_p(b A1) = v_p(A2 - a c B) >= min(2v, v + 1) = v + 1 >= v_p(2a).
+    * p = 2, b odd: b(b^2 - 2ac) is odd and 4 | A3 = 4c(b^2 - ac) A -
+      b(b^2 - 2ac) B, so 4 | B and 4 | A1 = 4cA - bB, enough for a odd;
+      for a even, b^2 - ac is odd and (b^2 - ac) A1 = A3 - abc B has
+      v_2 >= min(3v + 2, v + 2) = v + 2.
+    * p = 2, a odd, b even: A1 = 4cA - bB is even.
+    The HNF triple of a lattice is unique, so the two congruences give the
+    same triple as the three; `lattice_det` asserts it against all three.
     """
-    _check_family_form(f)
-    a, b, c = f.coeffs()
+    a, b, c = f.a, f.b, f.c
+    _check_family_form(a, b, c)
     if math.gcd(a, b) != 1:
-        return SubLattice.from_congruences(_lattice_congruences(f))
+        return SubLattice.from_congruences(_lattice_congruences(a, b, c)[1:])
     if b % 2:
         d2 = 4 * abs(a) ** 3
         k = 4 * c * (b * b - a * c) * pow(b * (b * b - 2 * a * c), -1, d2) % d2
@@ -105,7 +124,7 @@ def lattice_det(f: QuadraticForm) -> int:
     """Index of the (A, B) lattice; the triple is asserted against
     `SubLattice.from_congruences` and the index against 4|a|^3 or |a|^3."""
     L = lattice_Lfa(f)
-    assert L == SubLattice.from_congruences(_lattice_congruences(f)), (f, L)
+    assert L == SubLattice.from_congruences(_lattice_congruences(*f.coeffs())), (f, L)
     a = abs(f.a)
     expected = 4 * a**3 if f.b % 2 else a**3
     assert L.index == expected, (f, L.index, expected)
@@ -132,7 +151,7 @@ def family_coefficients(f: QuadraticForm, A: int, B: int) -> tuple[int, int, int
 
 def family_member(pt: FamilyPoint) -> QuarticForm:
     """The quartic of a family point, with its defining identities asserted."""
-    _check_family_form(pt.f)
+    _check_family_form(*pt.f.coeffs())
     F = QuarticForm(*family_coefficients(pt.f, pt.A, pt.B))
     triple = invariants(F)
     assert triple.J == 0, (pt, F)
@@ -144,15 +163,17 @@ def family_member(pt: FamilyPoint) -> QuarticForm:
     return F
 
 
-def family_invariant(pt: FamilyPoint) -> tuple[int, Fraction]:
-    """(I(F), script-I) for the family point, via the closed forms."""
+def family_invariant(pt: FamilyPoint) -> tuple[int, tuple[int, int]]:
+    """(I(F), script-I) for the family point, via the closed forms; script-I
+    is the exact rational q / (4 a^3) as the integer pair (q, 4 a^3), not
+    reduced."""
     a, b, c = pt.f.coeffs()
     A, B = pt.A, pt.B
     q = a * B * B - 4 * b * A * B + 16 * c * A * A
     num = -3 * q * pt.f.disc()
     den = 4 * a**3
     assert num % den == 0, pt
-    return num // den, Fraction(q, den)
+    return num // den, (q, den)
 
 
 def square_split(
@@ -212,7 +233,7 @@ def square_split(
 
 def member_of(f: QuadraticForm, F: QuarticForm) -> Optional[FamilyPoint]:
     """Invert the family map: Some(A, B) iff F is exactly a member for f."""
-    _check_family_form(f)
+    _check_family_form(*f.coeffs())
     if F.is_zero():
         return None
     A, B = F.a4, F.a3
@@ -284,8 +305,9 @@ def outer_h0(h2: int, h1: int, u: QuadraticForm, v: QuadraticForm) -> int:
     return num // dv
 
 
-def outer_I(h2: int, h1: int, u: QuadraticForm, v: QuadraticForm) -> Fraction:
-    """I of h(u, v) under the J = 0 constraint, as an exact rational.
+def outer_I(h2: int, h1: int, u: QuadraticForm, v: QuadraticForm) -> tuple[int, int]:
+    """I of h(u, v) under the J = 0 constraint, as the exact rational
+    num / den given by the integer pair (num, den), not reduced.
 
     The denominator is 4 disc(v), matching the 4 a^3 denominator of the
     in-family invariant; verified against the direct invariant on
@@ -296,7 +318,7 @@ def outer_I(h2: int, h1: int, u: QuadraticForm, v: QuadraticForm) -> Fraction:
         raise ValueError("disc(v) = 0")
     dj = jacobian(u, v).disc()
     num = -3 * dj * (dv * h1 * h1 - 4 * joint_disc(u, v) * h1 * h2 + 4 * u.disc() * h2 * h2)
-    return Fraction(num, 4 * dv)
+    return num, 4 * dv
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +361,7 @@ def fiber_action(f: QuadraticForm) -> FiberAction:
     """Compute the induced (A, B)-action of the signed automorphisms of f."""
     from .classes import signed_automorphisms
 
-    _check_family_form(f)
+    _check_family_form(*f.coeffs())
     L = lattice_Lfa(f)
     v1, v2 = (L.d1, L.k), (0, L.d2)
     F1 = family_member(FamilyPoint(f, *v1))

@@ -424,12 +424,16 @@ def compose_oracle(c1: FormClass, c2: FormClass) -> FormClass:
     a composition outside the candidate set raises.
     """
     cands, used = value_candidates(c1, c2)
-    got = class_group(-c1.disc).compose(c1, c2)
+    G = class_group(-c1.disc)
+    got = G.compose(c1, c2)
+    # the candidates are classes of this same cached G, so identity decides;
     # the inverse of reduced (a, b, c) is (a, -b, c), or itself when that is
     # not reduced
     a, b, c = got.rep.coeffs()
-    if {(a, b, c), (a, -b, c)} & {x.rep.coeffs() for x in cands}:
-        return got
+    own, inverse = G.by_coeffs.get((a, b, c)), G.by_coeffs.get((a, -b, c))
+    for x in cands:
+        if x is own or x is inverse:
+            return got
     raise AssertionError(
         f"composition {got.rep} not among value candidates "
         f"{[c.rep.coeffs() for c in cands]} (pairs {used})"

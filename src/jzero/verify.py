@@ -297,7 +297,7 @@ def suite_hensel(
                     if abs(A) > 50 or abs(B) > 50 or (A, B) == (0, 0):
                         continue
                     res.checks += 1
-                    _, sI = families.family_invariant(families.FamilyPoint(g, A, B))
+                    sI = Fraction(*families.family_invariant(families.FamilyPoint(g, A, B))[1])
                     if c.m % 2 == 1:
                         if sI.denominator != 1:
                             res.fail(f"script-I not integral for odd-m {g} at ({A},{B})")
@@ -754,7 +754,7 @@ def suite_identities(trials: int = 10000, seed: int = 20260809) -> SuiteResult:
             continue
         F = families.outer_value(h2, h1, h0, u, v)
         res.checks += 1
-        if Fraction(forms.invariants(F).I) != families.outer_I(h2, h1, u, v):
+        if Fraction(forms.invariants(F).I) != Fraction(*families.outer_I(h2, h1, u, v)):
             res.fail(f"outer I mismatch for {u}, {v}, ({h2},{h1},{h0})")
         done += 1
     # the one-cycle indefinite class key against the least reduced form over

@@ -33,6 +33,30 @@ def is_sublattice_of(L: SubLattice, M: SubLattice) -> bool:
     return contains(M, L.d1, L.k) and contains(M, 0, L.d2)
 
 
+def enumerate_reduced_scan(D: int) -> list[QuadraticForm]:
+    """Reference for `classes.enumerate_reduced`: for each b = D (mod 2)
+    with 3b^2 <= D, every divisor a of m = (b^2 + D) / 4 with b <= a and
+    a^2 <= m, sorted by (a, c, -b)."""
+    if D % 4 not in (0, 3):
+        return []
+    out = []
+    b = D % 2
+    while 3 * b * b <= D:
+        m = (b * b + D) // 4
+        a = max(b, 1)
+        while a * a <= m:
+            if m % a == 0:
+                c = m // a
+                if math.gcd(math.gcd(a, b), c) == 1:
+                    out.append(QuadraticForm(a, b, c))
+                    if 0 < b < a < c:
+                        out.append(QuadraticForm(a, -b, c))
+            a += 1
+        b += 2
+    out.sort(key=lambda f: (f.a, f.c, -f.b))
+    return out
+
+
 def equivalent_by_matrix_search(
     F: QuarticForm, G: QuarticForm, bound: int = 6
 ) -> Optional[Unimodular]:

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from jzero import classes
 from jzero.classes import (
+    SQRT_4A_ROWS,
     ClassGroup,
     canonical_square_label,
     class_number_sum_report,
@@ -30,7 +32,7 @@ from jzero.classes import (
     square_label_negation,
 )
 from jzero.forms import QuadraticForm, Unimodular, act_quadratic
-from reference import indefinite_class_key_four_cycles
+from reference import enumerate_reduced_scan, indefinite_class_key_four_cycles
 
 
 def test_reduce_examples():
@@ -141,6 +143,23 @@ def test_enumerate_reduced_examples():
     assert enumerate_reduced(7) == [QuadraticForm(1, 1, 2)]
     assert enumerate_reduced(21) == []  # 21 = 1 mod 4
     assert enumerate_reduced(22) == []
+
+
+def test_enumerate_reduced_matches_scan():
+    # the square-root table walk against the divisor scan, list for list
+    # (order included), for every D < 20000
+    for D in range(1, 20000):
+        assert enumerate_reduced(D) == enumerate_reduced_scan(D), D
+
+
+def test_enumerate_reduced_past_the_table():
+    # a > SQRT_4A_ROWS tests b directly, and the square-root table keeps
+    # SQRT_4A_ROWS rows however large a D it has seen
+    first = 3 * (SQRT_4A_ROWS + 1) ** 2  # the least D reaching a = SQRT_4A_ROWS + 1
+    for D in [*range(first - 40, first + 600), 10**6, 10**6 + 3, 10**6 + 7]:
+        assert enumerate_reduced(D) == enumerate_reduced_scan(D), D
+    enumerate_reduced(10**7)
+    assert len(classes._SQRT_4A) == SQRT_4A_ROWS + 1
 
 
 def test_class_numbers():

@@ -204,6 +204,31 @@ def test_huge_ladder_value_exit_code(capsys):
     assert "configuration error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["count-n"], ["count-n", "--policy", "absI"], ["count-m", "--policy", "absI"], ["audit-constants"]],
+)
+def test_negative_ladder_value_exit_code(command, capsys):
+    # rejected by name, under either height policy, before any count runs
+    for ladder in ("-5", "1000,-5", "-1e9,1e9"):
+        assert main([*command, f"--ladder={ladder}"]) == 2
+        captured = capsys.readouterr()
+        bad = next(p for p in ladder.split(",") if p.startswith("-"))
+        assert f"ladder value '{bad}' is negative" in captured.err, captured.err
+        assert captured.out == ""
+    with pytest.raises(ConfigError, match="negative"):
+        parse_ladder("-1")
+
+
+def test_negative_ibound_exit_code(capsys):
+    assert main(["family", "1,1,1", "--ibound", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert "--ibound must be non-negative, got -5" in captured.err and captured.out == ""
+    out = run_cli("family", "1,1,1", "--ibound", "0")
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["points"] == 0
+
+
 @pytest.mark.parametrize("threads", ["0", "-1"])
 def test_threads_below_one_exit_code(threads, capsys):
     assert main(["--threads", threads, "count-n", "--ladder", "1000"]) == 2

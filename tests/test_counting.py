@@ -3,13 +3,14 @@
 import math
 import random
 
-from jzero.classes import enumerate_reduced
+from jzero.classes import enumerate_reduced, gauss_reduce
 from jzero.counting import (
     ABS_I_POLICY,
     DISC_POLICY,
     count_family,
     count_M,
     count_N,
+    count_units,
     ellipse_points,
     fit_ladder,
     icbrt,
@@ -18,6 +19,7 @@ from jzero.counting import (
     primitive_uniqueness_check,
     red_Nf_compare,
     square_family_points,
+    unit_families,
     write_count_csv,
 )
 from jzero.families import FamilyPoint, family_coefficients, family_invariant, lattice_Lfa
@@ -48,6 +50,25 @@ def test_branch_split_at_1e9():
     assert (n.irreducible_orbits, n.raw_points, n.max_coeff) == (452, 6796, 40)
     assert m.decided == {"zero_a": 216, "split": 340, "nonsquare_disc": 5174, "factored": 172}
     assert (m.irreducible_orbits, m.raw_points, m.max_coeff) == (2676, 5902, 1372)
+
+
+def test_least_reduced_value_decides_empty_families():
+    # `ellipse_points` returns at once when the reduced Gram form's least
+    # value ga exceeds the bound; that must be exactly the families with no
+    # point, over every GL2 rep of every D <= 4Z/3, admissible or not
+    Z = DISC_POLICY.ibound(10**9)
+    admissible = set(count_units("N", Z))
+    outcomes = {True: 0, False: 0}
+    for D in range(3, 4 * Z // 3 + 1):
+        for f in unit_families("N", D)[1]:
+            a, b, c = f.coeffs()
+            lam, bound = (16 * a**3, Z // (12 * D)) if b % 2 else (a**3, 4 * Z // (3 * D))
+            (ga, _, _), _ = gauss_reduce(*lattice_Lfa(f).transport((16 * c, -4 * b, a), lam))
+            empty = ga > bound
+            assert empty == (count_family(f, Z).points == 0), f
+            assert D in admissible or empty, f
+            outcomes[empty] += 1
+    assert min(outcomes.values()) > 1000, outcomes
 
 
 def test_ellipse_points_example():

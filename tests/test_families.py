@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -89,11 +90,11 @@ def test_family_member_examples():
 
 def test_family_invariant_examples():
     I, sI = family_invariant(FamilyPoint(F101, 1, 0))
-    assert I == 48 and sI == 4
+    assert I == 48 and Fraction(*sI) == 4
     I, _ = family_invariant(FamilyPoint(F101, 0, 1))
     assert I == 3
     I, sI = family_invariant(FamilyPoint(F111, 1, 4))
-    assert I == 36 and sI == 4
+    assert I == 36 and Fraction(*sI) == 4
 
 
 def test_member_of_examples():
@@ -192,6 +193,28 @@ def test_lattice_Lfa_matches_congruences_property(a, b, c):
     assert lattice_det(f) == (4 if b % 2 else 1) * abs(a) ** 3
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("definite", [True, False])
+@settings(max_examples=150, deadline=2000, database=None)
+@given(st.integers(2, 12), st.integers(1, 20), st.integers(-20, 20), st.integers(0, 400))
+def test_two_congruences_suffice_when_gcd_a_b_exceeds_1(sign, definite, g, a0, b0, extra):
+    # for gcd(a, b) > 1 `lattice_Lfa` solves only A2 = 0 (mod a^2) and
+    # A3 = 0 (mod 4a^3); the lattice equals that of all three congruences
+    a, b = sign * g * a0, g * b0
+    c = sign * (b * b // (4 * g * a0) + 1 + extra) if definite else -sign * extra
+    f = QuadraticForm(a, b, c)
+    assume(f.is_primitive() and f.disc() != 0)
+    assert (f.disc() < 0) == definite and math.gcd(a, b) > 1
+    congruences = [
+        (4 * c, -b, 2 * a),
+        (4 * b * c, -(b * b - a * c), a * a),
+        (4 * c * (b * b - a * c), -b * (b * b - 2 * a * c), 4 * a**3),
+    ]
+    two = SubLattice.from_congruences(congruences[1:])
+    assert two == SubLattice.from_congruences(congruences) == lattice_Lfa(f), f
+    assert lattice_det(f) == (4 if b % 2 else 1) * abs(a) ** 3
+
+
 def test_jacobian_examples():
     u, v = QuadraticForm(1, 0, 0), QuadraticForm(0, 0, 1)
     assert jacobian(u, v) == QuadraticForm(0, 2, 0)
@@ -265,7 +288,7 @@ def test_outer_value_and_I():
         except ValueError:
             continue
         F = outer_value(h2, h1, h0, u, v)
-        assert Fraction(invariants(F).I) == outer_I(h2, h1, u, v), (u, v, h2, h1)
+        assert Fraction(invariants(F).I) == Fraction(*outer_I(h2, h1, u, v)), (u, v, h2, h1)
         checked += 1
 
 

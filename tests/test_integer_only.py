@@ -1,8 +1,8 @@
 """The counting path stays in integer arithmetic.
 
-`forms`, `lattices`, `counting`, `classes` and `oracle` must not import
-`fractions`: their hot loops run on integers only, so a `Fraction` there
-is a regression in both speed and design.
+`forms`, `lattices`, `families`, `counting`, `classes` and `oracle` must
+not import `fractions`: their hot loops run on integers only, so a
+`Fraction` there is a regression in both speed and design.
 """
 
 import ast
@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "jzero"
-INTEGER_ONLY = ("forms", "lattices", "counting", "classes", "oracle")
+INTEGER_ONLY = ("forms", "lattices", "families", "counting", "classes", "oracle")
 
 
 def imported_modules(source: str) -> set[str]:
