@@ -47,20 +47,20 @@ def gauss_reduce(
 
     Returns the reduced coefficients and the entries (t1, t2, t3, t4) of
     the unimodular T with f(t1 x + t2 y, t3 x + t4 y) = reduced form.  The
-    steps are shears x -> x + ky moving b into (-a, a] and the swap
-    (a, b, c) -> (c, -b, a), T = [[0, -1], [1, 0]].
+    steps are shears x -> x + ky moving b into (-a, a], with
+    k = floor((a - b) / 2a), and the swap (a, b, c) -> (c, -b, a),
+    T = [[0, -1], [1, 0]].
     """
     t1, t2, t3, t4 = 1, 0, 0, 1
     while True:
-        if not (-a < b <= a):
-            k = -((b + a - 1) // (2 * a)) if b > a else (a - b) // (2 * a)
+        if b > a or b <= -a:
+            k = (a - b) // (2 * a)
             b, c = 2 * a * k + b, (a * k + b) * k + c
             t2, t4 = t1 * k + t2, t3 * k + t4
-        elif c < a or (c == a and b < 0):
-            a, b, c = c, -b, a
-            t1, t2, t3, t4 = t2, -t1, t4, -t3
-        else:
+        if c > a or (c == a and b >= 0):
             return (a, b, c), (t1, t2, t3, t4)
+        a, b, c = c, -b, a
+        t1, t2, t3, t4 = t2, -t1, t4, -t3
 
 
 def reduce_form(f: QuadraticForm) -> tuple[QuadraticForm, Unimodular]:

@@ -263,7 +263,7 @@ def cmd_family(args) -> int:
             a4, a3, a2, a1, a0 = coeffs
             rows.append([A, B, *coeffs, 12 * a4 * a0 - 3 * a3 * a1 + a2 * a2, irreducible])
 
-    fc = counting.count_family(f, args.ibound, visit)
+    fc = counting.count_family(f, counting.family_points(f, args.ibound), visit)
     if args.csv:
         assert sum(row[-1] for row in rows) == fc.irreducible_points, (f, args.ibound)
         with open(args.csv, "w", newline="") as fh:

@@ -43,9 +43,12 @@ Why ga decides emptiness.  A reduced g has |gb| <= ga <= gc.  At a
 nonzero (x, y) with |x| >= |y| >= 1, |gb xy| <= ga x^2 leaves
 g >= gc y^2 >= ga; with |y| >= |x| >= 1, |gb xy| <= gc y^2 leaves
 g >= ga x^2 >= ga; on the axes g = ga x^2 or gc y^2.  And g(1, 0) = ga.
-So a family holds a point with I <= Z exactly when ga <= bound, and
-`ellipse_points` returns before any row work for the others (33456 of the
-45450 families at X = 10^11).
+So a family holds a point with I <= Z exactly when ga <= bound.  The
+count computes each family's setup once, on plain integers
+(`ellipse_frame`: the HNF triple, the bound as numerator and denominator,
+and the reduced g with its transform), and skips the family before it
+builds any object when ga exceeds the bound: 33456 of the 45450 families
+at X = 10^11.  The others hand the same frame to `ellipse_points`.
 
 The iteration range over D follows from the same identity: an integral
 positive definite g is at least 1 at every nonzero point, so
@@ -87,6 +90,7 @@ from .families import (
     family_coefficients,
     fiber_action,
     lattice_Lfa,
+    lattice_triple,
     square_split,
 )
 from .forms import QuadraticForm, QuarticForm, _exact_sqrt, is_irreducible_Q
@@ -133,27 +137,54 @@ ABS_I_POLICY = HeightPolicy("absI")
 # ---------------------------------------------------------------------------
 
 
-def ellipse_points(f: QuadraticForm, ibound: int) -> Iterator[tuple[int, int]]:
-    """Nonzero lattice points with I(family member) <= ibound, exactly,
-    in ascending order.
+# The frame of an N family: its setup on plain integers, which depends on
+# f alone, not on the bound.  ((d1, k, d2), num, den, (ga, gb, gc),
+# (t1, t2, t3, t4)): the HNF triple of L_{f,a}; the bound g <= num * Z // den
+# for I <= Z, with (num, den) = (1, 12D) for odd b and (4, 3D) for even b;
+# the Gauss-reduced g; and the entries of the unimodular map from reduced
+# to lattice coordinates (module docstring).  A plain tuple, since a count
+# builds one per family and drops most of them at once.
+Frame = tuple[tuple[int, int, int], int, int, tuple[int, int, int], tuple[int, int, int, int]]
+
+
+def ellipse_frame(f: QuadraticForm) -> Frame:
+    """The frame of the family of the positive definite family form f."""
+    a, b, c = f.a, f.b, f.c
+    D = 4 * a * c - b * b
+    assert D > 0 and a > 0
+    triple = d1, k, d2 = lattice_triple(a, b, c)
+    if b % 2:
+        lam, num, den = 16 * a * a * a, 1, 12 * D
+    else:
+        lam, num, den = a * a * a, 4, 3 * D
+    # the Gram form of q = 16c A^2 - 4b AB + a B^2 on the basis
+    # (d1, k), (0, d2), over lam
+    gram, transform = gauss_reduce(
+        (16 * c * d1 * d1 - 4 * b * d1 * k + a * k * k) // lam,
+        2 * d2 * (a * k - 2 * b * d1) // lam,
+        a * d2 * d2 // lam,
+    )
+    return triple, num, den, gram, transform
+
+
+def frame_empty(frame: Frame, ibound: int) -> bool:
+    """Whether the family has no point with I <= ibound: ga, the least
+    value of g at a nonzero point, exceeds the bound."""
+    return frame[3][0] > frame[1] * ibound // frame[2]
+
+
+def ellipse_points(frame: Frame, ibound: int) -> Iterator[tuple[int, int]]:
+    """Nonzero lattice points of the family of `frame` with
+    I(family member) <= ibound, exactly, in ascending order.
 
     The condition is 3 D q(A, B) <= 4 a^3 ibound with
     q = a B^2 - 4b AB + 16c A^2 positive definite; it is enumerated as
     g <= bound in Gauss-reduced coordinates (see the module docstring).
     """
-    a, b, c = f.coeffs()
-    D = -f.disc()
-    assert D > 0 and a > 0
-    L = lattice_Lfa(f)
-    d1, k, d2 = L.d1, L.k, L.d2
-    if b % 2:
-        lam, bound = 16 * a**3, ibound // (12 * D)
-    else:
-        lam, bound = a**3, 4 * ibound // (3 * D)
-    # the Gram form of q = 16c A^2 - 4b AB + a B^2 on the basis, over lam
-    (ga, gb, gc), (t1, t2, t3, t4) = gauss_reduce(*L.transport((16 * c, -4 * b, a), lam))
-    if ga > bound:
+    if frame_empty(frame, ibound):
         return
+    (d1, k, d2), num, den, (ga, gb, gc), (t1, t2, t3, t4) = frame
+    bound = num * ibound // den
     # rows y of the reduced form: (2 ga x + gb y)^2 <= 4 ga bound - delta y^2
     delta = 4 * ga * gc - gb * gb
     r = 4 * ga * bound
@@ -252,7 +283,7 @@ def family_points(f: QuadraticForm, Z: int) -> Iterable[tuple[int, int]]:
     (`ellipse_points`) or of a x^2 + n xy, disc n^2 (`square_family_points`);
     ValueError for any other divisor."""
     if f.disc() < 0 and f.a > 0:
-        return ellipse_points(f, Z)
+        return ellipse_points(ellipse_frame(f), Z)
     if f.c == 0 and f.b > 0:
         return square_family_points(f.a, f.b, Z)
     raise ValueError(f"no family point set for the divisor {f}")
@@ -329,18 +360,18 @@ def decide_member(f: QuadraticForm, A: int, B: int, coeffs: tuple[int, ...]) -> 
 
 def count_family(
     f: QuadraticForm,
-    Z: int,
+    points: Iterable[tuple[int, int]],
     visit: Optional[Callable[[int, int, tuple[int, ...], bool], None]] = None,
 ) -> FamilyCount:
-    """Exact point, irreducible-point and orbit tallies for the family of f
-    with |I| <= Z, over `family_points(f, Z)`, with the points counted by
-    the branch that decided them (`decided`).  A point with a4 = A = 0 is
-    reducible and skipped before its coefficients are built (the enumerators
-    yield lattice points by construction); every other point's coefficient
-    tuple goes to `decide_member`, so only points with a square (or zero)
-    disc(F) or a0 = 0 reach `is_irreducible_Q`.  If given,
-    visit(A, B, coefficients, irreducible) is called on every point, in
-    order; only then are the coefficients of A = 0 points built.
+    """Exact point, irreducible-point and orbit tallies over `points`, the
+    family points of f with |I| <= Z for some Z (`family_points`), with the
+    points counted by the branch that decided them (`decided`).  A point
+    with a4 = A = 0 is reducible and skipped before its coefficients are
+    built (the enumerators yield lattice points by construction); every
+    other point's coefficient tuple goes to `decide_member`, so only points
+    with a square (or zero) disc(F) or a0 = 0 reach `is_irreducible_Q`.  If
+    given, visit(A, B, coefficients, irreducible) is called on every point,
+    in order; only then are the coefficients of A = 0 points built.
 
     The fiber action maps irreducible points with |I| <= Z to irreducible
     points with the same I, so every member of a counted orbit is itself
@@ -349,7 +380,7 @@ def count_family(
     out = FamilyCount()
     action: Optional[FiberAction] = None
     height: dict[tuple[int, int], int] = {}  # canonical point -> least max |coefficient|
-    for (A, B) in family_points(f, Z):
+    for (A, B) in points:
         out.points += 1
         if A == 0:
             out.decided["zero_a"] = out.decided.get("zero_a", 0) + 1
@@ -444,7 +475,14 @@ def _count_unit(
     findings = []
     decided = _branch_counts()
     for f in fams:
-        fc = count_family(f, Z)
+        if kind == "N":
+            frame = ellipse_frame(f)
+            if frame_empty(frame, Z):  # adds to no tally: skip before any object
+                continue
+            points = ellipse_points(frame, Z)
+        else:
+            points = square_family_points(f.a, f.b, Z)
+        fc = count_family(f, points)
         pts += fc.points
         orbs += fc.irreducible_orbits
         irr += fc.irreducible_points
@@ -661,7 +699,7 @@ def primitive_uniqueness_check(X: int) -> UniquenessReport:
         for f in enumerate_reduced(D):
             rep.checked_forms += 1
             prim = []
-            for (A, B) in ellipse_points(f, Z):
+            for (A, B) in family_points(f, Z):
                 F = QuarticForm(*family_coefficients(f, A, B))
                 if F.content() == 1:
                     prim.append((A, B))
@@ -702,9 +740,10 @@ def per_class_error_audit(
         D = -f.disc()
         rows = []
         votes_quoted = votes_area = 0.0
+        frame = ellipse_frame(f)
         for X in ladder:
             Z = icbrt(X)
-            exact = sum(1 for _ in ellipse_points(f, Z))
+            exact = sum(1 for _ in ellipse_points(frame, Z))
             quoted = math.pi * Z / (3 * D**1.5) * (1 if f.b % 2 else 4)
             area = quoted / 2
             rows.append((X, exact, quoted, area))
@@ -738,16 +777,16 @@ class LadderReport:
 
 
 def fit_ladder(reports: list[CountReport]) -> tuple[float, float]:
-    """Least squares for count = a X^(1/3) log X + b X^(1/3)."""
+    """Least squares for count = a X^(1/3) log X + b X^(1/3) over the
+    reports with X > 1, the ones `ratio` is taken against the main term
+    for; (0.0, 0.0) when fewer than two remain."""
     import numpy as np
 
-    A = np.array(
-        [
-            [r.X ** (1 / 3) * math.log(r.X), r.X ** (1 / 3)]
-            for r in reports
-        ]
-    )
-    y = np.array([r.irreducible_orbits for r in reports], dtype=float)
+    fit = [r for r in reports if r.X > 1]
+    if len(fit) < 2:
+        return 0.0, 0.0
+    A = np.array([[r.X ** (1 / 3) * math.log(r.X), r.X ** (1 / 3)] for r in fit])
+    y = np.array([r.irreducible_orbits for r in fit], dtype=float)
     sol, *_ = np.linalg.lstsq(A, y, rcond=None)
     return float(sol[0]), float(sol[1])
 
@@ -757,7 +796,7 @@ def ladder_report(
 ) -> LadderReport:
     counter = count_N if kind == "N" else count_M
     reports = [counter(X, policy, workers) for X in ladder]
-    a, b = fit_ladder(reports) if len(reports) >= 2 else (0.0, 0.0)
+    a, b = fit_ladder(reports)
     return LadderReport(
         kind,
         policy.mode,

@@ -18,7 +18,7 @@ and then I(F) = -3 (a B^2 - 4b A B + 16c A^2) disc(f) / (4 a^3) with J(F) = 0.
 
 The lattice has determinant 4|a|^3 when b is odd and |a|^3 when b is even.
 When gcd(a, b) = 1 it is {(A, kA + d2 t)} with d2 that determinant and k
-in closed form (`lattice_Lfa`): the third congruence alone.  Otherwise the
+in closed form (`lattice_triple`): the third congruence alone.  Otherwise the
 second and third congruences cut it out; they imply the first.
 
 The second half of the module handles pairs of quadratic forms (u, v):
@@ -72,9 +72,16 @@ def _lattice_congruences(a: int, b: int, c: int) -> list[tuple[int, int, int]]:
 
 
 def lattice_Lfa(f: QuadraticForm) -> SubLattice:
-    """The lattice of coefficient pairs (A, B) giving integral members.
+    """The lattice of coefficient pairs (A, B) giving integral members,
+    with the HNF triple of `lattice_triple`."""
+    return SubLattice(*lattice_triple(f.a, f.b, f.c))
 
-    When gcd(a, b) = 1 it is SubLattice(1, k, d2), in closed form:
+
+def lattice_triple(a: int, b: int, c: int) -> tuple[int, int, int]:
+    """The HNF triple (d1, k, d2) of the lattice of the family form
+    (a, b, c), on plain integers; ValueError unless it is a family form.
+
+    When gcd(a, b) = 1 the triple is (1, k, d2), in closed form:
     b odd: d2 = 4|a|^3, k = 4c(b^2 - ac) / (b(b^2 - 2ac)) mod d2;
     b even, h = b/2: d2 = |a|^3, k = c(b^2 - ac) / (h(2h^2 - ac)) mod d2.
     The divisor is a unit mod d2: b, h, and b^2 - 2ac = b^2, 2h^2 - ac = 2h^2
@@ -107,17 +114,17 @@ def lattice_Lfa(f: QuadraticForm) -> SubLattice:
     The HNF triple of a lattice is unique, so the two congruences give the
     same triple as the three; `lattice_det` asserts it against all three.
     """
-    a, b, c = f.a, f.b, f.c
     _check_family_form(a, b, c)
     if math.gcd(a, b) != 1:
-        return SubLattice.from_congruences(_lattice_congruences(a, b, c)[1:])
+        L = SubLattice.from_congruences(_lattice_congruences(a, b, c)[1:])
+        return L.d1, L.k, L.d2
     if b % 2:
-        d2 = 4 * abs(a) ** 3
+        d2 = 4 * abs(a * a * a)
         k = 4 * c * (b * b - a * c) * pow(b * (b * b - 2 * a * c), -1, d2) % d2
     else:
-        h, d2 = b // 2, abs(a) ** 3
+        h, d2 = b // 2, abs(a * a * a)
         k = c * (b * b - a * c) * pow(h * (2 * h * h - a * c), -1, d2) % d2
-    return SubLattice(1, k, d2)
+    return 1, k, d2
 
 
 def lattice_det(f: QuadraticForm) -> int:

@@ -131,8 +131,11 @@ def _ellipse_points_rowscan(f: forms.QuadraticForm, ibound: int) -> list[tuple[i
 
 def _check_reduced_enumeration(res: SuiteResult, dmax: int) -> None:
     """`counting.ellipse_points` (reduced coordinates) against the row scan,
-    the Gram identity Q = lam g behind it, and the odd-D skip of
-    `counting._admissible_discs`, on every GL2 family with D <= dmax."""
+    the Gram identity Q = lam g behind it, the integer frame of
+    `counting.ellipse_frame` against `families.lattice_Lfa`, `transport` and
+    `gauss_reduce`, the frame's empty-family skip against the row scan, and
+    the odd-D skip of `counting._admissible_discs`, on every GL2 family with
+    D <= dmax."""
     for D in range(3, dmax + 1):
         if D % 4 not in (0, 3):
             continue
@@ -159,11 +162,23 @@ def _check_reduced_enumeration(res: SuiteResult, dmax: int) -> None:
             g = forms.QuadraticForm(*(x // lam for x in Q))
             if g.disc() != (-D if odd else -16 * D):
                 res.fail(f"disc of the family Gram form {g} of {f} is {g.disc()}")
+            frame = counting.ellipse_frame(f)
+            triple, _, _, gram, transform = frame
+            res.checks += 1
+            reduced = classes.gauss_reduce(*L.transport((16 * c, -4 * b, a), lam))
+            if triple != (L.d1, L.k, L.d2):
+                res.fail(f"frame triple {triple} of {f} is not lattice_Lfa's {L}")
+                continue
+            if (gram, transform) != reduced:
+                res.fail(f"frame Gram form of {f} is not the reduced transport {reduced}")
+                continue
             for Z in (D // 2, 12 * D - 1, 12 * D, 100 * D, 400 * D):
                 res.checks += 1
                 want = _ellipse_points_rowscan(f, Z)
-                if list(counting.ellipse_points(f, Z)) != want:
+                if list(counting.ellipse_points(frame, Z)) != want:
                     res.fail(f"ellipse_points differs from the row scan: f={f}, Z={Z}")
+                if counting.frame_empty(frame, Z) != (not want):
+                    res.fail(f"the frame's skip is not exact: f={f}, Z={Z}, {len(want)} points")
                 if odd and Z < 12 * D and want:
                     res.fail(f"odd D={D} has points at Z={Z} < 12D: f={f}")
 
@@ -404,7 +419,7 @@ def suite_reducibility(
             s, t = reducible.square_part_split(D)
             m_odd = hensel.canonical_fp(f).m % 2 == 1
             fam_sq = set()
-            for (A, B) in counting.ellipse_points(f, Z):
+            for (A, B) in counting.family_points(f, Z):
                 I, _ = families.family_invariant(families.FamilyPoint(f, A, B))
                 r = math.isqrt(I)
                 if r * r == I:

@@ -220,6 +220,20 @@ def test_negative_ladder_value_exit_code(command, capsys):
         parse_ladder("-1")
 
 
+def test_ladder_with_zero_fits_the_values_above_one(tmp_path):
+    # X = 0 and X = 1 have no log X to fit against: the fit skips them, and
+    # with fewer than two values left it is (0, 0)
+    docs = {}
+    for ladder in ("0,100000", "0,1,100000,1000000", "100000,1000000"):
+        out = tmp_path / f"{ladder}.json"
+        assert main(["count-n", "--ladder", ladder, "--out", str(out)]) == 0
+        docs[ladder] = json.loads(out.read_text())
+    assert (docs["0,100000"]["fitted_a"], docs["0,100000"]["fitted_b"]) == (0.0, 0.0)
+    assert docs["0,100000"]["points"][0]["raw_points"] == 0
+    fits = [(d["fitted_a"], d["fitted_b"]) for d in docs.values()]
+    assert fits[1] == fits[2] != (0.0, 0.0)
+
+
 def test_negative_ibound_exit_code(capsys):
     assert main(["family", "1,1,1", "--ibound", "-5"]) == 2
     captured = capsys.readouterr()

@@ -11,8 +11,11 @@ from jzero.counting import (
     count_M,
     count_N,
     count_units,
+    ellipse_frame,
     ellipse_points,
+    family_points,
     fit_ladder,
+    frame_empty,
     icbrt,
     merged_square_labels,
     per_class_error_audit,
@@ -53,9 +56,12 @@ def test_branch_split_at_1e9():
 
 
 def test_least_reduced_value_decides_empty_families():
-    # `ellipse_points` returns at once when the reduced Gram form's least
-    # value ga exceeds the bound; that must be exactly the families with no
-    # point, over every GL2 rep of every D <= 4Z/3, admissible or not
+    # the count skips a family when its frame's least reduced value ga
+    # exceeds the bound; that must be exactly the families with no point
+    # (by the row scan), over every GL2 rep of every D <= 4Z/3, admissible
+    # or not, and the frame's ga must be the one of the slow path
+    from jzero.verify import _ellipse_points_rowscan
+
     Z = DISC_POLICY.ibound(10**9)
     admissible = set(count_units("N", Z))
     outcomes = {True: 0, False: 0}
@@ -64,20 +70,23 @@ def test_least_reduced_value_decides_empty_families():
             a, b, c = f.coeffs()
             lam, bound = (16 * a**3, Z // (12 * D)) if b % 2 else (a**3, 4 * Z // (3 * D))
             (ga, _, _), _ = gauss_reduce(*lattice_Lfa(f).transport((16 * c, -4 * b, a), lam))
-            empty = ga > bound
-            assert empty == (count_family(f, Z).points == 0), f
+            frame = ellipse_frame(f)
+            assert (frame[3][0], frame[1] * Z // frame[2]) == (ga, bound), f
+            empty = frame_empty(frame, Z)
+            assert empty == (count_family(f, _ellipse_points_rowscan(f, Z)).points == 0), f
             assert D in admissible or empty, f
             outcomes[empty] += 1
     assert min(outcomes.values()) > 1000, outcomes
 
 
 def test_ellipse_points_example():
-    pts = list(ellipse_points(QuadraticForm(1, 0, 1), 100))
+    pts = list(ellipse_points(ellipse_frame(QuadraticForm(1, 0, 1)), 100))
     assert len(pts) == 28
-    fc = count_family(QuadraticForm(1, 0, 1), 100)
+    f = QuadraticForm(1, 0, 1)
+    fc = count_family(f, family_points(f, 100))
     assert fc.points == 28
     assert fc.irreducible_points == 12 and fc.irreducible_orbits == 6
-    assert not list(ellipse_points(QuadraticForm(1, 1, 1), 1))
+    assert not list(ellipse_points(ellipse_frame(QuadraticForm(1, 1, 1)), 1))
 
 
 def test_ellipse_points_match_naive():
@@ -86,7 +95,7 @@ def test_ellipse_points_match_naive():
         D = rng.choice([d for d in range(3, 120) if d % 4 in (0, 3)])
         f = rng.choice(enumerate_reduced(D))
         Z = rng.randint(1, 500)
-        got = sorted(ellipse_points(f, Z))
+        got = sorted(ellipse_points(ellipse_frame(f), Z))
         a, b, c = f.coeffs()
         L = lattice_Lfa(f)
         K = 4 * a**3 * Z
@@ -106,7 +115,7 @@ def test_counted_points_have_valid_invariants():
     # multiple of 3D/4
     for D in (3, 4, 7, 8):
         for f in enumerate_reduced(D):
-            for (A, B) in ellipse_points(f, 200):
+            for (A, B) in ellipse_points(ellipse_frame(f), 200):
                 F = QuarticForm(*family_coefficients(f, A, B))
                 t = invariants(F)
                 assert t.J == 0 and t.I > 0 and t.I <= 200
@@ -141,8 +150,8 @@ def test_square_family_points_negative_a():
     for (a, n, Z) in [(1, 1, 60), (1, 3, 200), (3, 4, 200), (2, 5, 300)]:
         assert sorted(square_family_points(-a, n, Z)) == _naive_square_family_points(-a, n, Z), (a, n, Z)
     for (a, n) in [(1, 1), (1, 2), (1, 3), (1, 4), (2, 5), (3, 4), (5, 6)]:
-        pos = count_family(QuadraticForm(a, n, 0), 2000)
-        neg = count_family(QuadraticForm(-a, n, 0), 2000)
+        pos = count_family(QuadraticForm(a, n, 0), square_family_points(a, n, 2000))
+        neg = count_family(QuadraticForm(-a, n, 0), square_family_points(-a, n, 2000))
         assert neg.points > 0, (a, n)
         assert (neg.points, neg.irreducible_points, neg.irreducible_orbits) == (
             pos.points,
@@ -240,7 +249,7 @@ def test_imprimitive_scaling_consistency():
 
     for f in (QuadraticForm(1, 0, 1), QuadraticForm(1, 1, 1), QuadraticForm(2, 1, 3)):
         Z = 600
-        pts = set(ellipse_points(f, Z))
+        pts = set(ellipse_points(ellipse_frame(f), Z))
         for (A, B) in pts:
             F = QuarticForm(*family_coefficients(f, A, B))
             I = _inv(F).I
@@ -263,7 +272,7 @@ def test_ellipse_points_match_row_scan_on_skewed_lattices():
         D = rng.choice(discs)
         cases.append((rng.choice(_gl2_reps(D)), rng.randint(1, 400 * D)))
     for f, Z in cases:
-        assert list(ellipse_points(f, Z)) == _ellipse_points_rowscan(f, Z), (f, Z)
+        assert list(ellipse_points(ellipse_frame(f), Z)) == _ellipse_points_rowscan(f, Z), (f, Z)
 
 
 def test_odd_disc_skip_is_exact():

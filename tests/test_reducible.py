@@ -146,7 +146,7 @@ def test_square_part_split():
 
 def test_square_disc_points_correspondence():
     # curve points match I-square family members for odd canonical middle
-    from jzero.counting import ellipse_points, icbrt
+    from jzero.counting import ellipse_frame, ellipse_points, icbrt
     from jzero.families import family_invariant
     from jzero.hensel import canonical_fp
 
@@ -156,7 +156,7 @@ def test_square_disc_points_correspondence():
         s, t = square_part_split(D)
         assert canonical_fp(f).m % 2 == 1
         fam = set()
-        for (A, B) in ellipse_points(f, icbrt(27 * X // 4)):
+        for (A, B) in ellipse_points(ellipse_frame(f), icbrt(27 * X // 4)):
             I, _ = family_invariant(FamilyPoint(f, A, B))
             if math.isqrt(I) ** 2 == I:
                 fam.add(I)

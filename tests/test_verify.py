@@ -118,8 +118,8 @@ def test_failure_reporting_shape():
 def test_parametrization_suite_checks_reduced_enumeration(monkeypatch):
     enumerate_points = counting.ellipse_points
 
-    def drop_last_point(f, Z):
-        yield from list(enumerate_points(f, Z))[:-1]
+    def drop_last_point(frame, Z):
+        yield from list(enumerate_points(frame, Z))[:-1]
 
     monkeypatch.setattr(counting, "ellipse_points", drop_last_point)
     r = run_suite("parametrization", dmax=20, coeff_box=0, det_alpha=0)
@@ -127,6 +127,23 @@ def test_parametrization_suite_checks_reduced_enumeration(monkeypatch):
     monkeypatch.setattr(counting, "_admissible_discs", lambda Z: range(3, 4 * Z // 3 + 1))
     r = run_suite("parametrization", dmax=20, coeff_box=0, det_alpha=0)
     assert any("not admitted exactly" in msg for msg in r.failures)
+
+
+def test_parametrization_suite_checks_the_integer_frame(monkeypatch):
+    frame_of = counting.ellipse_frame
+
+    def wrong_k(f):
+        (d1, k, d2), *rest = frame_of(f)
+        return ((d1, (k + 1) % d2, d2), *rest)
+
+    monkeypatch.setattr(counting, "ellipse_frame", wrong_k)
+    r = run_suite("parametrization", dmax=20, coeff_box=0, det_alpha=0)
+    assert any(msg.startswith("frame triple") for msg in r.failures)
+    monkeypatch.undo()
+    # a skip at ga = bound drops families whose point g(1, 0) = ga is in
+    monkeypatch.setattr(counting, "frame_empty", lambda frame, Z: frame[3][0] >= frame[1] * Z // frame[2])
+    r = run_suite("parametrization", dmax=20, coeff_box=0, det_alpha=0)
+    assert any(msg.startswith("the frame's skip is not exact") for msg in r.failures)
 
 
 def test_identities_suite_checks_closed_forms(monkeypatch):
