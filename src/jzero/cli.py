@@ -29,6 +29,7 @@ import argparse
 import csv
 import decimal
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -299,13 +300,25 @@ def cmd_count(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """Run one suite.  --seed goes to every suite that takes a seed; --xmax
+    (at least 1) belongs to oracle-equivalence and --trials to identities
+    alone, and either given to another suite is a configuration error."""
+    for flag, value, owner in (
+        ("--xmax", args.xmax, "oracle-equivalence"),
+        ("--trials", args.trials, "identities"),
+    ):
+        if value is not None and args.suite != owner:
+            raise ConfigError(f"{flag} applies only to the {owner} suite, not {args.suite}")
     kwargs = {}
-    if args.suite == "oracle-equivalence" and args.xmax:
+    if args.xmax is not None:
+        if args.xmax < 1:
+            raise ConfigError(f"--xmax must be positive, got {args.xmax}")
         xs = tuple(x for x in (2000, 10000, 20000) if x <= args.xmax)
         kwargs["xs"] = xs or (args.xmax,)
-    if args.suite == "identities":
-        kwargs["seed"] = args.seed
+    if args.trials is not None:
         kwargs["trials"] = args.trials
+    if "seed" in inspect.signature(verify.SUITES[args.suite]).parameters:
+        kwargs["seed"] = args.seed
     res = verify.run_suite(args.suite, **kwargs)
     payload = {
         "suite": res.name,
@@ -418,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(verify.SUITES),
     )
     p.add_argument("--xmax", type=int, help="cap the oracle-equivalence ladder")
-    p.add_argument("--trials", type=int, default=10000)
+    p.add_argument("--trials", type=int, help="the identities suite's trial count")
     p.set_defaults(func=cmd_verify)
 
     p = add("audit-constants", "asymptotic constants over a ladder")

@@ -68,6 +68,12 @@ decides irreducibility without factoring wherever it can: A = 0 and a
 `square_split` make a point reducible, and a nonzero non-square disc(F)
 makes it irreducible (the cover statement, proved at `decide_member`);
 only the rest, mostly points with a square disc(F), are factored.
+
+Both point sets are centrally symmetric, and the member at (-A, -B) is -F,
+which has the same Hessian, I and factorization as F.  So the enumerators
+scan half of each region and append the negations, and the kernel decides
+one point of each pair {P, -P} and gives its mate the same verdict (proofs
+at `ellipse_points`, `square_family_points` and `count_family`).
 """
 
 from __future__ import annotations
@@ -180,6 +186,12 @@ def ellipse_points(frame: Frame, ibound: int) -> Iterator[tuple[int, int]]:
     The condition is 3 D q(A, B) <= 4 a^3 ibound with
     q = a B^2 - 4b AB + 16c A^2 positive definite; it is enumerated as
     g <= bound in Gauss-reduced coordinates (see the module docstring).
+
+    Only the half-plane y > 0, and x >= 1 on the row y = 0, is scanned; the
+    negations give the rest.  The row -y runs over x in
+    [-((w - gb y) // 2ga), (w + gb y) // 2ga], the negated range of the row
+    y, and the map to (A, B) is linear, so the two halves are each other's
+    negations and their union, sorted, is the full set in the same order.
     """
     if frame_empty(frame, ibound):
         return
@@ -190,12 +202,12 @@ def ellipse_points(frame: Frame, ibound: int) -> Iterator[tuple[int, int]]:
     r = 4 * ga * bound
     ymax = math.isqrt(r // delta)
     pts = []
-    for y in range(-ymax, ymax + 1):
+    for y in range(ymax + 1):
         w = math.isqrt(r - delta * y * y)
-        for x in range(-((w + gb * y) // (2 * ga)), (w - gb * y) // (2 * ga) + 1):
-            if x or y:
-                s, t = t1 * x + t2 * y, t3 * x + t4 * y
-                pts.append((d1 * s, k * s + d2 * t))
+        for x in range(-((w + gb * y) // (2 * ga)) if y else 1, (w - gb * y) // (2 * ga) + 1):
+            s, t = t1 * x + t2 * y, t3 * x + t4 * y
+            pts.append((d1 * s, k * s + d2 * t))
+    pts += [(-A, -B) for (A, B) in pts]
     pts.sort()
     yield from pts
 
@@ -230,6 +242,12 @@ def square_family_points(a: int, n: int, ibound: int) -> list[tuple[int, int]]:
     and both integer factors are nonzero, so |B| is bounded and A runs over
     an interval for each B.  The bound takes |a|: for a < 0 the family is
     that of -a, since (-a, n, 0)(-x, y) = -(a x^2 + n xy).
+
+    For each B = d Bpp > 0 the run of A ascending is followed by the run of
+    -B, which is the first run negated and reversed: with t0 = aB, the run
+    of -B has t0 -> -t0, so lo -> -hi and hi -> -lo, and w -> -w at A -> -A.
+    So only B > 0 is scanned.  Every A in [lo, hi] has |w| <= lim, so
+    3 n^2 B |w| <= K holds on the whole run and only w = 0 is left out.
     """
     f = QuadraticForm(a, n, 0)
     L = lattice_Lfa(f)
@@ -239,18 +257,14 @@ def square_family_points(a: int, n: int, ibound: int) -> list[tuple[int, int]]:
     out = []
     Bpp = 1
     while 3 * n * n * d * Bpp <= K:
-        for sgn in (1, -1):
-            B = d * Bpp * sgn
-            lim = K // (3 * n * n * d * Bpp)
-            t0 = a * B
-            lo = -((lim - t0) // (4 * n))
-            hi = (t0 + lim) // (4 * n)
-            for A in range(lo, hi + 1):
-                w = t0 - 4 * n * A
-                if w == 0:
-                    continue
-                if 3 * n * n * abs(B) * abs(w) <= K:
-                    out.append((A, B))
+        B = d * Bpp
+        lim = K // (3 * n * n * B)
+        t0 = a * B
+        lo = -((lim - t0) // (4 * n))
+        hi = (t0 + lim) // (4 * n)
+        run = [(A, B) for A in range(lo, hi + 1) if t0 != 4 * n * A]
+        out += run
+        out += [(-A, -B) for (A, _) in reversed(run)]
         Bpp += 1
     return out
 
@@ -373,6 +387,22 @@ def count_family(
     given, visit(A, B, coefficients, irreducible) is called on every point,
     in order; only then are the coefficients of A = 0 points built.
 
+    Each pair {P, -P} of points with A != 0 is decided once: the first of
+    the two to arrive goes to `decide_member`, and its mate takes the same
+    (branch, irreducible) and the negated coefficient tuple.  Why that is
+    exact.  `family_coefficients` is linear in (A, B) over a fixed
+    denominator, so the member at -P is -F and -P passes the lattice check
+    with P.  In `decide_member`, q(-A, -B) = q(A, B) gives the same root s;
+    with it `square_split` at -P returns (-H, -G) for the (G, H) of P, and
+    (-H)(-G) = G H = 16 a^4 A F = 16 a^4 (-A)(-F), so the product check
+    passes at both points or at neither; a0 = 0 holds at both or neither;
+    I and disc are of even degree in the coefficients, so `_nonsquare_disc`
+    agrees; and -F factors over Q exactly when F does, so
+    `is_irreducible_Q` agrees.  The mate has the same max |coefficient|.
+    (`oracle.irreducible_pairs` takes a verdict from the partner likewise.)
+    A point whose mate never arrives was decided on its own, so the result
+    does not depend on the enumerators yielding both.
+
     The fiber action maps irreducible points with |I| <= Z to irreducible
     points with the same I, so every member of a counted orbit is itself
     visited here; the orbit's least max |coefficient| is therefore the
@@ -380,6 +410,8 @@ def count_family(
     out = FamilyCount()
     action: Optional[FiberAction] = None
     height: dict[tuple[int, int], int] = {}  # canonical point -> least max |coefficient|
+    # mate (-A, -B) of a decided point -> (its coefficients, branch, verdict)
+    mates: dict[tuple[int, int], tuple[tuple[int, ...], str, bool]] = {}
     for (A, B) in points:
         out.points += 1
         if A == 0:
@@ -387,8 +419,14 @@ def count_family(
             if visit is not None:
                 visit(A, B, family_coefficients(f, A, B), False)
             continue
-        coeffs = family_coefficients(f, A, B)
-        branch, irreducible = decide_member(f, A, B, coeffs)
+        mate = mates.pop((A, B), None)
+        if mate is None:
+            coeffs = family_coefficients(f, A, B)
+            branch, irreducible = decide_member(f, A, B, coeffs)
+            mates[(-A, -B)] = (coeffs, branch, irreducible)
+        else:
+            (a4, a3, a2, a1, a0), branch, irreducible = mate
+            coeffs = (-a4, -a3, -a2, -a1, -a0)
         out.decided[branch] = out.decided.get(branch, 0) + 1
         if visit is not None:
             visit(A, B, coeffs, irreducible)

@@ -477,26 +477,34 @@ def _check_irreducibility_certificate(res: SuiteResult, X: int) -> None:
     reducible point with a4 a0 != 0 and a non-square disc(F) may escape the
     split (the cover statement at `decide_member`).  Records per slice the
     share of irreducible points the certificate settles, the points the
-    split settles, those missed points, and the points by kernel branch."""
+    split settles, those missed points, and the points by kernel branch.
+
+    Per family it also checks `counting.count_family`, which decides one
+    point of each pair {P, -P} and hands the verdict to the other, against
+    these per-point decisions: its points, irreducible points and points by
+    branch must equal the tallies taken here point by point."""
     Z = counting.DISC_POLICY.ibound(X)
     for kind in ("N", "M"):
         points = irreducible = settled = split = missed = 0
         decided = dict.fromkeys(counting.BRANCHES, 0)
         for u in counting.count_units(kind, Z):
             for f in counting.unit_families(kind, u)[1]:
-                for (A, B) in counting.family_points(f, Z):
+                pts = list(counting.family_points(f, Z))
+                fam_irreducible = 0
+                fam_decided = dict.fromkeys(counting.BRANCHES, 0)
+                for (A, B) in pts:
                     F = forms.QuarticForm(*families.family_coefficients(f, A, B))
                     p = forms.irreducible_mod_p(F)
                     full = forms.quartic_factorization(F).is_irreducible()
                     points += 1
-                    irreducible += full
+                    fam_irreducible += full
                     settled += full and p is not None
                     if p is not None and not full:
                         res.fail(f"certificate mod {p} on the reducible {F}")
                     branch, kernel = (
                         counting.decide_member(f, A, B, F.coeffs()) if A else ("zero_a", False)
                     )
-                    decided[branch] += 1
+                    fam_decided[branch] += 1
                     if kernel != full:
                         res.fail(f"the kernel's {branch} branch decides {F} wrongly")
                     if families.square_split(f, A, B, F) is not None:
@@ -513,6 +521,18 @@ def _check_irreducibility_certificate(res: SuiteResult, X: int) -> None:
                             f"the square split misses the reducible {F}, whose "
                             "disc(F) is not a square"
                         )
+                fc = counting.count_family(f, pts)
+                got = (fc.points, fc.irreducible_points, fc.decided)
+                want = (len(pts), fam_irreducible, {b: n for b, n in fam_decided.items() if n})
+                res.checks += 1
+                if got != want:
+                    res.fail(
+                        f"count_family's tallies for f={f} differ from the per-point "
+                        f"ones: {got} against {want}"
+                    )
+                irreducible += fam_irreducible
+                for branch, n in fam_decided.items():
+                    decided[branch] += n
         res.checks += points
         res.stats[f"certificate_{kind}_points"] = points
         res.stats[f"certificate_{kind}_irreducible"] = irreducible

@@ -7,7 +7,8 @@ from typing import Iterator, Optional
 import numpy as np
 
 from jzero.classes import canonical_square_label, indefinite_cycle, reduce_form
-from jzero.families import fiber_action, member_of
+from jzero.counting import Frame, frame_empty
+from jzero.families import fiber_action, lattice_Lfa, member_of
 from jzero.forms import (
     QuadraticForm,
     QuarticForm,
@@ -225,3 +226,50 @@ def orbit_key_uncached(F: QuarticForm) -> OrbitKey:
     g = QuadraticForm(best, n, 0)
     pt = member_of(g, act_quartic_by_products(F, U))
     return OrbitKey("square", g.coeffs(), fiber_action(g).canonical(pt.A, pt.B), inv_t)
+
+
+def ellipse_points_full_plane(frame: Frame, ibound: int) -> list[tuple[int, int]]:
+    """Reference for `counting.ellipse_points`: every row y of the reduced
+    form, of both signs, scanned in full and sorted."""
+    if frame_empty(frame, ibound):
+        return []
+    (d1, k, d2), num, den, (ga, gb, gc), (t1, t2, t3, t4) = frame
+    bound = num * ibound // den
+    delta = 4 * ga * gc - gb * gb
+    r = 4 * ga * bound
+    ymax = math.isqrt(r // delta)
+    pts = []
+    for y in range(-ymax, ymax + 1):
+        w = math.isqrt(r - delta * y * y)
+        for x in range(-((w + gb * y) // (2 * ga)), (w - gb * y) // (2 * ga) + 1):
+            if x or y:
+                s, t = t1 * x + t2 * y, t3 * x + t4 * y
+                pts.append((d1 * s, k * s + d2 * t))
+    pts.sort()
+    return pts
+
+
+def square_family_points_two_signs(a: int, n: int, ibound: int) -> list[tuple[int, int]]:
+    """Reference for `counting.square_family_points`: for each B = d Bpp,
+    the runs of A for B and for -B, each scanned on its own."""
+    L = lattice_Lfa(QuadraticForm(a, n, 0))
+    assert L.d1 == 1 and L.k == 0
+    d = L.d2
+    K = 4 * abs(a) ** 3 * ibound
+    out = []
+    Bpp = 1
+    while 3 * n * n * d * Bpp <= K:
+        for sgn in (1, -1):
+            B = d * Bpp * sgn
+            lim = K // (3 * n * n * d * Bpp)
+            t0 = a * B
+            lo = -((lim - t0) // (4 * n))
+            hi = (t0 + lim) // (4 * n)
+            for A in range(lo, hi + 1):
+                w = t0 - 4 * n * A
+                if w == 0:
+                    continue
+                if 3 * n * n * abs(B) * abs(w) <= K:
+                    out.append((A, B))
+        Bpp += 1
+    return out

@@ -152,6 +152,48 @@ def test_config_value_takes_option_type(tmp_path, monkeypatch):
     assert calls == [("oracle-equivalence", {"xs": (2000,)})]
 
 
+def test_verify_passes_the_seed_to_every_seeded_suite(monkeypatch):
+    from jzero import cli, verify
+
+    calls = []
+
+    def fake_run_suite(name, **kwargs):
+        calls.append((name, kwargs))
+        return verify.SuiteResult(name, checks=1)
+
+    monkeypatch.setattr(cli.verify, "run_suite", fake_run_suite)
+    for suite in ("classgroup", "reducibility", "identities", "parametrization"):
+        assert cli.main(["--seed", "5", "verify", suite]) == 0
+    assert cli.main(["verify", "identities", "--trials", "7"]) == 0
+    assert calls == [
+        ("classgroup", {"seed": 5}),
+        ("reducibility", {"seed": 5}),
+        ("identities", {"seed": 5}),
+        ("parametrization", {}),
+        ("identities", {"trials": 7, "seed": 20260809}),
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "parametrization", "--xmax", "100"], "--xmax"),
+        (["verify", "identities", "--xmax", "100"], "--xmax"),
+        (["verify", "parametrization", "--trials", "3"], "--trials"),
+        (["verify", "oracle-equivalence", "--trials", "3"], "--trials"),
+        (["verify", "oracle-equivalence", "--xmax", "0"], "--xmax"),
+        (["verify", "oracle-equivalence", "--xmax", "-5"], "--xmax"),
+    ],
+)
+def test_verify_flag_of_another_suite_exit_code(argv, flag, capsys):
+    # a flag the chosen suite does not take, or a cap below 1, is refused
+    # by name before the suite runs, not ignored
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"configuration error: {flag} " in captured.err
+    assert captured.out == ""
+
+
 def assert_config_error(out):
     assert out.returncode == 2
     assert "configuration error:" in out.stderr
@@ -300,9 +342,10 @@ def test_config_hash_ignores_output_paths(tmp_path):
 
 
 def test_family_factorizes_each_point_once(tmp_path, monkeypatch):
-    # count_family decides every point and factors only those with a square
-    # disc(F) (or a0 = 0) that square_split leaves; the --csv column takes
-    # each row's flag from that one decision, so no point is factored twice
+    # count_family decides one point of each pair {P, -P} and factors only
+    # those with a square disc(F) (or a0 = 0) that square_split leaves; the
+    # --csv column takes each row's flag from that one decision, so no point
+    # is factored twice and no mate is factored at all
     from jzero import counting, forms
     from jzero.families import family_coefficients, square_split
 
@@ -323,15 +366,17 @@ def test_family_factorizes_each_point_once(tmp_path, monkeypatch):
     assert (doc["points"], doc["irreducible_points"], doc["primitive_points"]) == (32, 20, 28)
     f = forms.QuadraticForm(1, 1, 0)
     unsplit = [
-        F
+        ((A, B), F)
         for (A, B) in counting.family_points(f, 50)
         if A
         and square_split(f, A, B, F := forms.QuarticForm(*family_coefficients(f, A, B))) is None
     ]
-    kernel = sum(
-        1 for F in unsplit if not F.a0 or forms._exact_sqrt(forms.invariants(F).disc) is not None
-    )
-    assert 0 < kernel < len(unsplit)
+    factored = [
+        P for (P, F) in unsplit if not F.a0 or forms._exact_sqrt(forms.invariants(F).disc) is not None
+    ]
+    assert 0 < len(factored) < len(unsplit)
+    kernel = len({min(P, (-P[0], -P[1])) for P in factored})  # the pairs {P, -P}
+    assert 2 * kernel == len(factored)
     assert calls == {"kernel": kernel, "rows": 0}
     csv_path = tmp_path / "fam.csv"
     assert main(["family", "1,1,0", "--ibound", "50", "--csv", str(csv_path)]) == 0

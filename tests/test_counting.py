@@ -3,6 +3,9 @@
 import math
 import random
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from jzero.classes import enumerate_reduced, gauss_reduce
 from jzero.counting import (
     ABS_I_POLICY,
@@ -11,6 +14,7 @@ from jzero.counting import (
     count_M,
     count_N,
     count_units,
+    decide_member,
     ellipse_frame,
     ellipse_points,
     family_points,
@@ -25,9 +29,15 @@ from jzero.counting import (
     unit_families,
     write_count_csv,
 )
-from jzero.families import FamilyPoint, family_coefficients, family_invariant, lattice_Lfa
+from jzero.families import (
+    FamilyPoint,
+    family_coefficients,
+    family_invariant,
+    lattice_Lfa,
+    square_split,
+)
 from jzero.forms import QuadraticForm, QuarticForm, invariants
-from reference import contains
+from reference import contains, ellipse_points_full_plane, square_family_points_two_signs
 
 
 def test_icbrt():
@@ -121,6 +131,59 @@ def test_counted_points_have_valid_invariants():
                 assert t.J == 0 and t.I > 0 and t.I <= 200
                 assert (4 * t.I) % (3 * D) == 0
                 assert t.disc != 0
+
+
+def test_enumerators_match_their_two_sign_scans():
+    # each enumerator scans half of its centrally symmetric region and
+    # appends the negations; the lists must equal those of the full scans,
+    # order included, for both signs of a
+    nonempty = 0
+    for D in range(3, 1500):
+        for f in unit_families("N", D)[1] if D % 4 in (0, 3) else ():
+            frame = ellipse_frame(f)
+            for Z in (12 * D, 40 * D + 3, 300 * D + 7):
+                want = ellipse_points_full_plane(frame, Z)
+                assert list(ellipse_points(frame, Z)) == want, (f, Z)
+                nonempty += bool(want)
+    for n in range(1, 120):
+        for a in merged_square_labels(n):
+            for sa in (a, -a):
+                for Z in (50, 999, 20000):
+                    want = square_family_points_two_signs(sa, n, Z)
+                    assert square_family_points(sa, n, Z) == want, (sa, n, Z)
+                    nonempty += bool(want)
+    assert nonempty > 2000, nonempty
+
+
+# the divisors of the families of N (D < 300) and of M (n < 60, a of both signs)
+_COUNTED_DIVISORS = [f for D in range(3, 300) for f in unit_families("N", D)[1] if D % 4 in (0, 3)] + [
+    QuadraticForm(sign * a, n, 0)
+    for n in range(1, 60)
+    for a in merged_square_labels(n)
+    for sign in (1, -1)
+]
+
+
+@settings(max_examples=400, deadline=2000, database=None)
+@given(st.sampled_from(_COUNTED_DIVISORS), st.integers(-8, 8), st.integers(-8, 8))
+def test_negated_point_is_decided_alike(f, s, t):
+    # count_family gives the mate -P the verdict of P: the member at -P is
+    # -F, decide_member agrees on the two, and square_split at -P returns
+    # (-H, -G) for the (G, H) at P
+    A, B = lattice_Lfa(f).point(s, t)
+    a, b, c = f.coeffs()
+    assume(A != 0 and a * B * B - 4 * b * A * B + 16 * c * A * A != 0)
+    coeffs = family_coefficients(f, A, B)
+    mate = family_coefficients(f, -A, -B)
+    assert mate == tuple(-x for x in coeffs)
+    assert decide_member(f, -A, -B, mate) == decide_member(f, A, B, coeffs), (f, A, B)
+    split = square_split(f, A, B, QuarticForm(*coeffs))
+    mate_split = square_split(f, -A, -B, QuarticForm(*mate))
+    if split is None:
+        assert mate_split is None, (f, A, B)
+    else:
+        G, H = split
+        assert [h.coeffs() for h in mate_split] == [H.neg().coeffs(), G.neg().coeffs()], (f, A, B)
 
 
 def _naive_square_family_points(a, n, Z):

@@ -100,6 +100,37 @@ def test_reducibility_suite_checks_fast_path(monkeypatch):
     assert any("nonsquare_disc branch decides" in msg for msg in failures)
 
 
+def test_reducibility_suite_checks_the_kernel_tallies(monkeypatch):
+    # count_family hands each point's verdict to its mate -P; tallies with
+    # one point moved to the wrong branch, or given the wrong verdict, as a
+    # mate that took them would leave, must fail the suite
+    count_family = counting.count_family
+
+    def wrong_mate(mutate):
+        def counted(f, points, visit=None):
+            fc = count_family(f, points, visit)
+            if fc.decided.get("nonsquare_disc", 0) >= 2:
+                mutate(fc)
+            return fc
+
+        return counted
+
+    def wrong_branch(fc):
+        fc.decided["nonsquare_disc"] -= 1
+        fc.decided["factored"] = fc.decided.get("factored", 0) + 1
+
+    def wrong_verdict(fc):
+        fc.irreducible_points -= 1
+
+    for mutate in (wrong_branch, wrong_verdict):
+        with monkeypatch.context() as m:
+            m.setattr(counting, "count_family", wrong_mate(mutate))
+            failures = run_suite(
+                "reducibility", dmax=3, coeff_box=2, certificate_x=10**6, sympy_samples=0
+            ).failures
+        assert failures and all(msg.startswith("count_family's tallies") for msg in failures)
+
+
 def test_reducibility_without_sympy_is_a_failure_not_a_crash(monkeypatch):
     monkeypatch.setitem(sys.modules, "sympy", None)  # import sympy -> ImportError
     r = run_suite(
