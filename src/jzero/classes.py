@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable
 import numpy as np
 
-from .forms import QuadraticForm, Unimodular, _divisors, act_quadratic, substitute
+from .forms import QuadraticForm, Unimodular, _divisors, act_quadratic, substitute, value_type
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +179,7 @@ def represents(f: QuadraticForm, m: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value_type
 class FormClass:
     """An SL2(Z) equivalence class, stored by canonical representative.
     Positive definite: the reduced form.  Square discriminant n^2: the

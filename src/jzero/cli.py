@@ -301,8 +301,8 @@ def cmd_count(args) -> int:
 
 def cmd_verify(args) -> int:
     """Run one suite.  --seed goes to every suite that takes a seed; --xmax
-    (at least 1) belongs to oracle-equivalence and --trials to identities
-    alone, and either given to another suite is a configuration error."""
+    belongs to oracle-equivalence and --trials to identities alone, both at
+    least 1, and either given to another suite is a configuration error."""
     for flag, value, owner in (
         ("--xmax", args.xmax, "oracle-equivalence"),
         ("--trials", args.trials, "identities"),
@@ -316,6 +316,8 @@ def cmd_verify(args) -> int:
         xs = tuple(x for x in (2000, 10000, 20000) if x <= args.xmax)
         kwargs["xs"] = xs or (args.xmax,)
     if args.trials is not None:
+        if args.trials < 1:
+            raise ConfigError(f"--trials must be positive, got {args.trials}")
         kwargs["trials"] = args.trials
     if "seed" in inspect.signature(verify.SUITES[args.suite]).parameters:
         kwargs["seed"] = args.seed

@@ -99,7 +99,7 @@ from .families import (
     lattice_triple,
     square_split,
 )
-from .forms import QuadraticForm, QuarticForm, _exact_sqrt, is_irreducible_Q
+from .forms import QuadraticForm, QuarticForm, _exact_sqrt, is_irreducible_Q, value_type
 
 
 def icbrt(n: int) -> int:
@@ -116,7 +116,7 @@ def icbrt(n: int) -> int:
         r = s
 
 
-@dataclass(frozen=True)
+@value_type
 class HeightPolicy:
     """Maps the outer height X to a bound on |I(F)|.
 

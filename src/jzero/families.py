@@ -30,7 +30,6 @@ quadratic h composed with the pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from .forms import (
@@ -42,6 +41,7 @@ from .forms import (
     invariants,
     normalize_quadratic_sign,
     quadratic_product,
+    value_type,
 )
 from .lattices import SubLattice
 
@@ -138,7 +138,7 @@ def lattice_det(f: QuadraticForm) -> int:
     return L.index
 
 
-@dataclass(frozen=True)
+@value_type
 class FamilyPoint:
     f: QuadraticForm
     A: int
@@ -333,7 +333,7 @@ def outer_I(h2: int, h1: int, u: QuadraticForm, v: QuadraticForm) -> tuple[int, 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value_type
 class FiberAction:
     """The finite group induced on (A, B) by {T: f_T = +-f}.
 

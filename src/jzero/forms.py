@@ -28,7 +28,7 @@ divisor enumeration under a Mignotte-style coefficient bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from typing import Optional
 
@@ -38,7 +38,40 @@ from typing import Optional
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+def value_type(cls=None, /, *, order: bool = False):
+    """Decorator: `cls` as a frozen dataclass with slots (`order` as for
+    `dataclass`), whose `__init__` stores each field through its slot's
+    member descriptor instead of `object.__setattr__`.
+
+    Equality, hash, repr, order, pickling and the `FrozenInstanceError` on
+    assignment are the dataclass's own; `__post_init__` still runs.  The
+    store skips only the per-field `object.__setattr__` lookup and call,
+    which is most of the cost of building a small frozen dataclass.  Every
+    field must be a plain positional one: no default and no `init=False`.
+    """
+
+    def wrap(cls):
+        cls = dataclass(cls, init=False, frozen=True, slots=True, order=order)
+        names = []
+        for f in fields(cls):
+            if not f.init or f.default is not MISSING or f.default_factory is not MISSING:
+                raise TypeError(f"value type field {cls.__name__}.{f.name} must be plain")
+            names.append(f.name)
+        body = [f"_set{i}(self, {name})" for i, name in enumerate(names)]
+        if hasattr(cls, "__post_init__"):
+            body.append("self.__post_init__()")
+        src = f"def __init__(self, {', '.join(names)}):\n    " + "\n    ".join(body)
+        ns = {f"_set{i}": vars(cls)[name].__set__ for i, name in enumerate(names)}
+        exec(compile(src, f"<value_type {cls.__qualname__}>", "exec"), ns)  # named in profiles
+        init = ns["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = init
+        return cls
+
+    return wrap if cls is None else wrap(cls)
+
+
+@value_type
 class QuadraticForm:
     """a x^2 + b xy + c y^2 with integer coefficients."""
 
@@ -80,7 +113,7 @@ class QuadraticForm:
         return f"({self.a},{self.b},{self.c})"
 
 
-@dataclass(frozen=True)
+@value_type
 class QuarticForm:
     """a4 x^4 + a3 x^3 y + a2 x^2 y^2 + a1 x y^3 + a0 y^4, integer coefficients."""
 
@@ -124,7 +157,7 @@ class QuarticForm:
         return ",".join(str(c) for c in self.coeffs())
 
 
-@dataclass(frozen=True)
+@value_type
 class Unimodular:
     """Integer 2x2 matrix [[t1,t2],[t3,t4]] with determinant +-1."""
 
@@ -157,7 +190,7 @@ class Unimodular:
 IDENTITY = Unimodular(1, 0, 0, 1)
 
 
-@dataclass(frozen=True)
+@value_type
 class InvariantTriple:
     I: int
     J: int
@@ -391,7 +424,7 @@ def splitting_type(F: QuarticForm) -> SplittingType:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value_type
 class LinearFactor:
     """s x - r y (primitive, s >= 0), a projective rational root (r : s)."""
 

@@ -44,7 +44,7 @@ from .classes import (
     representations,
     represents,
 )
-from .forms import QuadraticForm, Unimodular, act_quadratic
+from .forms import QuadraticForm, Unimodular, act_quadratic, value_type
 from .lattices import SubLattice
 
 
@@ -84,7 +84,7 @@ def _is_prime(n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value_type
 class CanonicalFp:
     """The translate p x^2 + m xy + n y^2 of f, with f_transform = form."""
 

@@ -13,9 +13,8 @@ package needs arises from congruences u*x + v*y = 0 (mod N).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .forms import substitute
+from .forms import substitute, value_type
 
 
 def _solve_kernel(c1: int, c2: int, N: int) -> tuple[int, int, int]:
@@ -41,7 +40,7 @@ def _solve_kernel(c1: int, c2: int, N: int) -> tuple[int, int, int]:
     return d1, k, d2
 
 
-@dataclass(frozen=True)
+@value_type
 class SubLattice:
     """Finite-index sublattice of Z^2, column HNF basis ((d1, k), (0, d2))."""
 

@@ -8,12 +8,15 @@ solved a0 needs 3 | a2, and F -> -F negates J and keeps I, so the lines
 with (a4, a3) > (0, 0) are minus the solved ones, emitted in reverse
 (`brute_quartics`, whose order is unchanged by either step).  F and -F
 are irreducible together, so the box decides irreducibility once per
-pair (`irreducible_pairs`), while every form still gets its own key: each
-surviving form is keyed by transporting it into the canonical coordinates
-of its Hessian divisor class and canonicalizing the family point under
-the divisor's finite symmetry group.  Everything that depends only on the
-Hessian divisor (its canonical form and transform, fiber action and n_f)
-is computed once per divisor (`divisor`).  The per-form steps are integer
+pair (`irreducible_pairs`, which also flags the first member of each
+pair), and keys each pair once as well: the first member is keyed by
+transporting it into the canonical coordinates of its Hessian divisor
+class and canonicalizing the family point under the divisor's finite
+symmetry group, and -F shares that key but for the point, which is the
+canonical image of minus the point (`negated_key`, with the proof).
+Everything that depends only on the Hessian divisor (its canonical form
+and transform, fiber action and n_f) is computed once per divisor
+(`divisor`).  The per-form steps are integer
 closed forms: `hessian_sqrt` works on the Hessian's coefficient tuple,
 `act_quartic` expands the substitution directly in the matrix entries,
 and an indefinite divisor is labelled from its one reduction cycle
@@ -56,6 +59,7 @@ from .forms import (
     hessian_sqrt,
     invariants,
     is_irreducible_Q,
+    value_type,
 )
 
 MAX_BRUTE_HEIGHT = 60
@@ -169,7 +173,7 @@ def brute_quartics(height: int, imax: Optional[int] = None) -> Iterator[QuarticF
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
+@value_type(order=True)
 class OrbitKey:
     slice: str  # "posdef" | "square" | "indefinite"
     divisor: tuple[int, int, int]
@@ -177,7 +181,7 @@ class OrbitKey:
     invariants: tuple[int, int, int]
 
 
-@dataclass(frozen=True)
+@value_type
 class Divisor:
     """What an orbit key needs of a Hessian root f, which depends on f
     alone: the slice, the canonical divisor g with f_T = g (or, on the
@@ -267,6 +271,33 @@ def orbit_key(F: QuarticForm) -> OrbitKey:
     return OrbitKey(d.slice, d.label, d.action.canonical(pt.A, pt.B), inv_t)
 
 
+def negated_key(key: OrbitKey) -> tuple[OrbitKey, int, int]:
+    """The key of -F from the key of F, with the size of the fiber orbit
+    of their points and the n_f of their divisor (both 0 on the indefinite
+    slice, whose key -F shares).
+
+    This is exact.  F and -F have the same I and disc, and J = 0 for both.
+    The Hessian is quadratic in the coefficients, so H_{-F} = H_F: the two
+    forms have the same root, divisor data and transform T, and so the
+    same slice and label.  `act_quartic` is linear, so -F moves to
+    -(F_T), and the family map (A, B) -> `family_coefficients` is linear
+    with (A, B) the two leading coefficients, so -F_T is the family point
+    -P where F_T is P.  Each fiber map is linear, so orbit(-P) = -orbit(P);
+    key.point lies in orbit(P), so -key.point lies in orbit(-P), and
+    canonical(-P) = canonical(-key.point).  That is the only part of
+    key(-F) that differs from key(F), and the sorted orbit it is read from
+    gives the orbit size as well.  The divisor data is the memo entry that
+    `orbit_key` filled for the canonical divisor, since key.divisor is its
+    coefficient tuple.
+    """
+    if key.slice == "indefinite":
+        return key, 0, 0
+    d = _DIVISORS[key.divisor]
+    A, B = key.point
+    orbit = d.action.orbit(-A, -B)
+    return OrbitKey(key.slice, key.divisor, orbit[0], key.invariants), len(orbit), d.n_f
+
+
 # ---------------------------------------------------------------------------
 # Brute-force orbit counting with cover certification
 # ---------------------------------------------------------------------------
@@ -303,31 +334,33 @@ _PAIR_BASE = 1 << 12
 
 
 def irreducible_pairs(
-    forms: Iterable[QuarticForm],
-) -> Iterator[tuple[QuarticForm, bool]]:
-    """Each form with its `is_irreducible_Q` verdict, decided once per
-    {F, -F} pair of a sequence closed under F -> -F in which the member
-    with a negative leading coefficient comes first, as in `brute_quartics`.
+    forms: Iterable[QuarticForm], decide: bool = True
+) -> Iterator[tuple[QuarticForm, Optional[bool], bool]]:
+    """Each form as (F, verdict, first), where first tells whether F comes
+    before -F, for a sequence closed under F -> -F in which the member with
+    a negative leading coefficient comes first, as in `brute_quartics`.
 
-    F and -F factor alike over Q, so the later member takes the verdict
-    of the earlier one.  A form whose partner has not come, or a form
-    left without one at the end, raises.  Forms are keyed by one signed
+    The verdict is `is_irreducible_Q`, decided once per pair: F and -F
+    factor alike over Q, so the later member takes the verdict of the
+    earlier one.  Without `decide` every verdict is None and only the
+    pairing is checked.  A form whose partner has not come, or a form left
+    without one at the end, raises.  A pending form is held as one signed
     integer in base 2^12, whose sign is that of the leading coefficient,
     so coefficients must stay below 2^11 in absolute value.
     """
-    pending: dict[int, bool] = {}
+    pending: dict[int, Optional[bool]] = {}
     for F in forms:
         a4, a3, a2, a1, a0 = coeffs = F.coeffs()
         if max(map(abs, coeffs)) >= _PAIR_BASE // 2:
             raise ValueError(f"coefficient of {F} too large to key")
         key = (((a4 * _PAIR_BASE + a3) * _PAIR_BASE + a2) * _PAIR_BASE + a1) * _PAIR_BASE + a0
         if key < 0:
-            irreducible = pending[key] = is_irreducible_Q(F)
+            verdict = pending[key] = is_irreducible_Q(F) if decide else None
         elif -key in pending:
-            irreducible = pending.pop(-key)
+            verdict = pending.pop(-key)
         else:
             raise AssertionError(f"the partner -F of {F} has not come before it")
-        yield F, irreducible
+        yield F, verdict, key < 0
     if pending:
         raise AssertionError(f"{len(pending)} forms came without their partner -F")
 
@@ -339,7 +372,8 @@ def orbit_count_bruteforce(
     check_fibers: bool = False,
 ) -> BruteForceReport:
     """Count distinct irreducible GL2-orbit keys in the coefficient box,
-    split by Hessian-divisor slice."""
+    split by Hessian-divisor slice.  Each {F, -F} pair is keyed once, on
+    its first member, and its partner's key is `negated_key` of it."""
     required, n_rep, m_rep = certify_cover(X, policy)
     if height is None:
         height = required
@@ -348,23 +382,20 @@ def orbit_count_bruteforce(
             f"box height {height} cannot cover all orbits (need {required})"
         )
     rep = BruteForceReport(X, policy.mode, height, required, 0, 0, 0, n_rep, m_rep)
-    indefinite = set()
+    by_slice = {"posdef": rep.n_keys, "square": rep.m_keys, "indefinite": set()}
     # In disc mode ibound(X) = icbrt(27X // 4), so for an integer I the box
     # filter |I| <= ibound(X) holds exactly when 4|I|^3 <= 27X: it is the
     # whole height condition |disc F| <= X.
-    for F, irreducible in irreducible_pairs(brute_quartics(height, imax=policy.ibound(X))):
-        if not irreducible:
+    for F, irreducible, first in irreducible_pairs(brute_quartics(height, imax=policy.ibound(X))):
+        if not (first and irreducible):
             continue
         key = orbit_key(F)
-        if key.slice == "posdef":
-            rep.n_keys.add(key)
-        elif key.slice == "square":
-            rep.m_keys.add(key)
-        else:
-            indefinite.add(key)
+        keys = by_slice[key.slice]
+        keys.add(key)
+        keys.add(negated_key(key)[0])
     rep.n_orbits = len(rep.n_keys)
     rep.m_orbits = len(rep.m_keys)
-    rep.indefinite_orbits = len(indefinite)
+    rep.indefinite_orbits = len(by_slice["indefinite"])
     if check_fibers:
         _check_fiber_sizes(rep)
     return rep
@@ -373,7 +404,7 @@ def orbit_count_bruteforce(
 def _check_fiber_sizes(rep: BruteForceReport) -> None:
     # sorted, so that the findings do not follow the string-hash seed
     for key in sorted(rep.n_keys) + sorted(rep.m_keys):
-        d = divisor(QuadraticForm(*key.divisor))
+        d = _DIVISORS[key.divisor]
         size = d.action.orbit_size(*key.point)
         if d.n_f % size != 0:
             rep.fiber_findings.append(

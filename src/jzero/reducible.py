@@ -31,6 +31,7 @@ from .forms import (
     quadratic_product,
     quartic_factorization,
     substitute,
+    value_type,
 )
 from .hensel import canonical_fp, nu_of
 from .lattices import SubLattice
@@ -217,7 +218,7 @@ def square_part_split(D: int) -> tuple[int, int]:
     return s, t
 
 
-@dataclass(frozen=True)
+@value_type
 class CurvePoint:
     x: int
     y: int

@@ -613,24 +613,27 @@ def suite_oracle_equivalence(
             "indefinite_divisor_classes": rep.indefinite_orbits,
         }
     # completeness: every box form lands in exactly one family with a fiber
-    # size dividing n_f (equality reported as a finding when violated)
-    seen = assigned = 0
+    # size dividing n_f (equality reported as a finding when violated).  F
+    # and -F share the fiber size and n_f, so each pair is keyed once.
+    seen = 0
     fiber_equal = fiber_divides = 0
-    for F in oracle.brute_quartics(completeness_height):
+    box = oracle.brute_quartics(completeness_height)
+    for F, _, first in oracle.irreducible_pairs(box, decide=False):
         seen += 1
+        if not first:
+            continue
         key = oracle.orbit_key(F)  # asserts family membership internally
-        assigned += 1
         if key.slice == "indefinite":
             continue
-        d = oracle.divisor(forms.QuadraticForm(*key.divisor))
-        size, n_f = d.action.orbit_size(*key.point), d.n_f
-        res.checks += 1
+        neg, size, n_f = oracle.negated_key(key)
+        res.checks += 2
         if n_f % size != 0:
-            res.fail(f"fiber size {size} does not divide n_f={n_f} at {key}")
+            for k in (key, neg):
+                res.fail(f"fiber size {size} does not divide n_f={n_f} at {k}")
         if size == n_f:
-            fiber_equal += 1
+            fiber_equal += 2
         else:
-            fiber_divides += 1
+            fiber_divides += 2
     res.stats["completeness_forms"] = seen
     res.stats["fiber_equal_nf"] = fiber_equal
     res.stats["fiber_proper_divisor"] = fiber_divides

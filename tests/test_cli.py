@@ -194,6 +194,16 @@ def test_verify_flag_of_another_suite_exit_code(argv, flag, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_verify_trials_below_one_exit_code(trials, capsys):
+    # no identity is checked with fewer than one trial, so the run is
+    # refused by name and value instead of passing with 0 checks
+    assert main(["verify", "identities", "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert f"configuration error: --trials must be positive, got {trials}" in captured.err
+    assert captured.out == ""
+
+
 def assert_config_error(out):
     assert out.returncode == 2
     assert "configuration error:" in out.stderr

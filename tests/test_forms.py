@@ -1,8 +1,13 @@
 """Unit and property tests for exact form arithmetic."""
 
+import ast
+import dataclasses
+import importlib
 import itertools
 import math
+import pickle
 import random
+from pathlib import Path
 
 import pytest
 import sympy
@@ -505,3 +510,101 @@ def test_quadratic_split_matches_scan():
         assert got == _split_by_scan(p, bound), coeffs
         split += got is not None
     assert split > 300
+
+
+# ---------------------------------------------------------------------------
+# Value types (`forms.value_type`)
+# ---------------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "jzero"
+
+
+def _value_type_classes():
+    """(module, class name) of every class decorated with `value_type`."""
+    out = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                for dec in node.decorator_list:
+                    target = dec.func if isinstance(dec, ast.Call) else dec
+                    if isinstance(target, ast.Name) and target.id == "value_type":
+                        out.add((path.stem, node.name))
+    return out
+
+
+_F = QuadraticForm(1, 1, 6)
+# two argument tuples per value type, unequal, for eq, hash and order
+_VALUE_SAMPLES = {
+    ("forms", "QuadraticForm"): [(1, 2, 3), (1, 2, 4)],
+    ("forms", "QuarticForm"): [(1, 0, -6, 0, 1), (-1, 0, 6, 0, -1)],
+    ("forms", "Unimodular"): [(2, 1, 1, 1), (1, 0, 0, -1)],
+    ("forms", "InvariantTriple"): [(3, 0, 4), (12, 0, 256)],
+    ("forms", "LinearFactor"): [(1, 2), (2, 1)],
+    ("classes", "FormClass"): [(_F, -23), (QuadraticForm(2, 1, 3), -23)],
+    ("counting", "HeightPolicy"): [("disc",), ("absI",)],
+    ("families", "FamilyPoint"): [(_F, 1, 2), (_F, 2, 1)],
+    ("families", "FiberAction"): [(_F, 1, ((1, 0, 0, 1),)), (_F, 2, ((2, 0, 0, 2),))],
+    ("hensel", "CanonicalFp"): [(3, 1, 2, IDENTITY), (3, 1, 2, Unimodular(0, -1, 1, 0))],
+    ("lattices", "SubLattice"): [(1, 0, 2), (2, 1, 3)],
+    ("reducible", "CurvePoint"): [(1, 2, 3, True), (1, 2, 3, False)],
+    ("oracle", "OrbitKey"): [
+        ("posdef", (1, 1, 6), (1, 0), (3, 0, 4)),
+        ("posdef", (1, 1, 6), (-1, 2), (3, 0, 4)),
+    ],
+    ("oracle", "Divisor"): [
+        ("posdef", (1, 1, 6), _F, IDENTITY, None, 2),
+        ("indefinite", (1, 1, -1), None, None, None, 0),
+    ],
+}
+
+
+def _twin(cls):
+    """A plain frozen dataclass with the name, fields and order of cls."""
+    ns = {"__annotations__": {f.name: f.type for f in dataclasses.fields(cls)}}
+    plain = type(cls.__name__, (), ns)
+    plain.__qualname__ = cls.__qualname__
+    return dataclasses.dataclass(plain, frozen=True, order=cls.__dataclass_params__.order)
+
+
+def test_no_frozen_dataclass_left():
+    for path in sorted(SRC.glob("*.py")):
+        assert "@dataclass(frozen=True" not in path.read_text(), path.name
+    assert set(_VALUE_SAMPLES) == _value_type_classes()
+
+
+@pytest.mark.parametrize("where", sorted(_VALUE_SAMPLES), ids=lambda w: f"{w[0]}.{w[1]}")
+def test_value_type_matches_a_frozen_dataclass(where):
+    mod, name = where
+    cls = getattr(importlib.import_module(f"jzero.{mod}"), name)
+    twin = _twin(cls)
+    first, second = _VALUE_SAMPLES[where]
+    x, y, x2 = cls(*first), cls(*second), cls(*first)
+    tx, ty = twin(*first), twin(*second)
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert cls(**dict(zip(names, first))) == x
+    for obj in (x, y):
+        assert not hasattr(obj, "__dict__")
+        for field in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, field, None)
+        assert pickle.loads(pickle.dumps(obj)) == obj
+        assert type(pickle.loads(pickle.dumps(obj))) is cls
+    assert [getattr(x, n) for n in names] == list(first)
+    assert repr(x) == repr(tx) and repr(y) == repr(ty)
+    assert hash(x) == hash(tx) == hash(x2) and hash(y) == hash(ty)
+    assert (x == x2, x == y, x != y) == (tx == twin(*first), tx == ty, tx != ty) == (True, False, True)
+    if cls.__dataclass_params__.order:
+        for a, b, ta, tb in ((x, y, tx, ty), (y, x, ty, tx), (x, x2, tx, twin(*first))):
+            assert (a < b, a <= b, a > b, a >= b) == (ta < tb, ta <= tb, ta > tb, ta >= tb)
+
+
+def test_value_type_validation_still_runs():
+    from jzero.classes import FormClass
+    from jzero.lattices import SubLattice
+
+    with pytest.raises(ValueError):
+        Unimodular(1, 1, 1, 1)
+    with pytest.raises(ValueError):
+        SubLattice(1, 2, 2)
+    with pytest.raises(AssertionError):
+        FormClass(QuadraticForm(1, 1, 6), -20)

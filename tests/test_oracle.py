@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jzero
+from jzero import oracle
 from jzero.classes import (
     ClassGroup,
     class_group,
@@ -36,6 +37,7 @@ from jzero.oracle import (
     certify_cover,
     compose_oracle,
     irreducible_pairs,
+    negated_key,
     orbit_count_bruteforce,
     orbit_key,
     value_candidates,
@@ -100,9 +102,14 @@ def test_brute_quartics_sign_and_mod_3_identities():
 def test_irreducible_pairs_match_per_form_verdicts():
     forms = list(brute_quartics(12))
     got = list(irreducible_pairs(forms))
-    assert [F for F, _ in got] == forms
-    assert [v for _, v in got] == [is_irreducible_Q(F) for F in forms]
-    assert 0 < sum(v for _, v in got) < len(forms)
+    assert [F for F, _, _ in got] == forms
+    assert [v for _, v, _ in got] == [is_irreducible_Q(F) for F in forms]
+    assert 0 < sum(v for _, v, _ in got) < len(forms)
+    # the first member of each pair is the one with the negative lead
+    assert [first for _, _, first in got] == [(F.a4, F.a3) < (0, 0) for F in forms]
+    assert sum(first for _, _, first in got) * 2 == len(forms)
+    undecided = list(irreducible_pairs(forms, decide=False))
+    assert undecided == [(F, None, first) for F, _, first in got]
 
 
 def test_irreducible_pairs_reject_a_missing_partner():
@@ -113,7 +120,7 @@ def test_irreducible_pairs_reject_a_missing_partner():
         list(irreducible_pairs([F]))  # -F never comes
     with pytest.raises(ValueError):
         list(irreducible_pairs([QuarticForm(-(1 << 11), 0, 0, 0, 1)]))
-    assert list(irreducible_pairs([F, F.neg()])) == [(F, False), (F.neg(), False)]
+    assert list(irreducible_pairs([F, F.neg()])) == [(F, False, True), (F.neg(), False, False)]
 
 
 def test_orbit_key_memo_matches_uncached_reference():
@@ -144,6 +151,54 @@ def test_orbit_key_memo_matches_uncached_reference():
     assert out.returncode == 0, out.stderr
     n_forms, n_divisors = map(int, out.stdout.split())
     assert n_forms > n_divisors > 0
+
+
+def test_negated_key_is_the_key_of_minus_f():
+    # on every form of the box, and on all three slices
+    slices = set()
+    for F in brute_quartics(4):
+        key = orbit_key(F)
+        neg, size, n_f = negated_key(key)
+        assert neg == orbit_key(F.neg()), F
+        slices.add(key.slice)
+        if key.slice == "indefinite":
+            assert (neg, size, n_f) == (key, 0, 0)
+        else:
+            d = oracle._DIVISORS[key.divisor]
+            assert size == d.action.orbit_size(*key.point) and n_f == d.n_f, F
+    assert slices == {"posdef", "square", "indefinite"}
+
+
+def test_pair_keyed_counts_match_keying_every_form():
+    for X in (2000, 20000):
+        rep = orbit_count_bruteforce(X, DISC_POLICY)
+        want = {"posdef": set(), "square": set(), "indefinite": set()}
+        for F in brute_quartics(rep.height, imax=DISC_POLICY.ibound(X)):
+            if is_irreducible_Q(F):
+                key = orbit_key(F)
+                want[key.slice].add(key)
+        assert rep.n_keys == want["posdef"] and rep.m_keys == want["square"], X
+        assert rep.indefinite_orbits == len(want["indefinite"]), X
+
+
+@pytest.mark.parametrize("drop", ["first", "second"])
+def test_pair_keyed_walks_raise_without_a_partner(monkeypatch, drop):
+    # drop the first form of the box (a first member, so its partner comes
+    # unannounced) or the last (a second member, so a first one is left)
+    from jzero import verify
+
+    full = oracle.brute_quartics
+
+    def box(*args, **kwargs):
+        forms = list(full(*args, **kwargs))
+        del forms[0 if drop == "first" else -1]
+        return iter(forms)
+
+    monkeypatch.setattr(oracle, "brute_quartics", box)
+    with pytest.raises(AssertionError, match="partner"):
+        orbit_count_bruteforce(2000, DISC_POLICY)
+    with pytest.raises(AssertionError, match="partner"):
+        verify.suite_oracle_equivalence(xs=(), completeness_height=3)
 
 
 def _rand_T(rng):
