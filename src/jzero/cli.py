@@ -12,7 +12,8 @@ lines (``#`` starts a comment line); each key is the long option name,
 without dashes, of a global option or of an option of the chosen command,
 and its value becomes that option's default.  Precedence: command line >
 config file > JZERO_THREADS > built-in default.  A key that is not such
-an option is a configuration error.
+an option is a configuration error.  So is an --out or --csv path that
+cannot be written, found before the run.
 
 --threads takes 1 to 64 worker processes (``counting.MAX_WORKERS``); any
 other value is a configuration error.  The configuration hash leaves out
@@ -183,6 +184,21 @@ def config_hash(cfg: dict) -> str:
     ).hexdigest()[:16]
 
 
+def check_output_path(path: str) -> None:
+    """Raise ConfigError unless a file can be written at `path`, so that a
+    bad --out or --csv ends the run before its work, not after.  The check
+    opens the file for appending, which leaves an existing file as it is,
+    and removes a file it made."""
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as e:
+        raise ConfigError(f"cannot write {path!r}: {e.strerror}")
+    if not existed:
+        os.remove(path)
+
+
 def emit_summary(args, payload: dict, outfile=None) -> dict:
     cfg = {k: str(v) for k, v in vars(args).items() if k != "func"}
     doc = {
@@ -258,15 +274,20 @@ def cmd_family(args) -> int:
     primitive_points = 0
 
     def visit(A, B, coeffs, irreducible):
+        # one point of each pair {P, -P}: the member at -P is -F, with the
+        # content, I and verdict of F
         nonlocal primitive_points
-        primitive_points += math.gcd(*coeffs) == 1
+        primitive_points += 2 * (math.gcd(*coeffs) == 1)
         if args.csv:
             a4, a3, a2, a1, a0 = coeffs
-            rows.append([A, B, *coeffs, 12 * a4 * a0 - 3 * a3 * a1 + a2 * a2, irreducible])
+            I = 12 * a4 * a0 - 3 * a3 * a1 + a2 * a2
+            rows.append([A, B, *coeffs, I, irreducible])
+            rows.append([-A, -B, *(-x for x in coeffs), I, irreducible])
 
     fc = counting.count_family(f, counting.family_points(f, args.ibound), visit)
     if args.csv:
         assert sum(row[-1] for row in rows) == fc.irreducible_points, (f, args.ibound)
+        rows.sort()  # by (A, B), which no two rows share
         with open(args.csv, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["A", "B", "a4", "a3", "a2", "a1", "a0", "I", "irreducible"])
@@ -458,6 +479,9 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
         check_config_keys(ap, cfg, args.command)
         counting.check_workers(args.threads)
+        for path in (args.out, getattr(args, "csv", None)):
+            if path:
+                check_output_path(path)
         return args.func(args)
     except ConfigError as e:
         print(f"configuration error: {e}", file=sys.stderr)

@@ -70,10 +70,12 @@ makes it irreducible (the cover statement, proved at `decide_member`);
 only the rest, mostly points with a square disc(F), are factored.
 
 Both point sets are centrally symmetric, and the member at (-A, -B) is -F,
-which has the same Hessian, I and factorization as F.  So the enumerators
-scan half of each region and append the negations, and the kernel decides
-one point of each pair {P, -P} and gives its mate the same verdict (proofs
-at `ellipse_points`, `square_family_points` and `count_family`).
+which has the same Hessian, I and factorization as F.  So the work runs on
+pairs {P, -P} from the enumerators to the tallies: each enumerator yields
+one point of each pair, and the kernel decides that point, counts the pair
+twice and keys its orbits under the fiber action and negation together
+(proofs at `ellipse_points`, `square_family_points` and `count_family`).
+A caller that needs every point takes `with_negations` of the pairs.
 """
 
 from __future__ import annotations
@@ -180,18 +182,18 @@ def frame_empty(frame: Frame, ibound: int) -> bool:
 
 
 def ellipse_points(frame: Frame, ibound: int) -> Iterator[tuple[int, int]]:
-    """Nonzero lattice points of the family of `frame` with
-    I(family member) <= ibound, exactly, in ascending order.
+    """One point of each pair {P, -P} of nonzero lattice points of the
+    family of `frame` with I(family member) <= ibound, exactly.
 
     The condition is 3 D q(A, B) <= 4 a^3 ibound with
     q = a B^2 - 4b AB + 16c A^2 positive definite; it is enumerated as
     g <= bound in Gauss-reduced coordinates (see the module docstring).
 
-    Only the half-plane y > 0, and x >= 1 on the row y = 0, is scanned; the
-    negations give the rest.  The row -y runs over x in
-    [-((w - gb y) // 2ga), (w + gb y) // 2ga], the negated range of the row
-    y, and the map to (A, B) is linear, so the two halves are each other's
-    negations and their union, sorted, is the full set in the same order.
+    The points yielded are those of the half-plane y > 0, and x >= 1 on the
+    row y = 0, of the reduced coordinates (x, y).  That half holds exactly
+    one of v, -v for each v != 0.  g(-v) = g(v), so the region is centrally
+    symmetric, and the map from (x, y) to (A, B) is a linear bijection onto
+    the lattice, so it carries the pairs {v, -v} onto the pairs {P, -P}.
     """
     if frame_empty(frame, ibound):
         return
@@ -201,15 +203,21 @@ def ellipse_points(frame: Frame, ibound: int) -> Iterator[tuple[int, int]]:
     delta = 4 * ga * gc - gb * gb
     r = 4 * ga * bound
     ymax = math.isqrt(r // delta)
-    pts = []
     for y in range(ymax + 1):
         w = math.isqrt(r - delta * y * y)
         for x in range(-((w + gb * y) // (2 * ga)) if y else 1, (w - gb * y) // (2 * ga) + 1):
             s, t = t1 * x + t2 * y, t3 * x + t4 * y
-            pts.append((d1 * s, k * s + d2 * t))
+            yield (d1 * s, k * s + d2 * t)
+
+
+def with_negations(points: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Every point of a family in ascending order, from one point of each
+    pair {P, -P} (what the enumerators yield): the points and their
+    negations, sorted."""
+    pts = list(points)
     pts += [(-A, -B) for (A, B) in pts]
     pts.sort()
-    yield from pts
+    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -236,18 +244,19 @@ def merged_square_labels(n: int) -> list[int]:
 
 
 def square_family_points(a: int, n: int, ibound: int) -> list[tuple[int, int]]:
-    """Nonzero lattice points of the family of a x^2 + n xy with |I| <= ibound.
+    """One point of each pair {P, -P} of nonzero lattice points of the
+    family of a x^2 + n xy with 0 < |I| <= ibound: the points with B > 0,
+    by B = d Bpp ascending and A ascending within each B.
 
     With the B-modulus d from the lattice, |I| = 3 n^2 |B (aB - 4nA)| / (4|a|^3)
     and both integer factors are nonzero, so |B| is bounded and A runs over
     an interval for each B.  The bound takes |a|: for a < 0 the family is
     that of -a, since (-a, n, 0)(-x, y) = -(a x^2 + n xy).
 
-    For each B = d Bpp > 0 the run of A ascending is followed by the run of
-    -B, which is the first run negated and reversed: with t0 = aB, the run
-    of -B has t0 -> -t0, so lo -> -hi and hi -> -lo, and w -> -w at A -> -A.
-    So only B > 0 is scanned.  Every A in [lo, hi] has |w| <= lim, so
-    3 n^2 B |w| <= K holds on the whole run and only w = 0 is left out.
+    B != 0 at every point and I(-P) = I(P), so each pair has
+    exactly one member with B > 0.  With w = aB - 4nA and t0 = aB, every
+    A in [lo, hi] has |w| <= lim, so 3 n^2 B |w| <= K holds on the whole
+    run and only w = 0 is left out.
     """
     f = QuadraticForm(a, n, 0)
     L = lattice_Lfa(f)
@@ -262,9 +271,7 @@ def square_family_points(a: int, n: int, ibound: int) -> list[tuple[int, int]]:
         t0 = a * B
         lo = -((lim - t0) // (4 * n))
         hi = (t0 + lim) // (4 * n)
-        run = [(A, B) for A in range(lo, hi + 1) if t0 != 4 * n * A]
-        out += run
-        out += [(-A, -B) for (A, _) in reversed(run)]
+        out += [(A, B) for A in range(lo, hi + 1) if t0 != 4 * n * A]
         Bpp += 1
     return out
 
@@ -293,9 +300,9 @@ class FamilyCount:
 
 
 def family_points(f: QuadraticForm, Z: int) -> Iterable[tuple[int, int]]:
-    """The family points (A, B) with |I| <= Z of a positive definite f
-    (`ellipse_points`) or of a x^2 + n xy, disc n^2 (`square_family_points`);
-    ValueError for any other divisor."""
+    """One point (A, B) of each pair {P, -P} of family points with |I| <= Z
+    of a positive definite f (`ellipse_points`) or of a x^2 + n xy, disc n^2
+    (`square_family_points`); ValueError for any other divisor."""
     if f.disc() < 0 and f.a > 0:
         return ellipse_points(ellipse_frame(f), Z)
     if f.c == 0 and f.b > 0:
@@ -377,69 +384,74 @@ def count_family(
     points: Iterable[tuple[int, int]],
     visit: Optional[Callable[[int, int, tuple[int, ...], bool], None]] = None,
 ) -> FamilyCount:
-    """Exact point, irreducible-point and orbit tallies over `points`, the
-    family points of f with |I| <= Z for some Z (`family_points`), with the
-    points counted by the branch that decided them (`decided`).  A point
-    with a4 = A = 0 is reducible and skipped before its coefficients are
-    built (the enumerators yield lattice points by construction); every
-    other point's coefficient tuple goes to `decide_member`, so only points
-    with a square (or zero) disc(F) or a0 = 0 reach `is_irreducible_Q`.  If
-    given, visit(A, B, coefficients, irreducible) is called on every point,
-    in order; only then are the coefficients of A = 0 points built.
+    """Exact point, irreducible-point and orbit tallies of the family points
+    of f with |I| <= Z for some Z, from `points`, one point of each pair
+    {P, -P} of them (`family_points`), with the points counted by the branch
+    that decided them (`decided`).  Each pair adds 2 to every tally it
+    enters.  A pair with a4 = A = 0 is reducible and skipped before its
+    coefficients are built (the enumerators yield lattice points by
+    construction); every other pair's point goes to `decide_member`, so
+    only points with a square (or zero) disc(F) or a0 = 0 reach
+    `is_irreducible_Q`.  If given, visit(A, B, coefficients, irreducible)
+    is called on every point of `points`, in order; only then are the
+    coefficients of A = 0 points built.
 
-    Each pair {P, -P} of points with A != 0 is decided once: the first of
-    the two to arrive goes to `decide_member`, and its mate takes the same
-    (branch, irreducible) and the negated coefficient tuple.  Why that is
-    exact.  `family_coefficients` is linear in (A, B) over a fixed
-    denominator, so the member at -P is -F and -P passes the lattice check
-    with P.  In `decide_member`, q(-A, -B) = q(A, B) gives the same root s;
-    with it `square_split` at -P returns (-H, -G) for the (G, H) of P, and
-    (-H)(-G) = G H = 16 a^4 A F = 16 a^4 (-A)(-F), so the product check
-    passes at both points or at neither; a0 = 0 holds at both or neither;
-    I and disc are of even degree in the coefficients, so `_nonsquare_disc`
-    agrees; and -F factors over Q exactly when F does, so
-    `is_irreducible_Q` agrees.  The mate has the same max |coefficient|.
-    (`oracle.irreducible_pairs` takes a verdict from the partner likewise.)
-    A point whose mate never arrives was decided on its own, so the result
-    does not depend on the enumerators yielding both.
+    Why one point decides its pair.  `family_coefficients` is linear in
+    (A, B) over a fixed denominator, so the member at -P is -F and -P passes
+    the lattice check with P.  In `decide_member`, q(-A, -B) = q(A, B) gives
+    the same root s; with it `square_split` at -P returns (-H, -G) for the
+    (G, H) of P, and (-H)(-G) = G H = 16 a^4 A F = 16 a^4 (-A)(-F), so the
+    product check passes at both points or at neither; a0 = 0 holds at both
+    or neither; I and disc are of even degree in the coefficients, so
+    `_nonsquare_disc` agrees; and -F factors over Q exactly when F does, so
+    `is_irreducible_Q` agrees.  (`oracle.irreducible_pairs` takes a verdict
+    from the partner likewise.)
 
-    The fiber action maps irreducible points with |I| <= Z to irreducible
-    points with the same I, so every member of a counted orbit is itself
-    visited here; the orbit's least max |coefficient| is therefore the
-    least over its visited points, and no orbit is computed twice."""
+    Orbits.  The fiber action maps irreducible points with |I| <= Z to
+    irreducible points with the same I, so every member of a counted orbit
+    is a point of the family here.  An irreducible pair is keyed by
+    min(c1, c2), with c1 = canonical(A, B) and c2 = canonical(-A, -B); the
+    key weighs 1 if c1 == c2 and 2 otherwise, and the orbits are the sum of
+    the weights of the distinct keys.  Why that is exact.  G, the group of
+    fiber maps, is linear, so negation sends the G-orbit O of P to -O, the
+    orbit of -P, and the pair {P, -P} meets exactly O and -O.  min(c1, c2)
+    is the least point of O u -O, so every pair of O u -O gives the same
+    key, and pairs of other orbits give other keys.  O u -O holds one orbit
+    if O = -O and two otherwise, and O = -O exactly when the least points
+    c1 of O and c2 of -O agree (distinct orbits are disjoint).  The key's
+    height is the least max |coefficient| over its pairs: h(-Q) = h(Q), so
+    O and -O have the same least height and the largest key height is the
+    largest orbit height, `max_coeff`."""
     out = FamilyCount()
     action: Optional[FiberAction] = None
-    height: dict[tuple[int, int], int] = {}  # canonical point -> least max |coefficient|
-    # mate (-A, -B) of a decided point -> (its coefficients, branch, verdict)
-    mates: dict[tuple[int, int], tuple[tuple[int, ...], str, bool]] = {}
+    height: dict[tuple[int, int], int] = {}  # key of O u -O -> least max |coefficient|
     for (A, B) in points:
-        out.points += 1
+        out.points += 2
         if A == 0:
-            out.decided["zero_a"] = out.decided.get("zero_a", 0) + 1
+            out.decided["zero_a"] = out.decided.get("zero_a", 0) + 2
             if visit is not None:
                 visit(A, B, family_coefficients(f, A, B), False)
             continue
-        mate = mates.pop((A, B), None)
-        if mate is None:
-            coeffs = family_coefficients(f, A, B)
-            branch, irreducible = decide_member(f, A, B, coeffs)
-            mates[(-A, -B)] = (coeffs, branch, irreducible)
-        else:
-            (a4, a3, a2, a1, a0), branch, irreducible = mate
-            coeffs = (-a4, -a3, -a2, -a1, -a0)
-        out.decided[branch] = out.decided.get(branch, 0) + 1
+        coeffs = family_coefficients(f, A, B)
+        branch, irreducible = decide_member(f, A, B, coeffs)
+        out.decided[branch] = out.decided.get(branch, 0) + 2
         if visit is not None:
             visit(A, B, coeffs, irreducible)
         if not irreducible:
             continue
-        out.irreducible_points += 1
+        out.irreducible_points += 2
         if action is None:
             action = fiber_action(f)
-        c = action.canonical(A, B)
+        c1, c2 = action.canonical(A, B), action.canonical(-A, -B)
+        key = min(c1, c2)
         h = max(map(abs, coeffs))
-        height[c] = min(height.get(c, h), h)
+        least = height.get(key)
+        if least is None:
+            height[key] = h
+            out.irreducible_orbits += 1 if c1 == c2 else 2
+        elif h < least:
+            height[key] = h
     if height:
-        out.irreducible_orbits = len(height)
         out.max_coeff = max(height.values())
         out.n_f = cover_multiplicity(class_of(f))
     return out
@@ -684,8 +696,8 @@ def red_Nf_compare(alpha: int, beta: int, X: int) -> RedNfReport:
     c_quoted = (4 * pow(alpha, 7, beta)) % beta if beta > 1 else 0
     raw = _pair_count_raw(Y_num, Y_den, c_quoted, beta) if beta >= 1 else 0
     dec = _pair_count_decomposed(Y_num, Y_den, c_quoted, beta)
-    # true family points with |I| <= Z (both sign quadrants)
-    fam = len(square_family_points(alpha, beta, Z)) if beta > 0 else 0
+    # true family points with |I| <= Z (both sign quadrants): two per pair
+    fam = 2 * len(square_family_points(alpha, beta, Z)) if beta > 0 else 0
     Y = Z / (12 * beta * beta)
     main = 0.0
     if Y > 1:
@@ -736,15 +748,14 @@ def primitive_uniqueness_check(X: int) -> UniquenessReport:
             continue
         for f in enumerate_reduced(D):
             rep.checked_forms += 1
-            prim = []
-            for (A, B) in family_points(f, Z):
-                F = QuarticForm(*family_coefficients(f, A, B))
-                if F.content() == 1:
-                    prim.append((A, B))
-            if len(prim) > 2 or (
-                len(prim) == 2 and prim[0] != (-prim[1][0], -prim[1][1])
-            ):
-                rep.violations.append(f"f={f}, D={D}: primitive points {prim}")
+            # -F has the content of F, so the pairs decide primitivity
+            prim = [
+                (A, B)
+                for (A, B) in family_points(f, Z)
+                if QuarticForm(*family_coefficients(f, A, B)).content() == 1
+            ]
+            if len(prim) > 1:
+                rep.violations.append(f"f={f}, D={D}: primitive points {with_negations(prim)}")
     return rep
 
 
@@ -781,7 +792,7 @@ def per_class_error_audit(
         frame = ellipse_frame(f)
         for X in ladder:
             Z = icbrt(X)
-            exact = sum(1 for _ in ellipse_points(frame, Z))
+            exact = 2 * sum(1 for _ in ellipse_points(frame, Z))  # two points per pair
             quoted = math.pi * Z / (3 * D**1.5) * (1 if f.b % 2 else 4)
             area = quoted / 2
             rows.append((X, exact, quoted, area))

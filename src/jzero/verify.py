@@ -130,8 +130,9 @@ def _ellipse_points_rowscan(f: forms.QuadraticForm, ibound: int) -> list[tuple[i
 
 
 def _check_reduced_enumeration(res: SuiteResult, dmax: int) -> None:
-    """`counting.ellipse_points` (reduced coordinates) against the row scan,
-    the Gram identity Q = lam g behind it, the integer frame of
+    """`counting.ellipse_points` (reduced coordinates, one point of each
+    pair {P, -P}) with its negations against the row scan, the Gram
+    identity Q = lam g behind it, the integer frame of
     `counting.ellipse_frame` against `families.lattice_Lfa`, `transport` and
     `gauss_reduce`, the frame's empty-family skip against the row scan, and
     the odd-D skip of `counting._admissible_discs`, on every GL2 family with
@@ -175,7 +176,7 @@ def _check_reduced_enumeration(res: SuiteResult, dmax: int) -> None:
             for Z in (D // 2, 12 * D - 1, 12 * D, 100 * D, 400 * D):
                 res.checks += 1
                 want = _ellipse_points_rowscan(f, Z)
-                if list(counting.ellipse_points(frame, Z)) != want:
+                if counting.with_negations(counting.ellipse_points(frame, Z)) != want:
                     res.fail(f"ellipse_points differs from the row scan: f={f}, Z={Z}")
                 if counting.frame_empty(frame, Z) != (not want):
                     res.fail(f"the frame's skip is not exact: f={f}, Z={Z}, {len(want)} points")
@@ -480,18 +481,25 @@ def _check_irreducibility_certificate(res: SuiteResult, X: int) -> None:
     split settles, those missed points, and the points by kernel branch.
 
     Per family it also checks `counting.count_family`, which decides one
-    point of each pair {P, -P} and hands the verdict to the other, against
-    these per-point decisions: its points, irreducible points and points by
-    branch must equal the tallies taken here point by point."""
+    point of each pair {P, -P} and keys the orbits of irreducible pairs
+    under the fiber action and negation together, against these per-point
+    decisions: its points, irreducible points and points by branch must
+    equal the tallies taken here point by point, and its orbits and
+    `max_coeff` those of the plain reference, which canonicalizes every
+    irreducible point and keeps the least max |coefficient| per canonical
+    point."""
     Z = counting.DISC_POLICY.ibound(X)
     for kind in ("N", "M"):
         points = irreducible = settled = split = missed = 0
         decided = dict.fromkeys(counting.BRANCHES, 0)
         for u in counting.count_units(kind, Z):
             for f in counting.unit_families(kind, u)[1]:
-                pts = list(counting.family_points(f, Z))
+                pairs = list(counting.family_points(f, Z))
+                pts = counting.with_negations(pairs)
                 fam_irreducible = 0
                 fam_decided = dict.fromkeys(counting.BRANCHES, 0)
+                action = None
+                height = {}  # canonical point -> least max |coefficient|
                 for (A, B) in pts:
                     F = forms.QuarticForm(*families.family_coefficients(f, A, B))
                     p = forms.irreducible_mod_p(F)
@@ -507,6 +515,11 @@ def _check_irreducibility_certificate(res: SuiteResult, X: int) -> None:
                     fam_decided[branch] += 1
                     if kernel != full:
                         res.fail(f"the kernel's {branch} branch decides {F} wrongly")
+                    if full:
+                        action = action or families.fiber_action(f)
+                        c = action.canonical(A, B)
+                        h = max(map(abs, F.coeffs()))
+                        height[c] = min(height.get(c, h), h)
                     if families.square_split(f, A, B, F) is not None:
                         split += 1
                         if full:
@@ -521,9 +534,15 @@ def _check_irreducibility_certificate(res: SuiteResult, X: int) -> None:
                             f"the square split misses the reducible {F}, whose "
                             "disc(F) is not a square"
                         )
-                fc = counting.count_family(f, pts)
-                got = (fc.points, fc.irreducible_points, fc.decided)
-                want = (len(pts), fam_irreducible, {b: n for b, n in fam_decided.items() if n})
+                fc = counting.count_family(f, pairs)
+                got = (fc.points, fc.irreducible_points, fc.decided, fc.irreducible_orbits, fc.max_coeff)
+                want = (
+                    len(pts),
+                    fam_irreducible,
+                    {b: n for b, n in fam_decided.items() if n},
+                    len(height),
+                    max(height.values(), default=0),
+                )
                 res.checks += 1
                 if got != want:
                     res.fail(

@@ -57,6 +57,27 @@ def test_family_command(tmp_path):
     assert len(rows) == 29
 
 
+@pytest.mark.parametrize("form", ["1,0,1", "2,1,3", "1,1,0", "-2,5,0"])
+def test_family_csv_rows_ascend_by_point(form, tmp_path):
+    # every point of the family once, in ascending (A, B) order, each row
+    # with the coefficients and I of its own member; for a positive
+    # definite divisor the points are those of the HNF row scan
+    from jzero import families, forms
+    from jzero.verify import _ellipse_points_rowscan
+
+    csv_path, out = tmp_path / "fam.csv", tmp_path / "fam.json"
+    assert main(["family", form, "--ibound", "2000", "--csv", str(csv_path), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+    points = [(int(r[0]), int(r[1])) for r in rows]
+    assert points == sorted(set(points)) and len(points) == json.loads(out.read_text())["points"] > 0
+    f = forms.QuadraticForm(*map(int, form.split(",")))
+    if f.c:
+        assert points == _ellipse_points_rowscan(f, 2000)
+    for r, (A, B) in zip(rows, points):
+        F = forms.QuarticForm(*families.family_coefficients(f, A, B))
+        assert [int(x) for x in r[2:8]] == [*F.coeffs(), forms.invariants(F).I]
+
+
 def test_bad_form_syntax_exit_code():
     out = run_cli("invariants", "1,2,3")
     assert out.returncode == 2
@@ -319,6 +340,47 @@ def test_family_square_disc_divisor(tmp_path):
     assert len(csv_path.read_text().splitlines()) == 65
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariants", "1,0,0,0,1", "--out", "{missing}/x.json"],
+        ["family", "1,0,1", "--ibound", "100", "--csv", "{missing}/x.csv"],
+        ["count-n", "--ladder", "1e6", "--csv", "{missing}/c.csv"],
+        ["count-m", "--ladder", "1e6", "--out", "{dir}"],
+        ["--out", "{dir}", "family", "1,0,1", "--ibound", "100"],
+    ],
+)
+def test_unwritable_output_path_exit_code(argv, tmp_path, capsys, monkeypatch):
+    # a path that cannot be written is a configuration error, found before
+    # the run does any work: no command body runs, and nothing is written
+    from jzero import cli
+
+    def refuse(args):
+        raise AssertionError("the command ran")
+
+    for name in ("cmd_invariants", "cmd_family", "cmd_count"):
+        monkeypatch.setattr(cli, name, refuse)
+    argv = [a.format(missing=tmp_path / "missing", dir=tmp_path) for a in argv]
+    before = sorted(tmp_path.iterdir())
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    path = next(a for a in argv if str(tmp_path) in a)
+    assert captured.err.startswith("configuration error: cannot write") and repr(path) in captured.err
+    assert captured.out == "" and sorted(tmp_path.iterdir()) == before
+
+
+def test_output_path_check_leaves_files_as_they_were(tmp_path):
+    # the up-front check neither truncates an existing file nor leaves a
+    # file behind when the run then fails for another reason
+    kept = tmp_path / "kept.json"
+    kept.write_text("old\n")
+    assert main(["family", "1,3,1", "--ibound", "100", "--out", str(kept)]) == 2
+    assert kept.read_text() == "old\n"
+    fresh = tmp_path / "fresh.csv"
+    assert main(["family", "1,3,1", "--ibound", "100", "--csv", str(fresh)]) == 2
+    assert not fresh.exists()
+
+
 def test_family_without_point_set_exit_code():
     assert_config_error(run_cli("family", "1,3,1", "--ibound", "100"))
 
@@ -354,8 +416,8 @@ def test_config_hash_ignores_output_paths(tmp_path):
 def test_family_factorizes_each_point_once(tmp_path, monkeypatch):
     # count_family decides one point of each pair {P, -P} and factors only
     # those with a square disc(F) (or a0 = 0) that square_split leaves; the
-    # --csv column takes each row's flag from that one decision, so no point
-    # is factored twice and no mate is factored at all
+    # --csv rows of P and -P take their flag from that one decision, so no
+    # point is factored twice and no mate is factored at all
     from jzero import counting, forms
     from jzero.families import family_coefficients, square_split
 
@@ -377,7 +439,7 @@ def test_family_factorizes_each_point_once(tmp_path, monkeypatch):
     f = forms.QuadraticForm(1, 1, 0)
     unsplit = [
         ((A, B), F)
-        for (A, B) in counting.family_points(f, 50)
+        for (A, B) in counting.with_negations(counting.family_points(f, 50))
         if A
         and square_split(f, A, B, F := forms.QuarticForm(*family_coefficients(f, A, B))) is None
     ]

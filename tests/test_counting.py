@@ -6,6 +6,7 @@ import random
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from jzero import counting
 from jzero.classes import enumerate_reduced, gauss_reduce
 from jzero.counting import (
     ABS_I_POLICY,
@@ -27,16 +28,19 @@ from jzero.counting import (
     red_Nf_compare,
     square_family_points,
     unit_families,
+    with_negations,
     write_count_csv,
 )
 from jzero.families import (
     FamilyPoint,
+    FiberAction,
+    fiber_action,
     family_coefficients,
     family_invariant,
     lattice_Lfa,
     square_split,
 )
-from jzero.forms import QuadraticForm, QuarticForm, invariants
+from jzero.forms import QuadraticForm, QuarticForm, invariants, is_irreducible_Q
 from reference import contains, ellipse_points_full_plane, square_family_points_two_signs
 
 
@@ -83,7 +87,7 @@ def test_least_reduced_value_decides_empty_families():
             frame = ellipse_frame(f)
             assert (frame[3][0], frame[1] * Z // frame[2]) == (ga, bound), f
             empty = frame_empty(frame, Z)
-            assert empty == (count_family(f, _ellipse_points_rowscan(f, Z)).points == 0), f
+            assert empty == (not _ellipse_points_rowscan(f, Z)), f
             assert D in admissible or empty, f
             outcomes[empty] += 1
     assert min(outcomes.values()) > 1000, outcomes
@@ -91,7 +95,7 @@ def test_least_reduced_value_decides_empty_families():
 
 def test_ellipse_points_example():
     pts = list(ellipse_points(ellipse_frame(QuadraticForm(1, 0, 1)), 100))
-    assert len(pts) == 28
+    assert len(pts) == 14 and len(with_negations(pts)) == 28
     f = QuadraticForm(1, 0, 1)
     fc = count_family(f, family_points(f, 100))
     assert fc.points == 28
@@ -105,7 +109,7 @@ def test_ellipse_points_match_naive():
         D = rng.choice([d for d in range(3, 120) if d % 4 in (0, 3)])
         f = rng.choice(enumerate_reduced(D))
         Z = rng.randint(1, 500)
-        got = sorted(ellipse_points(ellipse_frame(f), Z))
+        got = with_negations(ellipse_points(ellipse_frame(f), Z))
         a, b, c = f.coeffs()
         L = lattice_Lfa(f)
         K = 4 * a**3 * Z
@@ -133,24 +137,33 @@ def test_counted_points_have_valid_invariants():
                 assert t.disc != 0
 
 
+def _check_half(half, want):
+    # one point of each pair {P, -P}: no (0, 0), no P together with -P, and
+    # with its negations exactly the full scan
+    pts = set(half)
+    assert len(pts) == len(half) and (0, 0) not in pts
+    assert not any((-A, -B) in pts for (A, B) in pts)
+    assert with_negations(half) == sorted(want)
+
+
 def test_enumerators_match_their_two_sign_scans():
-    # each enumerator scans half of its centrally symmetric region and
-    # appends the negations; the lists must equal those of the full scans,
-    # order included, for both signs of a
+    # each enumerator yields one point of each pair {P, -P} of its centrally
+    # symmetric region; with the negations that is the full scan, for both
+    # signs of a
     nonempty = 0
     for D in range(3, 1500):
         for f in unit_families("N", D)[1] if D % 4 in (0, 3) else ():
             frame = ellipse_frame(f)
             for Z in (12 * D, 40 * D + 3, 300 * D + 7):
                 want = ellipse_points_full_plane(frame, Z)
-                assert list(ellipse_points(frame, Z)) == want, (f, Z)
+                _check_half(list(ellipse_points(frame, Z)), want)
                 nonempty += bool(want)
     for n in range(1, 120):
         for a in merged_square_labels(n):
             for sa in (a, -a):
                 for Z in (50, 999, 20000):
                     want = square_family_points_two_signs(sa, n, Z)
-                    assert square_family_points(sa, n, Z) == want, (sa, n, Z)
+                    _check_half(square_family_points(sa, n, Z), want)
                     nonempty += bool(want)
     assert nonempty > 2000, nonempty
 
@@ -167,9 +180,9 @@ _COUNTED_DIVISORS = [f for D in range(3, 300) for f in unit_families("N", D)[1] 
 @settings(max_examples=400, deadline=2000, database=None)
 @given(st.sampled_from(_COUNTED_DIVISORS), st.integers(-8, 8), st.integers(-8, 8))
 def test_negated_point_is_decided_alike(f, s, t):
-    # count_family gives the mate -P the verdict of P: the member at -P is
-    # -F, decide_member agrees on the two, and square_split at -P returns
-    # (-H, -G) for the (G, H) at P
+    # count_family decides one point of each pair {P, -P} for both: the
+    # member at -P is -F, decide_member agrees on the two, and square_split
+    # at -P returns (-H, -G) for the (G, H) at P
     A, B = lattice_Lfa(f).point(s, t)
     a, b, c = f.coeffs()
     assume(A != 0 and a * B * B - 4 * b * A * B + 16 * c * A * A != 0)
@@ -184,6 +197,35 @@ def test_negated_point_is_decided_alike(f, s, t):
     else:
         G, H = split
         assert [h.coeffs() for h in mate_split] == [H.neg().coeffs(), G.neg().coeffs()], (f, A, B)
+
+
+def test_pair_kernel_matches_the_per_point_orbits(monkeypatch):
+    # count_family keys each irreducible pair by min(c1, c2) under the fiber
+    # action and negation together; its orbits and max_coeff must be those
+    # of canonicalizing every irreducible point on its own.  No irreducible
+    # pair here has c1 == c2 under the fiber action, so the kernel runs
+    # under +-G as well, the fiber maps and their negations, where every
+    # key weighs 1
+    def plus_minus(f):
+        action = fiber_action(f)
+        return FiberAction(f, action.den, action.maps + tuple(tuple(-m for m in g) for g in action.maps))
+
+    for action_of, weight in ((fiber_action, 2), (plus_minus, 1)):
+        monkeypatch.setattr(counting, "fiber_action", action_of)
+        weights = set()
+        for f in _COUNTED_DIVISORS:
+            pairs = list(family_points(f, 3000 if f.c == 0 else 300 * -f.disc()))
+            action = action_of(f)
+            height = {}
+            for (A, B) in with_negations(pairs):
+                F = QuarticForm(*family_coefficients(f, A, B))
+                if A and is_irreducible_Q(F):
+                    c, h = action.canonical(A, B), max(map(abs, F.coeffs()))
+                    height[c] = min(height.get(c, h), h)
+                    weights.add(1 + (c != action.canonical(-A, -B)))
+            fc = count_family(f, pairs)
+            assert (fc.irreducible_orbits, fc.max_coeff) == (len(height), max(height.values(), default=0)), f
+        assert weights == {weight}
 
 
 def _naive_square_family_points(a, n, Z):
@@ -204,14 +246,14 @@ def _naive_square_family_points(a, n, Z):
 
 def test_square_family_points_match_naive():
     for (a, n, Z) in [(1, 1, 60), (1, 2, 60), (1, 4, 100), (3, 4, 200), (2, 5, 300)]:
-        assert sorted(square_family_points(a, n, Z)) == _naive_square_family_points(a, n, Z), (a, n, Z)
+        assert with_negations(square_family_points(a, n, Z)) == _naive_square_family_points(a, n, Z), (a, n, Z)
 
 
 def test_square_family_points_negative_a():
     # (-a, n, 0)(-x, y) = -(a x^2 + n xy): the family of -a has as many
     # points as that of a, and the bound on |B| takes |a|^3
     for (a, n, Z) in [(1, 1, 60), (1, 3, 200), (3, 4, 200), (2, 5, 300)]:
-        assert sorted(square_family_points(-a, n, Z)) == _naive_square_family_points(-a, n, Z), (a, n, Z)
+        assert with_negations(square_family_points(-a, n, Z)) == _naive_square_family_points(-a, n, Z), (a, n, Z)
     for (a, n) in [(1, 1), (1, 2), (1, 3), (1, 4), (2, 5), (3, 4), (5, 6)]:
         pos = count_family(QuadraticForm(a, n, 0), square_family_points(a, n, 2000))
         neg = count_family(QuadraticForm(-a, n, 0), square_family_points(-a, n, 2000))
@@ -312,7 +354,7 @@ def test_imprimitive_scaling_consistency():
 
     for f in (QuadraticForm(1, 0, 1), QuadraticForm(1, 1, 1), QuadraticForm(2, 1, 3)):
         Z = 600
-        pts = set(ellipse_points(ellipse_frame(f), Z))
+        pts = set(with_negations(ellipse_points(ellipse_frame(f), Z)))
         for (A, B) in pts:
             F = QuarticForm(*family_coefficients(f, A, B))
             I = _inv(F).I
@@ -322,8 +364,8 @@ def test_imprimitive_scaling_consistency():
 
 
 def test_ellipse_points_match_row_scan_on_skewed_lattices():
-    # the reduced-coordinate enumeration against the HNF row scan it
-    # replaced, in the same order; large D gives large a and skewed bases
+    # the reduced-coordinate enumeration, with its negations, against the
+    # HNF row scan it replaced; large D gives large a and skewed bases
     from jzero.counting import _gl2_reps
     from jzero.verify import _ellipse_points_rowscan
 
@@ -335,7 +377,7 @@ def test_ellipse_points_match_row_scan_on_skewed_lattices():
         D = rng.choice(discs)
         cases.append((rng.choice(_gl2_reps(D)), rng.randint(1, 400 * D)))
     for f, Z in cases:
-        assert list(ellipse_points(ellipse_frame(f), Z)) == _ellipse_points_rowscan(f, Z), (f, Z)
+        assert with_negations(ellipse_points(ellipse_frame(f), Z)) == _ellipse_points_rowscan(f, Z), (f, Z)
 
 
 def test_odd_disc_skip_is_exact():

@@ -101,12 +101,14 @@ def test_reducibility_suite_checks_fast_path(monkeypatch):
 
 
 def test_reducibility_suite_checks_the_kernel_tallies(monkeypatch):
-    # count_family hands each point's verdict to its mate -P; tallies with
-    # one point moved to the wrong branch, or given the wrong verdict, as a
-    # mate that took them would leave, must fail the suite
+    # count_family decides one point of each pair {P, -P} and keys the
+    # orbits of irreducible pairs under the fiber action and negation
+    # together; tallies with a pair moved to the wrong branch or given the
+    # wrong verdict, keys that weigh 1 where O and -O are two orbits, or a
+    # key height that is not the least, must fail the suite
     count_family = counting.count_family
 
-    def wrong_mate(mutate):
+    def mutated(mutate):
         def counted(f, points, visit=None):
             fc = count_family(f, points, visit)
             if fc.decided.get("nonsquare_disc", 0) >= 2:
@@ -116,15 +118,27 @@ def test_reducibility_suite_checks_the_kernel_tallies(monkeypatch):
         return counted
 
     def wrong_branch(fc):
-        fc.decided["nonsquare_disc"] -= 1
-        fc.decided["factored"] = fc.decided.get("factored", 0) + 1
+        fc.decided["nonsquare_disc"] -= 2
+        fc.decided["factored"] = fc.decided.get("factored", 0) + 2
 
     def wrong_verdict(fc):
-        fc.irreducible_points -= 1
+        fc.irreducible_points -= 2
 
-    for mutate in (wrong_branch, wrong_verdict):
+    def wrong_height(fc):
+        fc.max_coeff += 1
+
+    class SignBlind:
+        # canonical(-A, -B) == canonical(A, B), so every key weighs 1
+        def __init__(self, f):
+            self.action = families.fiber_action(f)
+
+        def canonical(self, A, B):
+            return self.action.canonical(*max((A, B), (-A, -B)))
+
+    mutations = [("count_family", mutated(m)) for m in (wrong_branch, wrong_verdict, wrong_height)]
+    for name, value in mutations + [("fiber_action", SignBlind)]:
         with monkeypatch.context() as m:
-            m.setattr(counting, "count_family", wrong_mate(mutate))
+            m.setattr(counting, name, value)
             failures = run_suite(
                 "reducibility", dmax=3, coeff_box=2, certificate_x=10**6, sympy_samples=0
             ).failures
