@@ -23,7 +23,16 @@ from dataclasses import dataclass
 from typing import Iterable
 import numpy as np
 
-from .forms import QuadraticForm, Unimodular, _divisors, act_quadratic, substitute, value_type
+from .forms import (
+    QuadraticForm,
+    Unimodular,
+    _divisors,
+    act_quadratic,
+    prime_factorization,
+    substitute,
+    unimodular_completion,
+    value_type,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -236,18 +245,8 @@ def _concordant_partner(f: QuadraticForm, a1: int) -> QuadraticForm:
                     continue
                 v = f.value(x, y)
                 if v != 0 and math.gcd(v, a1) == 1:
-                    g, u, w = _ext_gcd(x, y)
-                    # x*w' - y*u' = 1 with columns (x,y),(u',w')
-                    U = Unimodular(x, -w, y, u)
-                    return act_quadratic(f, U)
+                    return act_quadratic(f, unimodular_completion(x, y))
     raise AssertionError(f"no concordant partner found for {f} against {a1}")
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    if b == 0:
-        return (abs(a), 1 if a >= 0 else -1, 0)
-    g, x, y = _ext_gcd(b, a % b)
-    return (g, y, x - (a // b) * y)
 
 
 def compose(c1: FormClass, c2: FormClass) -> FormClass:
@@ -412,10 +411,7 @@ def canonical_square_label(f: QuadraticForm) -> tuple[int, Unimodular]:
     if not f.is_primitive():
         raise ValueError("needs a primitive form")
     for (x0, y0) in _zero_directions(f, n):
-        g, u, v = _ext_gcd(x0, y0)
-        assert g == 1
-        # columns (x0, y0), (-v, u): det = x0*u + y0*v ... build det +1
-        U = Unimodular(x0, -v, y0, u)
+        U = unimodular_completion(x0, y0)
         h = act_quadratic(f, U)
         assert h.a == 0 and abs(h.b) == n
         if h.b == -n:
@@ -560,7 +556,7 @@ def h2_histogram(X: int) -> np.ndarray:
             cs = np.arange(cmin, cmax + 1, dtype=np.int64)
             if g0 > 1:
                 mask = np.ones(len(cs), dtype=bool)
-                for p in _prime_divisors(g0):
+                for p, _ in prime_factorization(g0):
                     mask &= cs % p != 0
                 cs = cs[mask]
             if len(cs) == 0:
@@ -574,20 +570,6 @@ def h2_histogram(X: int) -> np.ndarray:
             valid = D > 0
             np.add.at(hist, D[valid], weights[valid])
     return hist
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def class_number_sum_report(X: int) -> ClassNumberSumReport:

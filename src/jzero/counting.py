@@ -86,6 +86,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
 
 from .classes import (
+    _ZETA3,
     class_of,
     cover_multiplicity,
     enumerate_reduced,
@@ -404,8 +405,8 @@ def count_family(
     product check passes at both points or at neither; a0 = 0 holds at both
     or neither; I and disc are of even degree in the coefficients, so
     `_nonsquare_disc` agrees; and -F factors over Q exactly when F does, so
-    `is_irreducible_Q` agrees.  (`oracle.irreducible_pairs` takes a verdict
-    from the partner likewise.)
+    `is_irreducible_Q` agrees.  (`oracle.orbit_count_bruteforce` decides
+    one form of each pair {F, -F} of its box likewise.)
 
     Orbits.  The fiber action maps irreducible points with |I| <= Z to
     irreducible points with the same I, so every member of a counted orbit
@@ -479,7 +480,6 @@ class CountReport:
         )
 
 
-_ZETA3 = 1.2020569031595942854
 C1_STATED = math.pi**2 / (27 * 32 ** (1 / 3) * _ZETA3)
 C2_STATED = math.pi**2 / (18 * 32 ** (1 / 3) * _ZETA3)
 

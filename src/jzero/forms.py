@@ -190,6 +190,21 @@ class Unimodular:
 IDENTITY = Unimodular(1, 0, 0, 1)
 
 
+def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    if b == 0:
+        return (abs(a), 1 if a >= 0 else -1, 0)
+    g, x, y = _ext_gcd(b, a % b)
+    return (g, y, x - (a // b) * y)
+
+
+def unimodular_completion(x: int, y: int) -> Unimodular:
+    """The determinant-1 matrix (x, -v; y, u) with x u + y v = 1, whose
+    first column is the primitive vector (x, y)."""
+    g, u, v = _ext_gcd(x, y)
+    assert g == 1, (x, y)
+    return Unimodular(x, -v, y, u)
+
+
 @value_type
 class InvariantTriple:
     I: int
@@ -462,6 +477,24 @@ def _divisors(n: int) -> list[int]:
             if d != n // d:
                 out.append(n // d)
     return sorted(out)
+
+
+def prime_factorization(n: int) -> list[tuple[int, int]]:
+    """(p, e) for each prime p dividing n >= 1 exactly e times, p ascending,
+    by trial division."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
 
 
 def _homog_divide_linear(coeffs: list[int], s: int, r: int) -> Optional[list[int]]:

@@ -30,21 +30,25 @@ from which the auxiliary forms are built:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 from .classes import (
     FormClass,
-    _ext_gcd,
-    _prime_divisors,
     class_group,
     class_of,
     inverse,
     representations,
     represents,
 )
-from .forms import QuadraticForm, Unimodular, act_quadratic, value_type
+from .forms import (
+    QuadraticForm,
+    Unimodular,
+    act_quadratic,
+    prime_factorization,
+    unimodular_completion,
+    value_type,
+)
 from .lattices import SubLattice
 
 
@@ -138,11 +142,9 @@ def canonical_fp(f: QuadraticForm) -> CanonicalFp:
     target = _prime_form(f.disc(), least_split_prime(f))
     p, m, n = target.coeffs()
     # build a transform: start from any representation f(x0, y0) = p
+    # (x0, y0) is primitive, since p is prime and f positive definite
     x0, y0 = representations(f, p)[0]
-    g = math.gcd(x0, y0)
-    assert g == 1  # p prime and f positive definite force primitivity
-    _, u, v = _ext_gcd(x0, y0)
-    T = Unimodular(x0, -v, y0, u)
+    T = unimodular_completion(x0, y0)
     g1 = act_quadratic(f, T)
     assert g1.a == p
     # now adjust middle coefficient to m via sign flip and shear
@@ -291,9 +293,10 @@ def xi_m_of(f: QuadraticForm, m: int) -> FormClass:
     D = abs(f.disc())
     if m <= 0 or D % m != 0 or m % 2 == 0:
         raise ValueError("m must be a positive odd divisor of |disc(f)|")
-    primes = _prime_divisors(m)
-    if any(m % (p * p) == 0 for p in primes):
+    factors = prime_factorization(m)
+    if any(e > 1 for _, e in factors):
         raise ValueError("m must be squarefree")
+    primes = [p for p, _ in factors]
     if any(D % (p * p) == 0 for p in primes):
         # p would divide the conductor; the singular line does not lift
         # cleanly and the transported form picks up content

@@ -2,18 +2,17 @@
 
 Quartics with J = 0 are enumerated from a coefficient box by solving
 J(F) = 0 for a0 given the other four coefficients, on numpy grids over
-(a3, a2, a1) per a4, which also apply the bound on |I|.  Half of the box
-is solved: J = a0 den - num with 9 | den and num = 2 a2^3 (mod 9), so a
-solved a0 needs 3 | a2, and F -> -F negates J and keeps I, so the lines
-with (a4, a3) > (0, 0) are minus the solved ones, emitted in reverse
-(`brute_quartics`, whose order is unchanged by either step).  F and -F
-are irreducible together, so the box decides irreducibility once per
-pair (`irreducible_pairs`, which also flags the first member of each
-pair), and keys each pair once as well: the first member is keyed by
-transporting it into the canonical coordinates of its Hessian divisor
-class and canonicalizing the family point under the divisor's finite
-symmetry group, and -F shares that key but for the point, which is the
-canonical image of minus the point (`negated_key`, with the proof).
+(a2, a1) per (a4, a3), which also apply the bound on |I|.  Only the rows
+with 3 | a2 are solved: J = a0 den - num with 9 | den and num = 2 a2^3
+(mod 9), so a solved a0 needs 3 | a2.  F -> -F negates J and keeps I, so
+the box is closed under it, and `brute_quartics` yields one form of each
+pair {F, -F}, the one with (a4, a3) < (0, 0).  F and -F are irreducible
+together, so the box decides irreducibility once per pair, and keys each
+pair once as well: F is keyed by transporting it into the canonical
+coordinates of its Hessian divisor class and canonicalizing the family
+point under the divisor's finite symmetry group, and -F shares that key
+but for the point, which is the canonical image of minus the point
+(`negated_key`, with the proof).
 Everything that depends only on the Hessian divisor (its canonical form
 and transform, fiber action and n_f) is computed once per divisor
 (`divisor`).  The per-form steps are integer
@@ -35,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -48,7 +47,7 @@ from .classes import (
     indefinite_class_key,
     reduce_form,
 )
-from .counting import CountReport, HeightPolicy, DISC_POLICY, count_M, count_N
+from .counting import CountReport, DISC_POLICY, count_M, count_N
 from .families import FiberAction, fiber_action, member_of
 from .forms import (
     QuadraticForm,
@@ -66,8 +65,9 @@ MAX_BRUTE_HEIGHT = 60
 
 
 def brute_quartics(height: int, imax: Optional[int] = None) -> Iterator[QuarticForm]:
-    """All integral quartics with J = 0, disc != 0 and max |a_i| <= height,
-    and |I| <= imax when imax is given, in deterministic order.
+    """One form of each pair {F, -F} of integral quartics with J = 0,
+    disc != 0 and max |a_i| <= height, and |I| <= imax when imax is given:
+    the one with (a4, a3) < (0, 0), in deterministic order.
 
     J = 72 a4 a2 a0 + 9 a3 a2 a1 - 27 a4 a1^2 - 27 a0 a3^2 - 2 a2^3 is
     linear in a0, so a0 is solved for on one (a2, a1) grid per (a4, a3).
@@ -77,20 +77,18 @@ def brute_quartics(height: int, imax: Optional[int] = None) -> Iterator[QuarticF
     (a3, a2, a1) order, followed by the forms where J does not involve a0
     (every a0 qualifies), in (a3, a2, a1, a0) order.
 
-    Two identities halve the work without changing the forms or their
-    order.  Write J = a0 den - num with den = 9 (8 a4 a2 - 3 a3^2); since
+    Write J = a0 den - num with den = 9 (8 a4 a2 - 3 a3^2); since
     num = 2 a2^3 (mod 9), a solved a0 needs 9 | a2^3, so the grid holds
     only the rows with 3 | a2.  Where den = 0 (J does not involve a0),
     num is a quadratic in a1 of discriminant 27 a2^2 (3 a3^2 - 8 a4 a2) = 0,
     so each (a4, a3) with a4 != 0 has at most one such cell, a2 =
     3 a3^2 / (8 a4), a1 = a3^3 / (16 a4^2) when both are integers, found
     in integer arithmetic apart from the grid (for a4 = 0 they force
-    a3 = a2 = 0 and so I = 0).  And F -> -F
-    negates J and keeps I, so the forms with a4 > 0, and those with a4 = 0
-    and a3 > 0, are minus the earlier ones in reverse order, solved forms
-    and the others each on their own: only the lines (a4, a3) < (0, 0) are
-    solved, and the rest is emitted from their stash.  So -F comes before
-    F whenever F's leading coefficient is positive.
+    a3 = a2 = 0 and so I = 0).
+
+    F -> -F negates J and keeps I, so the box is closed under it, and
+    a4 = a3 = 0 forces a2 = 0 and so I = 0: every pair has exactly one
+    member with (a4, a3) < (0, 0), and only those lines are solved.
     """
     if height > MAX_BRUTE_HEIGHT:
         raise ValueError(f"height {height} above the maximum {MAX_BRUTE_HEIGHT}")
@@ -154,18 +152,10 @@ def brute_quartics(height: int, imax: Optional[int] = None) -> Iterator[QuarticF
             for a3, a2, a1, a0 in rows[start : start + 256].tolist():
                 yield QuarticForm(a4, a3, a2, a1, a0)
 
-    stash = []  # blocks of a4 = -1, -2, ... at the front
     for a4 in range(-H, 0):
-        block = (solved(a4, range(-H, H + 1)), degenerate(a4))
-        stash.insert(0, block)
-        for rows in block:
-            yield from emit(a4, rows)
-    half = solved(0, range(-H, 0))
-    yield from emit(0, half)
-    yield from emit(0, -half[::-1])
-    for a4, block in enumerate(stash, 1):
-        for rows in block:
-            yield from emit(a4, -rows[::-1])
+        yield from emit(a4, solved(a4, range(-H, H + 1)))
+        yield from emit(a4, degenerate(a4))
+    yield from emit(0, solved(0, range(-H, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +296,6 @@ def negated_key(key: OrbitKey) -> tuple[OrbitKey, int, int]:
 @dataclass
 class BruteForceReport:
     X: int
-    policy: str
     height: int
     required_height: int
     n_orbits: int
@@ -319,75 +308,35 @@ class BruteForceReport:
     fiber_findings: list[str] = field(default_factory=list)
 
 
-def certify_cover(
-    X: int, policy: HeightPolicy = DISC_POLICY
-) -> tuple[int, CountReport, CountReport]:
+def certify_cover(X: int) -> tuple[int, CountReport, CountReport]:
     """Box height needed so every counted orbit has a representative inside
     (the maximum coefficient over all canonical family points in range),
     with the N and M counts it was read from."""
-    n_rep = count_N(X, policy)
-    m_rep = count_M(X, policy)
+    n_rep = count_N(X)
+    m_rep = count_M(X)
     return max(n_rep.max_coeff, m_rep.max_coeff), n_rep, m_rep
 
 
-_PAIR_BASE = 1 << 12
-
-
-def irreducible_pairs(
-    forms: Iterable[QuarticForm], decide: bool = True
-) -> Iterator[tuple[QuarticForm, Optional[bool], bool]]:
-    """Each form as (F, verdict, first), where first tells whether F comes
-    before -F, for a sequence closed under F -> -F in which the member with
-    a negative leading coefficient comes first, as in `brute_quartics`.
-
-    The verdict is `is_irreducible_Q`, decided once per pair: F and -F
-    factor alike over Q, so the later member takes the verdict of the
-    earlier one.  Without `decide` every verdict is None and only the
-    pairing is checked.  A form whose partner has not come, or a form left
-    without one at the end, raises.  A pending form is held as one signed
-    integer in base 2^12, whose sign is that of the leading coefficient,
-    so coefficients must stay below 2^11 in absolute value.
-    """
-    pending: dict[int, Optional[bool]] = {}
-    for F in forms:
-        a4, a3, a2, a1, a0 = coeffs = F.coeffs()
-        if max(map(abs, coeffs)) >= _PAIR_BASE // 2:
-            raise ValueError(f"coefficient of {F} too large to key")
-        key = (((a4 * _PAIR_BASE + a3) * _PAIR_BASE + a2) * _PAIR_BASE + a1) * _PAIR_BASE + a0
-        if key < 0:
-            verdict = pending[key] = is_irreducible_Q(F) if decide else None
-        elif -key in pending:
-            verdict = pending.pop(-key)
-        else:
-            raise AssertionError(f"the partner -F of {F} has not come before it")
-        yield F, verdict, key < 0
-    if pending:
-        raise AssertionError(f"{len(pending)} forms came without their partner -F")
-
-
-def orbit_count_bruteforce(
-    X: int,
-    policy: HeightPolicy = DISC_POLICY,
-    height: Optional[int] = None,
-    check_fibers: bool = False,
-) -> BruteForceReport:
+def orbit_count_bruteforce(X: int, height: Optional[int] = None) -> BruteForceReport:
     """Count distinct irreducible GL2-orbit keys in the coefficient box,
-    split by Hessian-divisor slice.  Each {F, -F} pair is keyed once, on
-    its first member, and its partner's key is `negated_key` of it."""
-    required, n_rep, m_rep = certify_cover(X, policy)
+    split by Hessian-divisor slice, and record where a counted key's fiber
+    size falls short of n_f.  Each {F, -F} pair of the box is decided and
+    keyed once, on the member that `brute_quartics` yields, and its
+    partner's key is `negated_key` of it."""
+    required, n_rep, m_rep = certify_cover(X)
     if height is None:
         height = required
     if height < required:
         raise ValueError(
             f"box height {height} cannot cover all orbits (need {required})"
         )
-    rep = BruteForceReport(X, policy.mode, height, required, 0, 0, 0, n_rep, m_rep)
+    rep = BruteForceReport(X, height, required, 0, 0, 0, n_rep, m_rep)
     by_slice = {"posdef": rep.n_keys, "square": rep.m_keys, "indefinite": set()}
-    # In disc mode ibound(X) = icbrt(27X // 4), so for an integer I the box
-    # filter |I| <= ibound(X) holds exactly when 4|I|^3 <= 27X: it is the
-    # whole height condition |disc F| <= X.
-    for F, irreducible, first in irreducible_pairs(brute_quartics(height, imax=policy.ibound(X))):
-        if not (first and irreducible):
+    # ibound(X) = icbrt(27X // 4), so for an integer I the box filter
+    # |I| <= ibound(X) holds exactly when 4|I|^3 <= 27X: it is the whole
+    # height condition |disc F| <= X.
+    for F in brute_quartics(height, imax=DISC_POLICY.ibound(X)):
+        if not is_irreducible_Q(F):
             continue
         key = orbit_key(F)
         keys = by_slice[key.slice]
@@ -396,8 +345,7 @@ def orbit_count_bruteforce(
     rep.n_orbits = len(rep.n_keys)
     rep.m_orbits = len(rep.m_keys)
     rep.indefinite_orbits = len(by_slice["indefinite"])
-    if check_fibers:
-        _check_fiber_sizes(rep)
+    _check_fiber_sizes(rep)
     return rep
 
 

@@ -21,13 +21,14 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .counting import icbrt
+from .counting import DISC_POLICY
 from .families import member_of, mf_unscaled
 from .forms import (
     LinearFactor,
     QuadraticForm,
     QuarticForm,
     invariants,
+    prime_factorization,
     quadratic_product,
     quartic_factorization,
     substitute,
@@ -201,20 +202,9 @@ def _pair_linears_by_involution(f, lins):
 def square_part_split(D: int) -> tuple[int, int]:
     """(s, t) with D = s * t^2, s squarefree (product of odd-exponent primes)."""
     s, t = 1, 1
-    d = 2
-    n = D
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            if e % 2:
-                s *= d
-            t *= d ** (e // 2)
-        d += 1
-    if n > 1:
-        s *= n
+    for p, e in prime_factorization(D):
+        s *= p ** (e % 2)
+        t *= p ** (e // 2)
     return s, t
 
 
@@ -242,7 +232,7 @@ def square_disc_points(f: QuadraticForm, X: int) -> list[CurvePoint]:
     cfp = canonical_fp(f)
     nu = nu_of(f, cfp).rep
     m_odd = cfp.m % 2 == 1
-    ibound = icbrt(27 * X // 4)
+    ibound = DISC_POLICY.ibound(X)
     script_max = ibound // (3 * D)
     nu_max = script_max // 4 if m_odd else 4 * script_max
     out = []

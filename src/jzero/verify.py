@@ -60,28 +60,21 @@ def suite_parametrization(
         if D % 4 not in (0, 3):
             continue
         for f in classes.enumerate_reduced(D):
-            L = families.lattice_Lfa(f)
-            smax = coeff_box // L.d1 + 1
-            tmax = coeff_box + 1
-            for s in range(-smax, smax + 1):
-                for t in range(-tmax, tmax + 1):
-                    A, B = L.point(s, t)
-                    if abs(A) > coeff_box or abs(B) > coeff_box:
-                        continue
-                    pt = families.FamilyPoint(f, A, B)
-                    try:
-                        F = families.family_member(pt)  # J = 0 and f^2 | H asserted
-                    except AssertionError as e:
-                        res.fail(f"family identity broke at {pt}: {e}")
-                        continue
-                    res.checks += 1
-                    if families.plane_residual(f, F) != 0:
-                        res.fail(f"nonzero plane residual at {pt}")
-                    I, _ = families.family_invariant(pt)
-                    if forms.invariants(F).I != I:
-                        res.fail(f"closed-form I mismatch at {pt}")
-                    if (A, B) != (0, 0) and families.member_of(f, F) != pt:
-                        res.fail(f"member_of does not invert at {pt}")
+            for A, B in _box_points(families.lattice_Lfa(f), coeff_box):
+                pt = families.FamilyPoint(f, A, B)
+                try:
+                    F = families.family_member(pt)  # J = 0 and f^2 | H asserted
+                except AssertionError as e:
+                    res.fail(f"family identity broke at {pt}: {e}")
+                    continue
+                res.checks += 1
+                if families.plane_residual(f, F) != 0:
+                    res.fail(f"nonzero plane residual at {pt}")
+                I, _ = families.family_invariant(pt)
+                if forms.invariants(F).I != I:
+                    res.fail(f"closed-form I mismatch at {pt}")
+                if (A, B) != (0, 0) and families.member_of(f, F) != pt:
+                    res.fail(f"member_of does not invert at {pt}")
     # lattice determinants
     for a in range(1, det_alpha + 1):
         for b in range(-det_alpha, det_alpha + 1):
@@ -96,6 +89,15 @@ def suite_parametrization(
                     res.fail(f"lattice determinant mismatch for {f}: {e}")
     _check_reduced_enumeration(res, dmax)
     return res
+
+
+def _box_points(L, box: int):
+    """Every point (A, B) of the lattice L with |A|, |B| <= box, (0, 0)
+    included, row by row: A ascending, then B ascending."""
+    for s in range(-(box // L.d1), box // L.d1 + 1):
+        r = L.k * s  # B = r (mod d2) on the row A = d1 s
+        for B in range(-box + (r + box) % L.d2, box + 1, L.d2):
+            yield L.d1 * s, B
 
 
 def _ellipse_points_rowscan(f: forms.QuadraticForm, ibound: int) -> list[tuple[int, int]]:
@@ -304,24 +306,19 @@ def suite_hensel(
         for f in classes.enumerate_reduced(D):
             c = hensel.canonical_fp(f)
             g = c.form()
-            L = families.lattice_Lfa(g)
-            smax = 50 // L.d1 + 1
-            tmax = 50 // L.d2 + 2
-            for s in range(-smax, smax + 1):
-                for t in range(-tmax, tmax + 1):
-                    A, B = L.point(s, t)
-                    if abs(A) > 50 or abs(B) > 50 or (A, B) == (0, 0):
-                        continue
-                    res.checks += 1
-                    sI = Fraction(*families.family_invariant(families.FamilyPoint(g, A, B))[1])
-                    if c.m % 2 == 1:
-                        if sI.denominator != 1:
-                            res.fail(f"script-I not integral for odd-m {g} at ({A},{B})")
-                    else:
-                        if sI.denominator not in (1, 2, 4):
-                            res.fail(f"script-I denominator {sI.denominator} for {g}")
-                        if sI.denominator > 1:
-                            quarter += 1
+            for A, B in _box_points(families.lattice_Lfa(g), 50):
+                if (A, B) == (0, 0):
+                    continue
+                res.checks += 1
+                sI = Fraction(*families.family_invariant(families.FamilyPoint(g, A, B))[1])
+                if c.m % 2 == 1:
+                    if sI.denominator != 1:
+                        res.fail(f"script-I not integral for odd-m {g} at ({A},{B})")
+                else:
+                    if sI.denominator not in (1, 2, 4):
+                        res.fail(f"script-I denominator {sI.denominator} for {g}")
+                    if sI.denominator > 1:
+                        quarter += 1
     if quarter:
         res.note(
             f"script-I is genuinely quarter-integral at {quarter} even-m points; "
@@ -355,33 +352,30 @@ def suite_reducibility(
         if D % 4 not in (0, 3):
             continue
         for f in classes.enumerate_reduced(D):
-            L = families.lattice_Lfa(f)
-            for s in range(-(coeff_box // L.d1) - 1, coeff_box // L.d1 + 2):
-                for t in range(-coeff_box - 1, coeff_box + 2):
-                    A, B = L.point(s, t)
-                    if abs(A) > coeff_box or abs(B) > coeff_box or (A, B) == (0, 0):
-                        continue
-                    F = forms.QuarticForm(*families.family_coefficients(f, A, B))
-                    if forms.invariants(F).disc == 0:
-                        continue
-                    res.checks += 1
-                    try:
-                        w = reducible.classify(F, f)
-                    except AssertionError as e:
-                        res.fail(f"classification failed at {f}, ({A},{B}): {e}")
-                        continue
-                    irr = forms.is_irreducible_Q(F)
-                    if (w.kind is reducible.ReducibleKind.IRREDUCIBLE) != irr:
-                        res.fail(f"classification disagrees with factorization at {F}")
-                    if w.kind is reducible.ReducibleKind.TYPE1:
-                        type1 += 1
-                    if w.kind is reducible.ReducibleKind.TYPE2:
-                        type2 += 1
-                    if w.kind in (
-                        reducible.ReducibleKind.TYPE1,
-                        reducible.ReducibleKind.TYPE2,
-                    ) and not w.product_equals(F):
-                        res.fail(f"witness product mismatch at {F}")
+            for A, B in _box_points(families.lattice_Lfa(f), coeff_box):
+                if (A, B) == (0, 0):
+                    continue
+                F = forms.QuarticForm(*families.family_coefficients(f, A, B))
+                if forms.invariants(F).disc == 0:
+                    continue
+                res.checks += 1
+                try:
+                    w = reducible.classify(F, f)
+                except AssertionError as e:
+                    res.fail(f"classification failed at {f}, ({A},{B}): {e}")
+                    continue
+                irr = forms.is_irreducible_Q(F)
+                if (w.kind is reducible.ReducibleKind.IRREDUCIBLE) != irr:
+                    res.fail(f"classification disagrees with factorization at {F}")
+                if w.kind is reducible.ReducibleKind.TYPE1:
+                    type1 += 1
+                if w.kind is reducible.ReducibleKind.TYPE2:
+                    type2 += 1
+                if w.kind in (
+                    reducible.ReducibleKind.TYPE1,
+                    reducible.ReducibleKind.TYPE2,
+                ) and not w.product_equals(F):
+                    res.fail(f"witness product mismatch at {F}")
     res.stats["type1"] = type1
     res.stats["type2"] = type2
     # Lambda(f) closure and Jacobian cofactor identities
@@ -411,12 +405,12 @@ def suite_reducibility(
                     # membership symmetry in the two lattices
                     res.fail(f"Lambda symmetry fails: {f}, {u}")
     # square curve vs I-square family members
+    X = 10**9
+    Z = counting.DISC_POLICY.ibound(X)
     for D in range(3, 60):
         if D % 4 not in (0, 3):
             continue
         for f in classes.enumerate_reduced(D):
-            X = 10**9
-            Z = counting.icbrt(27 * X // 4)
             s, t = reducible.square_part_split(D)
             m_odd = hensel.canonical_fp(f).m % 2 == 1
             fam_sq = set()
@@ -571,6 +565,7 @@ def _check_against_sympy(res: SuiteResult, rng: random.Random, samples: int) -> 
         res.fail("sympy.factor_list oracle unavailable: install the dev extra")
         return
 
+    # one form of each pair {F, -F}, which factor alike
     x, y = sympy.symbols("x y")
     box = list(oracle.brute_quartics(12))
     for F in rng.sample(box, min(samples, len(box))):
@@ -582,14 +577,13 @@ def _check_against_sympy(res: SuiteResult, rng: random.Random, samples: int) -> 
 
 
 def _odd_squarefree_unit_divisors(D: int) -> list[int]:
-    out = []
-    for m in range(3, D + 1, 2):
-        if D % m:
-            continue
-        if any(m % (p * p) == 0 or D % (p * p) == 0 for p in classes._prime_divisors(m)):
-            continue
-        out.append(m)
-    return out
+    """The divisors m > 1 of D that are products of odd primes dividing D
+    exactly once, ascending."""
+    out = [1]
+    for p, e in forms.prime_factorization(D):
+        if p > 2 and e == 1:
+            out += [m * p for m in out]
+    return sorted(out)[1:]
 
 
 def _random_primitive(rng, definite=False) -> forms.QuadraticForm:
@@ -615,7 +609,7 @@ def suite_oracle_equivalence(
 ) -> SuiteResult:
     res = SuiteResult("oracle-equivalence")
     for X in xs:
-        rep = oracle.orbit_count_bruteforce(X, counting.DISC_POLICY, check_fibers=True)
+        rep = oracle.orbit_count_bruteforce(X)
         nN = rep.n_report.irreducible_orbits
         nM = rep.m_report.irreducible_orbits
         res.checks += 2
@@ -633,14 +627,12 @@ def suite_oracle_equivalence(
         }
     # completeness: every box form lands in exactly one family with a fiber
     # size dividing n_f (equality reported as a finding when violated).  F
-    # and -F share the fiber size and n_f, so each pair is keyed once.
+    # and -F share the fiber size and n_f, so each pair is keyed once, on
+    # the member that brute_quartics yields.
     seen = 0
     fiber_equal = fiber_divides = 0
-    box = oracle.brute_quartics(completeness_height)
-    for F, _, first in oracle.irreducible_pairs(box, decide=False):
-        seen += 1
-        if not first:
-            continue
+    for F in oracle.brute_quartics(completeness_height):
+        seen += 2
         key = oracle.orbit_key(F)  # asserts family membership internally
         if key.slice == "indefinite":
             continue
@@ -777,9 +769,9 @@ def suite_identities(trials: int = 10000, seed: int = 20260809) -> SuiteResult:
         # the closed-form act_quartic against F(T(x, y)) at five pairwise
         # non-proportional points, which fix a binary quartic
         res.checks += 1
-        G = forms.act_quartic(F, T).coeffs()
+        G = forms.act_quartic(F, T)
         for x, y in _FIVE_POINTS:
-            if _horner(G, x, y) != _horner(F.coeffs(), T.t1 * x + T.t2 * y, T.t3 * x + T.t4 * y):
+            if G.value(x, y) != F.value(T.t1 * x + T.t2 * y, T.t3 * x + T.t4 * y):
                 res.fail(f"act_quartic({F}, {T.entries()}) differs from F(T(x, y)) at ({x}, {y})")
                 break
     for _ in range(trials):
@@ -836,15 +828,6 @@ def suite_identities(trials: int = 10000, seed: int = 20260809) -> SuiteResult:
 
 
 _FIVE_POINTS = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2))
-
-
-def _horner(coeffs, x: int, y: int) -> int:
-    """a4 x^4 + a3 x^3 y + a2 x^2 y^2 + a1 x y^3 + a0 y^4 by homogeneous Horner."""
-    r, yk = coeffs[0], 1
-    for c in coeffs[1:]:
-        yk *= y
-        r = r * x + c * yk
-    return r
 
 
 def _rand_unimodular(rng):

@@ -20,7 +20,7 @@ from jzero.forms import (
     normalize_quadratic_sign,
 )
 from jzero.lattices import SubLattice
-from jzero.oracle import OrbitKey
+from jzero.oracle import OrbitKey, brute_quartics
 
 _FLIP = Unimodular(1, 0, 0, -1)
 
@@ -103,6 +103,22 @@ def brute_quartics_per_form(height: int) -> Iterator[QuarticForm]:
                 assert invariants(F).J == 0
                 if invariants(F).disc != 0:
                     yield F
+
+
+def brute_quartics_both_signs(height: int, imax: Optional[int] = None) -> list[QuarticForm]:
+    """The whole J = 0 box, closed under F -> -F: the forms of
+    `oracle.brute_quartics` and then their negations, in the order in
+    which one scan of the box over both signs lists them.  After the
+    forms with (a4, a3) < (0, 0) come the negations of the a4 = 0 ones in
+    reverse, and then for a4 = 1, 2, ... the negations of the -a4 ones in
+    reverse, the forms where J involves a0 (8 a4 a2 != 3 a3^2) first."""
+    half = list(brute_quartics(height, imax))
+    out = list(half)
+    for a4 in range(height + 1):
+        line = [F for F in reversed(half) if F.a4 == -a4]
+        out += [F.neg() for F in line if 8 * F.a4 * F.a2 != 3 * F.a3 * F.a3]
+        out += [F.neg() for F in line if 8 * F.a4 * F.a2 == 3 * F.a3 * F.a3]
+    return out
 
 
 def _poly_mul(p: list[int], q: list[int]) -> list[int]:

@@ -9,6 +9,7 @@ criterion where its contract makes them binding.
 import math
 
 from jzero import classes, counting, forms, oracle, verify
+from reference import brute_quartics_both_signs
 
 PRINTED = []
 
@@ -26,7 +27,7 @@ def test_criterion_1_oracle_equivalence():
     ok = True
     details = []
     for X in (2000, 10000, 20000):
-        rep = oracle.orbit_count_bruteforce(X, counting.DISC_POLICY)
+        rep = oracle.orbit_count_bruteforce(X)
         nN = counting.count_N(X).irreducible_orbits
         nM = counting.count_M(X).irreducible_orbits
         match = rep.n_orbits == nN and rep.m_orbits == nM
@@ -54,7 +55,7 @@ def test_criterion_3_completeness():
     seen = 0
     fiber_equal = fiber_proper = 0
     hard_failures = []
-    for F in oracle.brute_quartics(25):
+    for F in brute_quartics_both_signs(25):
         seen += 1
         key = oracle.orbit_key(F)  # unique family assignment asserted inside
         if key.slice == "indefinite":

@@ -32,14 +32,15 @@ from jzero.forms import (
     invariants,
     irreducible_mod_p,
     is_irreducible_Q,
+    prime_factorization,
     quadratic_product,
     quartic_factorization,
     splitting_type,
     substitute,
+    unimodular_completion,
 )
-from jzero.oracle import brute_quartics
 from jzero.reducible import ReducibleKind, classify
-from reference import act_quartic_by_products, hessian_sqrt_by_forms
+from reference import act_quartic_by_products, brute_quartics_both_signs, hessian_sqrt_by_forms
 
 X4_PLUS_Y4 = QuarticForm(1, 0, 0, 0, 1)
 BIQUAD = QuarticForm(1, 0, -6, 0, 1)  # x^4 - 6x^2y^2 + y^4
@@ -192,7 +193,7 @@ def test_act_quartic_matches_products_property(coeffs, steps):
     assert act_quartic(F, T) == act_quartic_by_products(F, T)
 
 
-_J0_BOX = list(brute_quartics(4))
+_J0_BOX = brute_quartics_both_signs(4)
 
 
 @settings(max_examples=300, deadline=2000, database=None)
@@ -224,6 +225,24 @@ def test_hessian_sqrt_matches_reference_on_zero_hessians(k, p, q):
 def test_non_unimodular_rejected():
     with pytest.raises(ValueError):
         Unimodular(2, 0, 0, 1)
+
+
+def test_unimodular_completion():
+    for x in range(-12, 13):
+        for y in range(-12, 13):
+            if math.gcd(x, y) == 1:
+                T = unimodular_completion(x, y)
+                assert (T.t1, T.t3, T.det()) == (x, y, 1), (x, y)
+
+
+def test_prime_factorization():
+    assert prime_factorization(1) == []
+    assert prime_factorization(360) == [(2, 3), (3, 2), (5, 1)]
+    for n in range(1, 3000):
+        fac = prime_factorization(n)
+        assert math.prod(p**e for p, e in fac) == n
+        assert all(sympy.isprime(p) and e > 0 for p, e in fac), n
+        assert [p for p, _ in fac] == sorted({p for p, _ in fac}), n
 
 
 def test_splitting_type_examples():
@@ -360,7 +379,7 @@ def test_irreducibility_vs_exhaustive_oracle():
 
 def test_zero_end_coefficient_is_reducible():
     # the a4 * a0 = 0 shortcut against full factorization on the J = 0 box
-    edge = [F for F in brute_quartics(12) if F.a4 * F.a0 == 0]
+    edge = [F for F in brute_quartics_both_signs(12) if F.a4 * F.a0 == 0]
     assert len(edge) > 1000
     for F in edge:
         assert is_irreducible_Q(F) == quartic_factorization(F).is_irreducible(), F

@@ -36,13 +36,16 @@ from jzero.oracle import (
     brute_quartics,
     certify_cover,
     compose_oracle,
-    irreducible_pairs,
     negated_key,
     orbit_count_bruteforce,
     orbit_key,
     value_candidates,
 )
-from reference import brute_quartics_per_form, equivalent_by_matrix_search
+from reference import (
+    brute_quartics_both_signs,
+    brute_quartics_per_form,
+    equivalent_by_matrix_search,
+)
 
 # The subprocesses import the same jzero and references as these tests.
 SRC = str(Path(list(jzero.__path__)[0]).resolve().parent)
@@ -52,7 +55,8 @@ TESTS = str(Path(__file__).resolve().parent)
 def test_brute_quartics_basics():
     assert list(brute_quartics(0)) == []
     forms = list(brute_quartics(1))
-    assert QuarticForm(0, 1, 0, -1, 0) in forms
+    assert QuarticForm(0, -1, 0, 1, 0) in forms  # and not its negation
+    assert QuarticForm(0, 1, 0, -1, 0) not in forms
     for F in forms:
         t = invariants(F)
         assert t.J == 0 and t.disc != 0
@@ -71,56 +75,45 @@ def test_brute_quartics_complete_small():
         t = invariants(F)
         if t.J == 0 and t.disc != 0:
             want.add(coeffs)
-    got = {F.coeffs() for F in brute_quartics(3)}
+    got = {F.coeffs() for F in brute_quartics_both_signs(3)}
     assert got == want
 
 
 def test_brute_quartics_matches_per_form_reference():
-    # same forms in the same order as the per-form filter, at every height
-    # up to 12 and with the |I| bound applied on the grid
+    # the forms with (a4, a3) < (0, 0) of the per-form filter, in its order,
+    # at every height up to 12 and with the |I| bound applied on the grid
     for h in range(13):
         ref = [(F, abs(invariants(F).I)) for F in brute_quartics_per_form(h)]
         for imax in (None, 1, 50, 407):
-            want = [F for F, i in ref if imax is None or i <= imax]
+            want = [F for F, i in ref if (F.a4, F.a3) < (0, 0) and (imax is None or i <= imax)]
             assert list(brute_quartics(h, imax)) == want, (h, imax)
 
 
+def test_brute_quartics_yields_one_form_of_each_pair():
+    # never F together with -F, always the member with (a4, a3) < (0, 0),
+    # and with their negations exactly the per-form reference's box
+    for h in range(9):
+        ref = [(F.coeffs(), abs(invariants(F).I)) for F in brute_quartics_per_form(h)]
+        for imax in (None, 1, 50, 407):
+            forms = list(brute_quartics(h, imax))
+            coeffs = {F.coeffs() for F in forms}
+            assert len(coeffs) == len(forms), (h, imax)
+            assert all((F.a4, F.a3) < (0, 0) for F in forms), (h, imax)
+            assert not any(F.neg().coeffs() in coeffs for F in forms), (h, imax)
+            both = coeffs | {F.neg().coeffs() for F in forms}
+            assert both == {c for c, i in ref if imax is None or i <= imax}, (h, imax)
+            assert {F.coeffs() for F in brute_quartics_both_signs(h, imax)} == both
+
+
 def test_brute_quartics_sign_and_mod_3_identities():
-    # the box is closed under F -> -F, which keeps I; every solved form
-    # (8 a4 a2 != 3 a3^2, where J involves a0) has 3 | a2
-    forms = list(brute_quartics(12))
-    coeffs = {F.coeffs() for F in forms}
-    assert len(coeffs) == len(forms)
+    # F -> -F keeps I; every solved form (8 a4 a2 != 3 a3^2, where J
+    # involves a0) has 3 | a2
+    forms = brute_quartics_both_signs(12)
     for F in forms:
-        assert F.neg().coeffs() in coeffs, F
         assert invariants(F.neg()).I == invariants(F).I, F
         if 8 * F.a4 * F.a2 != 3 * F.a3 * F.a3:
             assert F.a2 % 3 == 0, F
     assert any(8 * F.a4 * F.a2 == 3 * F.a3 * F.a3 for F in forms)
-
-
-def test_irreducible_pairs_match_per_form_verdicts():
-    forms = list(brute_quartics(12))
-    got = list(irreducible_pairs(forms))
-    assert [F for F, _, _ in got] == forms
-    assert [v for _, v, _ in got] == [is_irreducible_Q(F) for F in forms]
-    assert 0 < sum(v for _, v, _ in got) < len(forms)
-    # the first member of each pair is the one with the negative lead
-    assert [first for _, _, first in got] == [(F.a4, F.a3) < (0, 0) for F in forms]
-    assert sum(first for _, _, first in got) * 2 == len(forms)
-    undecided = list(irreducible_pairs(forms, decide=False))
-    assert undecided == [(F, None, first) for F, _, first in got]
-
-
-def test_irreducible_pairs_reject_a_missing_partner():
-    F = QuarticForm(-1, 0, 0, 0, 1)
-    with pytest.raises(AssertionError):
-        list(irreducible_pairs([F.neg(), F]))  # the positive member first
-    with pytest.raises(AssertionError):
-        list(irreducible_pairs([F]))  # -F never comes
-    with pytest.raises(ValueError):
-        list(irreducible_pairs([QuarticForm(-(1 << 11), 0, 0, 0, 1)]))
-    assert list(irreducible_pairs([F, F.neg()])) == [(F, False, True), (F.neg(), False, False)]
 
 
 def test_orbit_key_memo_matches_uncached_reference():
@@ -128,9 +121,9 @@ def test_orbit_key_memo_matches_uncached_reference():
     script = textwrap.dedent(
         """
         from jzero import oracle
-        from reference import orbit_key_uncached
+        from reference import brute_quartics_both_signs, orbit_key_uncached
 
-        forms = list(oracle.brute_quartics(8))
+        forms = brute_quartics_both_signs(8)
         assert forms and not oracle._DIVISORS
         want = [orbit_key_uncached(F) for F in forms]
         for memo in ("empty", "filled"):
@@ -156,7 +149,7 @@ def test_orbit_key_memo_matches_uncached_reference():
 def test_negated_key_is_the_key_of_minus_f():
     # on every form of the box, and on all three slices
     slices = set()
-    for F in brute_quartics(4):
+    for F in brute_quartics_both_signs(4):
         key = orbit_key(F)
         neg, size, n_f = negated_key(key)
         assert neg == orbit_key(F.neg()), F
@@ -171,34 +164,14 @@ def test_negated_key_is_the_key_of_minus_f():
 
 def test_pair_keyed_counts_match_keying_every_form():
     for X in (2000, 20000):
-        rep = orbit_count_bruteforce(X, DISC_POLICY)
+        rep = orbit_count_bruteforce(X)
         want = {"posdef": set(), "square": set(), "indefinite": set()}
-        for F in brute_quartics(rep.height, imax=DISC_POLICY.ibound(X)):
+        for F in brute_quartics_both_signs(rep.height, imax=DISC_POLICY.ibound(X)):
             if is_irreducible_Q(F):
                 key = orbit_key(F)
                 want[key.slice].add(key)
         assert rep.n_keys == want["posdef"] and rep.m_keys == want["square"], X
         assert rep.indefinite_orbits == len(want["indefinite"]), X
-
-
-@pytest.mark.parametrize("drop", ["first", "second"])
-def test_pair_keyed_walks_raise_without_a_partner(monkeypatch, drop):
-    # drop the first form of the box (a first member, so its partner comes
-    # unannounced) or the last (a second member, so a first one is left)
-    from jzero import verify
-
-    full = oracle.brute_quartics
-
-    def box(*args, **kwargs):
-        forms = list(full(*args, **kwargs))
-        del forms[0 if drop == "first" else -1]
-        return iter(forms)
-
-    monkeypatch.setattr(oracle, "brute_quartics", box)
-    with pytest.raises(AssertionError, match="partner"):
-        orbit_count_bruteforce(2000, DISC_POLICY)
-    with pytest.raises(AssertionError, match="partner"):
-        verify.suite_oracle_equivalence(xs=(), completeness_height=3)
 
 
 def _rand_T(rng):
@@ -215,7 +188,7 @@ def _rand_T(rng):
 
 def test_orbit_key_invariance():
     rng = random.Random(71)
-    forms = list(brute_quartics(6))
+    forms = brute_quartics_both_signs(6)
     for F in forms[:: max(1, len(forms) // 40)]:
         k0 = orbit_key(F)
         for _ in range(30):
@@ -227,7 +200,7 @@ def test_orbit_key_separates():
     # different keys; validated against explicit matrix search
     rng = random.Random(72)
     by_inv = {}
-    for F in brute_quartics(4):
+    for F in brute_quartics_both_signs(4):
         if not is_irreducible_Q(F):
             continue
         k = orbit_key(F)
@@ -265,7 +238,7 @@ def test_pm_inequivalent_special_pair():
 
 def test_binding_counts_small():
     for X in (2000, 10000):
-        rep = orbit_count_bruteforce(X, DISC_POLICY)
+        rep = orbit_count_bruteforce(X)
         assert rep.height >= rep.required_height
         assert rep.n_orbits == count_N(X).irreducible_orbits
         assert rep.m_orbits == count_M(X).irreducible_orbits
@@ -277,7 +250,7 @@ def test_cover_certificate_monotone():
 
 def test_box_too_small_rejected():
     with pytest.raises(ValueError):
-        orbit_count_bruteforce(20000, DISC_POLICY, height=2)
+        orbit_count_bruteforce(20000, height=2)
 
 
 def test_compose_oracle_agreement():
@@ -407,7 +380,7 @@ def test_compose_oracle_raises_on_corrupted_candidates():
         class_group.cache_clear()
 
 
-_J0_FORMS = list(brute_quartics(3))
+_J0_FORMS = brute_quartics_both_signs(3)
 _SHEARS = st.lists(
     st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.booleans()), max_size=4
 )

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import jzero
-from jzero import classes, counting, families, forms
+from jzero import classes, counting, families, forms, hensel, verify
 from jzero.verify import SUITES, run_suite
+from reference import contains
 
 # The subprocesses import the same jzero as these tests.
 SRC = str(Path(list(jzero.__path__)[0]).resolve().parent)
@@ -44,6 +45,22 @@ def test_reduced_parameter_suites_pass():
     r = run_suite("oracle-equivalence", xs=(2000,), completeness_height=6)
     assert r.passed
     assert r.stats["completeness_forms"] > 100
+
+
+def test_box_walk_reaches_every_lattice_point():
+    # row by row against a scan of the whole square, on the lattices the
+    # suites walk: L_{f,a} of the reduced forms and of their canonical
+    # translates
+    for D in range(3, 80):
+        if D % 4 not in (0, 3):
+            continue
+        for f in classes.enumerate_reduced(D):
+            for g in (f, hensel.canonical_fp(f).form()):
+                L = families.lattice_Lfa(g)
+                for box in (0, 7, 25):
+                    side = range(-box, box + 1)
+                    want = [(A, B) for A in side for B in side if contains(L, A, B)]
+                    assert list(verify._box_points(L, box)) == want, (g, box)
 
 
 def test_oracle_findings_do_not_follow_hash_seed():
