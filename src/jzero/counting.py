@@ -410,21 +410,31 @@ def count_family(
 
     Orbits.  The fiber action maps irreducible points with |I| <= Z to
     irreducible points with the same I, so every member of a counted orbit
-    is a point of the family here.  An irreducible pair is keyed by
-    min(c1, c2), with c1 = canonical(A, B) and c2 = canonical(-A, -B); the
-    key weighs 1 if c1 == c2 and 2 otherwise, and the orbits are the sum of
-    the weights of the distinct keys.  Why that is exact.  G, the group of
-    fiber maps, is linear, so negation sends the G-orbit O of P to -O, the
-    orbit of -P, and the pair {P, -P} meets exactly O and -O.  min(c1, c2)
-    is the least point of O u -O, so every pair of O u -O gives the same
-    key, and pairs of other orbits give other keys.  O u -O holds one orbit
-    if O = -O and two otherwise, and O = -O exactly when the least points
-    c1 of O and c2 of -O agree (distinct orbits are disjoint).  The key's
-    height is the least max |coefficient| over its pairs: h(-Q) = h(Q), so
-    O and -O have the same least height and the largest key height is the
-    largest orbit height, `max_coeff`."""
+    is a point of the family here.  An irreducible pair is keyed by one
+    canonical(A, B) under +-G, the fiber maps G together with their
+    negations (`FiberAction.with_negation`), and every key weighs 2.  Why
+    that is exact.  G is linear, so negation sends the G-orbit O of P to
+    -O, the orbit of -P; the +-G-orbit of P is O u -O, the pair {P, -P}
+    meets exactly O and -O, and the key, the least point of O u -O, is the
+    same for every pair of O u -O and differs for pairs of other orbits.
+    O u -O holds two orbits, by the lemma below, so the orbits are twice
+    the distinct keys.  The key's height is the least max |coefficient|
+    over its pairs: h(-Q) = h(Q), so O and -O have the same least height
+    and the largest key height is the largest orbit height, `max_coeff`.
+
+    Lemma: if F at P is irreducible, -P is not in O.  Say a fiber map sends
+    P to -P, so F o T = -F for a signed automorphism T of f.  T has finite
+    order, and T != +-I, since F o (+-I) = F != -F.  If T^2 = I, T has
+    rational eigenvectors with eigenvalues 1 and -1; in the coordinates
+    (u, v) they give, T is (u, v) -> (u, -v), F is odd in v, and v divides
+    F.  If T has order 3 or 6, T^3 = +-I, so -F = F o T^3 = F, impossible.
+    If T has order 4, T^2 = -I and T has the conjugate eigen-forms u, u'
+    with u o T = i u and u' o T = -i u'; the monomial u^j u'^(4-j) goes to
+    (-1)^j times itself, so F is a combination of u u'^3 and u^3 u', a
+    multiple of u u', which is a rational quadratic form up to a constant.
+    So in every case F is reducible over Q."""
     out = FamilyCount()
-    action: Optional[FiberAction] = None
+    action: Optional[FiberAction] = None  # +-G
     height: dict[tuple[int, int], int] = {}  # key of O u -O -> least max |coefficient|
     for (A, B) in points:
         out.points += 2
@@ -442,17 +452,13 @@ def count_family(
             continue
         out.irreducible_points += 2
         if action is None:
-            action = fiber_action(f)
-        c1, c2 = action.canonical(A, B), action.canonical(-A, -B)
-        key = min(c1, c2)
+            action = fiber_action(f).with_negation()
+        key = action.canonical(A, B)
         h = max(map(abs, coeffs))
-        least = height.get(key)
-        if least is None:
-            height[key] = h
-            out.irreducible_orbits += 1 if c1 == c2 else 2
-        elif h < least:
+        if h < height.get(key, h + 1):
             height[key] = h
     if height:
+        out.irreducible_orbits = 2 * len(height)
         out.max_coeff = max(height.values())
         out.n_f = cover_multiplicity(class_of(f))
     return out

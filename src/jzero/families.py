@@ -341,6 +341,13 @@ class FiberAction:
     stored as integer numerators (m11, m12, m21, m22) over the common
     denominator `den`; the generic orbit size equals the cover multiplicity
     n_f, while special points can have smaller orbits.
+
+    `orbit`, `orbit_size` and `canonical` take a lattice point (A, B) of f's
+    family, and `orbit` divides by `den` with `//`: the division is exact.
+    `fiber_action` checks that every map sends the lattice basis (d1, k),
+    (0, d2) to family points, which are lattice points; a lattice point is
+    an integral combination of that basis, so by linearity its image is the
+    same combination of lattice points, again integral.
     """
 
     f: QuadraticForm
@@ -349,19 +356,23 @@ class FiberAction:
 
     def orbit(self, A: int, B: int) -> list[tuple[int, int]]:
         den = self.den
-        out = set()
-        for (m11, m12, m21, m22) in self.maps:
-            x, rx = divmod(m11 * A + m12 * B, den)
-            y, ry = divmod(m21 * A + m22 * B, den)
-            assert rx == 0 and ry == 0, (self.f, A, B)
-            out.add((x, y))
-        return sorted(out)
+        images = {
+            ((m11 * A + m12 * B) // den, (m21 * A + m22 * B) // den)
+            for (m11, m12, m21, m22) in self.maps
+        }
+        return sorted(images)
 
     def orbit_size(self, A: int, B: int) -> int:
         return len(self.orbit(A, B))
 
     def canonical(self, A: int, B: int) -> tuple[int, int]:
         return self.orbit(A, B)[0]
+
+    def with_negation(self) -> FiberAction:
+        """+-G: these maps and their negations, whose orbit of (A, B) is the
+        union of the orbits of (A, B) and (-A, -B) under these maps alone."""
+        neg = tuple((-m11, -m12, -m21, -m22) for (m11, m12, m21, m22) in self.maps)
+        return FiberAction(self.f, self.den, self.maps + neg)
 
 
 def fiber_action(f: QuadraticForm) -> FiberAction:
@@ -384,7 +395,7 @@ def fiber_action(f: QuadraticForm) -> FiberAction:
         m12 = a2 * L.d1
         m21 = b1 * L.d2 - b2 * L.k
         m22 = b2 * L.d1
-        # sanity: images are family points of f again
+        # images are family points of f again: `FiberAction.orbit` divides exactly
         assert member_of(f, i1) is not None and member_of(f, i2) is not None
         maps.add((m11, m12, m21, m22))
     return FiberAction(f, L.d1 * L.d2, tuple(sorted(maps)))

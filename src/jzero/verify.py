@@ -473,6 +473,9 @@ def _check_irreducibility_certificate(res: SuiteResult, X: int) -> None:
     split (the cover statement at `decide_member`).  Records per slice the
     share of irreducible points the certificate settles, the points the
     split settles, those missed points, and the points by kernel branch.
+    It also checks the lemma at `count_family` on every point P: a fiber
+    map that sends P to -P makes F reducible.  It records the points that
+    some fiber map sends to -P.
 
     Per family it also checks `counting.count_family`, which decides one
     point of each pair {P, -P} and keys the orbits of irreducible pairs
@@ -484,7 +487,7 @@ def _check_irreducibility_certificate(res: SuiteResult, X: int) -> None:
     point."""
     Z = counting.DISC_POLICY.ibound(X)
     for kind in ("N", "M"):
-        points = irreducible = settled = split = missed = 0
+        points = irreducible = settled = split = missed = negated = 0
         decided = dict.fromkeys(counting.BRANCHES, 0)
         for u in counting.count_units(kind, Z):
             for f in counting.unit_families(kind, u)[1]:
@@ -509,9 +512,17 @@ def _check_irreducibility_certificate(res: SuiteResult, X: int) -> None:
                     fam_decided[branch] += 1
                     if kernel != full:
                         res.fail(f"the kernel's {branch} branch decides {F} wrongly")
+                    action = action or families.fiber_action(f)
+                    orbit = action.orbit(A, B)
+                    if (-A, -B) in orbit:
+                        negated += 1
+                        if full:
+                            res.fail(
+                                f"a fiber map of f={f} sends the irreducible point "
+                                f"({A},{B}) to its negation"
+                            )
                     if full:
-                        action = action or families.fiber_action(f)
-                        c = action.canonical(A, B)
+                        c = orbit[0]  # action.canonical(A, B)
                         h = max(map(abs, F.coeffs()))
                         height[c] = min(height.get(c, h), h)
                     if families.square_split(f, A, B, F) is not None:
@@ -552,6 +563,7 @@ def _check_irreducibility_certificate(res: SuiteResult, X: int) -> None:
         res.stats[f"certificate_{kind}_settled"] = settled
         res.stats[f"square_split_{kind}"] = split
         res.stats[f"type2_missed_{kind}"] = missed
+        res.stats[f"negation_in_orbit_{kind}"] = negated
         for branch, n in decided.items():
             res.stats[f"kernel_{kind}_{branch}"] = n
 

@@ -1,5 +1,6 @@
 """Tests for the exact counting kernels and aggregates."""
 
+import hashlib
 import math
 import random
 
@@ -33,7 +34,6 @@ from jzero.counting import (
 )
 from jzero.families import (
     FamilyPoint,
-    FiberAction,
     fiber_action,
     family_coefficients,
     family_invariant,
@@ -199,33 +199,24 @@ def test_negated_point_is_decided_alike(f, s, t):
         assert [h.coeffs() for h in mate_split] == [H.neg().coeffs(), G.neg().coeffs()], (f, A, B)
 
 
-def test_pair_kernel_matches_the_per_point_orbits(monkeypatch):
-    # count_family keys each irreducible pair by min(c1, c2) under the fiber
-    # action and negation together; its orbits and max_coeff must be those
-    # of canonicalizing every irreducible point on its own.  No irreducible
-    # pair here has c1 == c2 under the fiber action, so the kernel runs
-    # under +-G as well, the fiber maps and their negations, where every
-    # key weighs 1
-    def plus_minus(f):
+def test_pair_kernel_matches_the_per_point_orbits():
+    # count_family keys each irreducible pair by one canonical point under
+    # +-G, the fiber maps and their negations, and every key weighs 2; its
+    # orbits and max_coeff must be those of canonicalizing every irreducible
+    # point on its own under G, and no irreducible point may share its
+    # G-orbit with its negation (the lemma at count_family)
+    for f in _COUNTED_DIVISORS:
+        pairs = list(family_points(f, 3000 if f.c == 0 else 300 * -f.disc()))
         action = fiber_action(f)
-        return FiberAction(f, action.den, action.maps + tuple(tuple(-m for m in g) for g in action.maps))
-
-    for action_of, weight in ((fiber_action, 2), (plus_minus, 1)):
-        monkeypatch.setattr(counting, "fiber_action", action_of)
-        weights = set()
-        for f in _COUNTED_DIVISORS:
-            pairs = list(family_points(f, 3000 if f.c == 0 else 300 * -f.disc()))
-            action = action_of(f)
-            height = {}
-            for (A, B) in with_negations(pairs):
-                F = QuarticForm(*family_coefficients(f, A, B))
-                if A and is_irreducible_Q(F):
-                    c, h = action.canonical(A, B), max(map(abs, F.coeffs()))
-                    height[c] = min(height.get(c, h), h)
-                    weights.add(1 + (c != action.canonical(-A, -B)))
-            fc = count_family(f, pairs)
-            assert (fc.irreducible_orbits, fc.max_coeff) == (len(height), max(height.values(), default=0)), f
-        assert weights == {weight}
+        height = {}
+        for (A, B) in with_negations(pairs):
+            F = QuarticForm(*family_coefficients(f, A, B))
+            if A and is_irreducible_Q(F):
+                c, h = action.canonical(A, B), max(map(abs, F.coeffs()))
+                height[c] = min(height.get(c, h), h)
+                assert c != action.canonical(-A, -B), (f, A, B)
+        fc = count_family(f, pairs)
+        assert (fc.irreducible_orbits, fc.max_coeff) == (len(height), max(height.values(), default=0)), f
 
 
 def _naive_square_family_points(a, n, Z):
@@ -396,3 +387,30 @@ def test_odd_disc_skip_is_exact():
     for Z in (1, 11, 12, 100, 1889):
         assert all(D % 4 == 0 or 12 * D <= Z for D in _admissible_discs(Z))
         assert [D for D in _admissible_discs(Z) if D % 2] == list(range(3, Z // 12 + 1, 4))
+
+
+def _report_digest(rep):
+    fields = (
+        rep.irreducible_orbits,
+        rep.raw_points,
+        rep.irreducible_points,
+        sorted(rep.per_D.items()),
+        rep.max_coeff,
+        sorted(rep.decided.items()),
+        rep.cover_findings,
+    )
+    return hashlib.sha256(repr(fields).encode()).hexdigest()
+
+
+def test_count_reports_are_pinned():
+    # the counting contract: every output of count_N and count_M at 1e9 and
+    # 1e10 but the float fit, as SHA-256 of its repr.  A change to the
+    # counting path must leave these unchanged
+    pinned = {
+        ("N", 10**9): "de7c18da0c36abcd4da939087265547f154a9bedddb00bfe51200a1a72a5fe6c",
+        ("M", 10**9): "c40a1b6747c0e864321dd8c770aa477ea1bc92ab31853467fb0260e3131713fb",
+        ("N", 10**10): "a99c8222ed2bf8921a19388cad318225ff223d9c479d63c41ad1a8c92a907233",
+        ("M", 10**10): "c0db44ebd32710f9ce91946313f20172de672f18ebcdfacb75ee443dc09e793b",
+    }
+    got = {(kind, X): _report_digest((count_N if kind == "N" else count_M)(X)) for (kind, X) in pinned}
+    assert got == pinned

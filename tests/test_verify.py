@@ -119,10 +119,11 @@ def test_reducibility_suite_checks_fast_path(monkeypatch):
 
 def test_reducibility_suite_checks_the_kernel_tallies(monkeypatch):
     # count_family decides one point of each pair {P, -P} and keys the
-    # orbits of irreducible pairs under the fiber action and negation
-    # together; tallies with a pair moved to the wrong branch or given the
-    # wrong verdict, keys that weigh 1 where O and -O are two orbits, or a
-    # key height that is not the least, must fail the suite
+    # orbits of irreducible pairs under +-G, the fiber maps and their
+    # negations; tallies with a pair moved to the wrong branch or given the
+    # wrong verdict, keys taken under G alone (so two pairs of one O u -O
+    # can key O and -O apart), or a key height that is not the least, must
+    # fail the suite
     count_family = counting.count_family
 
     def mutated(mutate):
@@ -144,22 +145,26 @@ def test_reducibility_suite_checks_the_kernel_tallies(monkeypatch):
     def wrong_height(fc):
         fc.max_coeff += 1
 
-    class SignBlind:
-        # canonical(-A, -B) == canonical(A, B), so every key weighs 1
-        def __init__(self, f):
-            self.action = families.fiber_action(f)
-
-        def canonical(self, A, B):
-            return self.action.canonical(*max((A, B), (-A, -B)))
-
-    mutations = [("count_family", mutated(m)) for m in (wrong_branch, wrong_verdict, wrong_height)]
-    for name, value in mutations + [("fiber_action", SignBlind)]:
+    mutations = [(counting, "count_family", mutated(m)) for m in (wrong_branch, wrong_verdict, wrong_height)]
+    for target, name, value in mutations + [(families.FiberAction, "with_negation", lambda self: self)]:
         with monkeypatch.context() as m:
-            m.setattr(counting, name, value)
+            m.setattr(target, name, value)
             failures = run_suite(
                 "reducibility", dmax=3, coeff_box=2, certificate_x=10**6, sympy_samples=0
             ).failures
-        assert failures and all(msg.startswith("count_family's tallies") for msg in failures)
+        assert failures and all(msg.startswith("count_family's tallies") for msg in failures), name
+
+
+def test_reducibility_suite_checks_the_negation_lemma(monkeypatch):
+    # count_family weighs every key 2 because no fiber map sends an
+    # irreducible point P to -P; an action that holds the negated maps
+    # breaks that, and the suite must name the points
+    fiber_action = families.fiber_action
+    monkeypatch.setattr(families, "fiber_action", lambda f: fiber_action(f).with_negation())
+    failures = run_suite(
+        "reducibility", dmax=3, coeff_box=2, certificate_x=10**6, sympy_samples=0
+    ).failures
+    assert any(" sends the irreducible point (" in msg for msg in failures)
 
 
 def test_reducibility_without_sympy_is_a_failure_not_a_crash(monkeypatch):
