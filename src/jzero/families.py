@@ -16,10 +16,32 @@ map bijectively onto that family via
 
 and then I(F) = -3 (a B^2 - 4b A B + 16c A^2) disc(f) / (4 a^3) with J(F) = 0.
 
-The lattice has determinant 4|a|^3 when b is odd and |a|^3 when b is even.
-When gcd(a, b) = 1 it is {(A, kA + d2 t)} with d2 that determinant and k
-in closed form (`lattice_triple`): the third congruence alone.  Otherwise the
-second and third congruences cut it out; they imply the first.
+The lattice has determinant 4|a|^3 when b is odd and |a|^3 when b is even,
+for every family form.  For T = (t1 t2; t3 t4) in GL2(Z), F -> F o T maps
+the family of f onto that of f' = f o T (the Hessian is a covariant, and
+det T = +-1), with inverse F' -> F' o T^-1.  On (A, B) = (a4, a3) it is a
+rational linear map M_T taking the lattice L of f onto that of f', with
+
+    det M_T = det T (a'/a)^3,      a' = f(t1, t3)
+
+(a polynomial identity; `tests/test_families.py` checks it symbolically).
+So [Z^2 : L] / |a|^3 depends only on the class of f, and so does b mod 2,
+since D = -b^2 (mod 4).  The index is the product over the primes p of the
+local indices, each cut out by the p-parts of the moduli 2a, a^2, 4a^3.
+Fix p; f is primitive, so one of f(1,0), f(0,1), f(1,1) is prime to p, and
+some T gives p not dividing a'.  Write a, b, c for the coefficients of that
+f'.  For p odd its moduli have no p-part: local index 1.  For p = 2 they
+leave A1 = 0 (mod 2) and A3 = 0 (mod 4).  For b even both hold everywhere
+(A1 = 4cA - bB, A3 = 4(c(b^2 - ac)A - h(2h^2 - ac)B) with b = 2h): local
+index 1.  For b odd b(b^2 - 2ac) is odd, so the two read 4 | B: local
+index 4.  So v_p of [Z^2 : L] / |a|^3, for f' and hence for f, is v_p(4)
+for b odd and 0 for b even, at every p.
+
+When gcd(a, b) = 1 the lattice is {(A, kA + d2 t)} with d2 that determinant
+and k in closed form (`lattice_triple`): the third congruence alone.
+Otherwise the second and third congruences cut it out; they imply the
+first.  For every form the diagonal (d1, d2) of its HNF triple is in closed
+form (`lattice_diagonal`).
 
 The second half of the module handles pairs of quadratic forms (u, v):
 their half-Jacobian, joint discriminant, the invariant form with
@@ -73,8 +95,27 @@ def _lattice_congruences(a: int, b: int, c: int) -> list[tuple[int, int, int]]:
 
 def lattice_Lfa(f: QuadraticForm) -> SubLattice:
     """The lattice of coefficient pairs (A, B) giving integral members,
-    with the HNF triple of `lattice_triple`."""
-    return SubLattice(*lattice_triple(f.a, f.b, f.c))
+    solved from the three congruences: the reference for the closed forms
+    of `lattice_triple` and `lattice_diagonal`."""
+    _check_family_form(*f.coeffs())
+    return SubLattice.from_congruences(_lattice_congruences(*f.coeffs()))
+
+
+def lattice_diagonal(a: int, b: int, c: int) -> tuple[int, int]:
+    """(d1, d2) of the HNF triple of the family form (a, b, c), in closed
+    form for every family form (the form is not checked):
+
+        d2 = lcm(a^2 / gcd(b^2 - ac, a^2), 4|a|^3 / gcd(b(b^2 - 2ac), 4|a|^3)),
+        d1 = 4|a|^3 / d2 (b odd) or |a|^3 / d2 (b even).
+
+    d2 is the least B > 0 with (0, B) in the lattice.  At A = 0 the second
+    and third congruences read (b^2 - ac) B = 0 (mod a^2) and
+    b(b^2 - 2ac) B = 0 (mod 4a^3), they imply the first (`lattice_triple`),
+    and u B = 0 (mod N) exactly when N / gcd(u, N) divides B.  d1 d2 is the
+    determinant (module docstring)."""
+    n2, n3 = a * a, 4 * abs(a * a * a)
+    d2 = math.lcm(n2 // math.gcd(b * b - a * c, n2), n3 // math.gcd(b * (b * b - 2 * a * c), n3))
+    return (n3 if b % 2 else n3 // 4) // d2, d2
 
 
 def lattice_triple(a: int, b: int, c: int) -> tuple[int, int, int]:
@@ -112,7 +153,8 @@ def lattice_triple(a: int, b: int, c: int) -> tuple[int, int, int]:
       v_2 >= min(3v + 2, v + 2) = v + 2.
     * p = 2, a odd, b even: A1 = 4cA - bB is even.
     The HNF triple of a lattice is unique, so the two congruences give the
-    same triple as the three; `lattice_det` asserts it against all three.
+    same triple as the three; `lattice_det` asserts it against all three
+    (`lattice_Lfa`).
     """
     _check_family_form(a, b, c)
     if math.gcd(a, b) != 1:
@@ -128,10 +170,12 @@ def lattice_triple(a: int, b: int, c: int) -> tuple[int, int, int]:
 
 
 def lattice_det(f: QuadraticForm) -> int:
-    """Index of the (A, B) lattice; the triple is asserted against
-    `SubLattice.from_congruences` and the index against 4|a|^3 or |a|^3."""
+    """Index of the (A, B) lattice; `lattice_triple` and `lattice_diagonal`
+    are asserted against `lattice_Lfa` and the index against 4|a|^3 or
+    |a|^3."""
     L = lattice_Lfa(f)
-    assert L == SubLattice.from_congruences(_lattice_congruences(*f.coeffs())), (f, L)
+    assert L == SubLattice(*lattice_triple(*f.coeffs())), (f, L)
+    assert (L.d1, L.d2) == lattice_diagonal(*f.coeffs()), (f, L)
     a = abs(f.a)
     expected = 4 * a**3 if f.b % 2 else a**3
     assert L.index == expected, (f, L.index, expected)

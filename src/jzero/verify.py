@@ -136,9 +136,11 @@ def _check_reduced_enumeration(res: SuiteResult, dmax: int) -> None:
     pair {P, -P}) with its negations against the row scan, the Gram
     identity Q = lam g behind it, the integer frame of
     `counting.ellipse_frame` against `families.lattice_Lfa`, `transport` and
-    `gauss_reduce`, the frame's empty-family skip against the row scan, and
+    `gauss_reduce`, the closed-form diagonal `families.lattice_diagonal` and
+    the determinant against `lattice_Lfa`, the frame's empty-family skip
+    and the A = 0 axis rule `counting.axis_pairs` against the row scan, and
     the odd-D skip of `counting._admissible_discs`, on every GL2 family with
-    D <= dmax."""
+    D <= dmax.  The bounds Z in {D, 2D, 3D} reach the even D above Z/3."""
     for D in range(3, dmax + 1):
         if D % 4 not in (0, 3):
             continue
@@ -151,6 +153,10 @@ def _check_reduced_enumeration(res: SuiteResult, dmax: int) -> None:
         for f in counting._gl2_reps(D):
             a, b, c = f.coeffs()
             L = families.lattice_Lfa(f)
+            res.checks += 1
+            diagonal = families.lattice_diagonal(a, b, c)
+            if diagonal != (L.d1, L.d2) or L.index != (4 if odd else 1) * a**3:
+                res.fail(f"closed-form diagonal {diagonal} or index {L.index} of {f} is wrong for {L}")
 
             def q(A, B):
                 return a * B * B - 4 * b * A * B + 16 * c * A * A
@@ -175,9 +181,12 @@ def _check_reduced_enumeration(res: SuiteResult, dmax: int) -> None:
             if (gram, transform) != reduced:
                 res.fail(f"frame Gram form of {f} is not the reduced transport {reduced}")
                 continue
-            for Z in (D // 2, 12 * D - 1, 12 * D, 100 * D, 400 * D):
+            for Z in (D // 2, D, 2 * D, 3 * D, 12 * D - 1, 12 * D, 100 * D, 400 * D):
                 res.checks += 1
                 want = _ellipse_points_rowscan(f, Z)
+                axis = counting.axis_pairs(f, Z)
+                if axis is not None and (any(A for A, _ in want) or len(want) != 2 * axis):
+                    res.fail(f"axis rule gives {axis} pairs on A = 0: f={f}, Z={Z}, {want}")
                 if counting.with_negations(counting.ellipse_points(frame, Z)) != want:
                     res.fail(f"ellipse_points differs from the row scan: f={f}, Z={Z}")
                 if counting.frame_empty(frame, Z) != (not want):

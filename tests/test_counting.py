@@ -12,6 +12,7 @@ from jzero.classes import enumerate_reduced, gauss_reduce
 from jzero.counting import (
     ABS_I_POLICY,
     DISC_POLICY,
+    axis_pairs,
     count_family,
     count_M,
     count_N,
@@ -371,6 +372,24 @@ def test_ellipse_points_match_row_scan_on_skewed_lattices():
         assert with_negations(ellipse_points(ellipse_frame(f), Z)) == _ellipse_points_rowscan(f, Z), (f, Z)
 
 
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.integers(1, 40), st.integers(-40, 40), st.integers(1, 80), st.integers(1, 200))
+def test_axis_rule_matches_row_scan(a, b, c, zmul):
+    # where the A = 0 axis rule decides a family, its pair count against the
+    # row scan, for primitive definite f, reduced or not (the closed-form
+    # diagonal it rests on is checked in test_families)
+    from jzero.verify import _ellipse_points_rowscan
+
+    f = QuadraticForm(a, b, c)
+    assume(f.is_primitive() and f.disc() < 0)
+    D = -f.disc()
+    Z = D * zmul // 8
+    axis = axis_pairs(f, Z)
+    if axis is not None:
+        want = _ellipse_points_rowscan(f, Z)
+        assert all(A == 0 for A, _ in want) and len(want) == 2 * axis, (f, Z)
+
+
 def test_odd_disc_skip_is_exact():
     # an odd D holds a point iff 12 D <= Z: none below (row scan over every
     # family), and the principal family reaches I = 12 D
@@ -404,13 +423,14 @@ def _report_digest(rep):
 
 def test_count_reports_are_pinned():
     # the counting contract: every output of count_N and count_M at 1e9 and
-    # 1e10 but the float fit, as SHA-256 of its repr.  A change to the
-    # counting path must leave these unchanged
+    # 1e10, and of count_N at 1e11, but the float fit, as SHA-256 of its
+    # repr.  A change to the counting path must leave these unchanged
     pinned = {
         ("N", 10**9): "de7c18da0c36abcd4da939087265547f154a9bedddb00bfe51200a1a72a5fe6c",
         ("M", 10**9): "c40a1b6747c0e864321dd8c770aa477ea1bc92ab31853467fb0260e3131713fb",
         ("N", 10**10): "a99c8222ed2bf8921a19388cad318225ff223d9c479d63c41ad1a8c92a907233",
         ("M", 10**10): "c0db44ebd32710f9ce91946313f20172de672f18ebcdfacb75ee443dc09e793b",
+        ("N", 10**11): "e97a3331060544b00579b36015244b5c69f56513be5d73952f9c4a44e6a9a9af",
     }
     got = {(kind, X): _report_digest((count_N if kind == "N" else count_M)(X)) for (kind, X) in pinned}
     assert got == pinned

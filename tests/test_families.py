@@ -20,8 +20,10 @@ from jzero.families import (
     invariant_form,
     jacobian,
     joint_disc,
+    lattice_diagonal,
     lattice_Lfa,
     lattice_det,
+    lattice_triple,
     member_of,
     outer_I,
     outer_h0,
@@ -178,8 +180,10 @@ def test_lattice_det_sweep():
 @settings(max_examples=400, deadline=2000, database=None)
 @given(st.integers(-30, 30).filter(bool), st.integers(-30, 30), st.integers(-60, 60))
 def test_lattice_Lfa_matches_congruences_property(a, b, c):
-    # the closed form (gcd(a, b) = 1) against the three congruences solved
-    # directly; a < 0 and c <= 0 included, which covers M's a x^2 + n xy
+    # `lattice_Lfa`, and the closed forms of `lattice_triple` (gcd(a, b) = 1)
+    # and `lattice_diagonal` (every form), against the three congruences
+    # solved directly; a < 0 and c <= 0 included, which covers M's
+    # a x^2 + n xy
     f = QuadraticForm(a, b, c)
     assume(f.is_primitive() and f.disc() != 0)
     reference = SubLattice.from_congruences(
@@ -189,7 +193,8 @@ def test_lattice_Lfa_matches_congruences_property(a, b, c):
             (4 * c * (b * b - a * c), -b * (b * b - 2 * a * c), 4 * a**3),
         ]
     )
-    assert lattice_Lfa(f) == reference, f
+    assert lattice_Lfa(f) == reference == SubLattice(*lattice_triple(a, b, c)), f
+    assert lattice_diagonal(a, b, c) == (reference.d1, reference.d2), f
     assert lattice_det(f) == (4 if b % 2 else 1) * abs(a) ** 3
 
 
@@ -198,7 +203,7 @@ def test_lattice_Lfa_matches_congruences_property(a, b, c):
 @settings(max_examples=150, deadline=2000, database=None)
 @given(st.integers(2, 12), st.integers(1, 20), st.integers(-20, 20), st.integers(0, 400))
 def test_two_congruences_suffice_when_gcd_a_b_exceeds_1(sign, definite, g, a0, b0, extra):
-    # for gcd(a, b) > 1 `lattice_Lfa` solves only A2 = 0 (mod a^2) and
+    # for gcd(a, b) > 1 `lattice_triple` solves only A2 = 0 (mod a^2) and
     # A3 = 0 (mod 4a^3); the lattice equals that of all three congruences
     a, b = sign * g * a0, g * b0
     c = sign * (b * b // (4 * g * a0) + 1 + extra) if definite else -sign * extra
@@ -211,7 +216,7 @@ def test_two_congruences_suffice_when_gcd_a_b_exceeds_1(sign, definite, g, a0, b
         (4 * c * (b * b - a * c), -b * (b * b - 2 * a * c), 4 * a**3),
     ]
     two = SubLattice.from_congruences(congruences[1:])
-    assert two == SubLattice.from_congruences(congruences) == lattice_Lfa(f), f
+    assert two == SubLattice.from_congruences(congruences) == SubLattice(*lattice_triple(a, b, c)), f
     assert lattice_det(f) == (4 if b % 2 else 1) * abs(a) ** 3
 
 
@@ -414,6 +419,26 @@ def test_kernel_decision_property(abc, s, t):
     assume(A != 0)
     F = QuarticForm(*family_coefficients(f, A, B))
     assert decide_member(f, A, B, F.coeffs())[1] == is_irreducible_Q(F), (f, A, B)
+
+
+def test_family_map_determinant():
+    # F -> F o T maps the family of f onto that of f o T, and on
+    # (A, B) = (a4, a3) it is linear with det M_T = det T (f(t1, t3) / a)^3:
+    # so the index of L_{f,a} over |a|^3 is a class invariant, which proves
+    # the determinant for every form (`families` module docstring)
+    a, b, c, A, B, x, y = sympy.symbols("a b c A B x y")
+    t1, t2, t3, t4 = sympy.symbols("t1:5")
+    A1 = 4 * c * A - b * B
+    A2 = 4 * b * c * A - (b * b - a * c) * B
+    A3 = 4 * c * (b * b - a * c) * A - b * (b * b - 2 * a * c) * B
+    coeffs = (A, B, -3 * A1 / (2 * a), -A2 / a**2, -A3 / (4 * a**3))
+    F = sum(co * x ** (4 - i) * y**i for i, co in enumerate(coeffs))
+    FT = sympy.expand(F.subs({x: t1 * x + t2 * y, y: t3 * x + t4 * y}, simultaneous=True))
+    a4, a3 = FT.coeff(x, 4).coeff(y, 0), FT.coeff(x, 3).coeff(y, 1)
+    M = sympy.Matrix([[a4.diff(A), a4.diff(B)], [a3.diff(A), a3.diff(B)]])
+    assert sympy.expand(M.diff(A)) == sympy.zeros(2, 2) == sympy.expand(M.diff(B))
+    f13 = a * t1**2 + b * t1 * t3 + c * t3**2
+    assert sympy.simplify(M.det() - (t1 * t4 - t2 * t3) * (f13 / a) ** 3) == 0
 
 
 def test_resolvent_identity():

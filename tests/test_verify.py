@@ -213,6 +213,24 @@ def test_parametrization_suite_checks_the_integer_frame(monkeypatch):
     assert any(msg.startswith("the frame's skip is not exact") for msg in r.failures)
 
 
+def test_parametrization_suite_checks_the_axis_rule(monkeypatch):
+    # d1 := 1 in the closed-form diagonal, then one pair too many on A = 0
+    diagonal_of = families.lattice_diagonal
+    monkeypatch.setattr(families, "lattice_diagonal", lambda a, b, c: (1, diagonal_of(a, b, c)[1]))
+    r = run_suite("parametrization", dmax=20, coeff_box=0, det_alpha=0)
+    assert any(msg.startswith("closed-form diagonal") for msg in r.failures)
+    monkeypatch.undo()
+    axis_of = counting.axis_pairs
+
+    def one_more(f, Z):
+        n = axis_of(f, Z)
+        return None if n is None else n + 1
+
+    monkeypatch.setattr(counting, "axis_pairs", one_more)
+    r = run_suite("parametrization", dmax=20, coeff_box=0, det_alpha=0)
+    assert any(msg.startswith("axis rule gives") for msg in r.failures)
+
+
 def test_identities_suite_checks_closed_forms(monkeypatch):
     act_quartic = forms.act_quartic
 
