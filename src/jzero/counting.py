@@ -33,9 +33,10 @@ transform; g <= Z // (12D) (b odd) or 4Z // (3D) (b even) is empty when
 ga exceeds that bound, since ga is the least value of the reduced form at
 a nonzero point; otherwise the points are enumerated row by row in reduced
 coordinates with exact isqrt endpoints and mapped back through
-transform and basis.  Orbits are counted by canonicalizing each point
-under the finite induced symmetry group of f - never by dividing through
-a constant cover multiplicity, which fails on symmetric points and (for
+transform and basis.  Orbits are counted by canonicalizing one point of
+each pair {P, -P} under +-G, the finite induced symmetry group of f and
+its negations (`count_family`) - never by dividing through a constant
+cover multiplicity, which fails on symmetric points and (for
 reducible divisors) misses the label collapsing.  Families where the two
 disagree are reported as cover findings.
 

@@ -37,11 +37,11 @@ index 1.  For b odd b(b^2 - 2ac) is odd, so the two read 4 | B: local
 index 4.  So v_p of [Z^2 : L] / |a|^3, for f' and hence for f, is v_p(4)
 for b odd and 0 for b even, at every p.
 
-When gcd(a, b) = 1 the lattice is {(A, kA + d2 t)} with d2 that determinant
-and k in closed form (`lattice_triple`): the third congruence alone.
-Otherwise the second and third congruences cut it out; they imply the
-first.  For every form the diagonal (d1, d2) of its HNF triple is in closed
-form (`lattice_diagonal`).
+For every form the HNF triple (d1, k, d2) is in closed form: the diagonal
+from two gcds (`lattice_diagonal`), and k from the second and third
+congruences at A = d1, one modular quotient and at most one CRT step
+(`lattice_triple`).  Those two congruences cut out the lattice: they imply
+the first.
 
 The second half of the module handles pairs of quadratic forms (u, v):
 their half-Jacobian, joint discriminant, the invariant form with
@@ -54,6 +54,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
+from .classes import _crt, signed_automorphisms
 from .forms import (
     QuadraticForm,
     QuarticForm,
@@ -84,21 +85,29 @@ def _check_family_form(a: int, b: int, c: int) -> None:
         raise ValueError("family forms must be primitive")
 
 
-def _lattice_congruences(a: int, b: int, c: int) -> list[tuple[int, int, int]]:
-    """The congruences A1 = 0 (mod 2a), A2 = 0 (mod a^2), A3 = 0 (mod 4a^3)."""
-    return [
-        (4 * c, -b, 2 * a),
-        (4 * b * c, -(b * b - a * c), a * a),
-        (4 * c * (b * b - a * c), -b * (b * b - 2 * a * c), 4 * a**3),
-    ]
-
-
 def lattice_Lfa(f: QuadraticForm) -> SubLattice:
     """The lattice of coefficient pairs (A, B) giving integral members,
     solved from the three congruences: the reference for the closed forms
     of `lattice_triple` and `lattice_diagonal`."""
-    _check_family_form(*f.coeffs())
-    return SubLattice.from_congruences(_lattice_congruences(*f.coeffs()))
+    a, b, c = f.coeffs()
+    _check_family_form(a, b, c)
+    return SubLattice.from_congruences(
+        [
+            (4 * c, -b, 2 * a),
+            (4 * b * c, -(b * b - a * c), a * a),
+            (4 * c * (b * b - a * c), -b * (b * b - 2 * a * c), 4 * a**3),
+        ]
+    )
+
+
+def _diagonal(a: int, b: int, c: int) -> tuple[int, int, int, int, int, int, int, int]:
+    """(d1, d2, v2, g2, m2, v3, g3, m3): `lattice_diagonal` and its moduli."""
+    n2, n3 = a * a, 4 * abs(a * a * a)
+    v2, v3 = b * b - a * c, b * (b * b - 2 * a * c)
+    g2, g3 = math.gcd(v2, n2), math.gcd(v3, n3)
+    m2, m3 = n2 // g2, n3 // g3
+    d2 = math.lcm(m2, m3)
+    return (n3 if b % 2 else n3 // 4) // d2, d2, v2, g2, m2, v3, g3, m3
 
 
 def lattice_diagonal(a: int, b: int, c: int) -> tuple[int, int]:
@@ -113,31 +122,24 @@ def lattice_diagonal(a: int, b: int, c: int) -> tuple[int, int]:
     b(b^2 - 2ac) B = 0 (mod 4a^3), they imply the first (`lattice_triple`),
     and u B = 0 (mod N) exactly when N / gcd(u, N) divides B.  d1 d2 is the
     determinant (module docstring)."""
-    n2, n3 = a * a, 4 * abs(a * a * a)
-    d2 = math.lcm(n2 // math.gcd(b * b - a * c, n2), n3 // math.gcd(b * (b * b - 2 * a * c), n3))
-    return (n3 if b % 2 else n3 // 4) // d2, d2
+    return _diagonal(a, b, c)[:2]
 
 
 def lattice_triple(a: int, b: int, c: int) -> tuple[int, int, int]:
     """The HNF triple (d1, k, d2) of the lattice of the family form
     (a, b, c), on plain integers; ValueError unless it is a family form.
 
-    When gcd(a, b) = 1 the triple is (1, k, d2), in closed form:
-    b odd: d2 = 4|a|^3, k = 4c(b^2 - ac) / (b(b^2 - 2ac)) mod d2;
-    b even, h = b/2: d2 = |a|^3, k = c(b^2 - ac) / (h(2h^2 - ac)) mod d2.
-    The divisor is a unit mod d2: b, h, and b^2 - 2ac = b^2, 2h^2 - ac = 2h^2
-    mod p | a are prime to a, b(b^2 - 2ac) is odd, and a is odd when b is
-    even.  As A3 = 4(c(b^2 - ac) A - h(2h^2 - ac) B) for b = 2h, the third
-    congruence is B = kA (mod d2), and it implies the other two:
-    A3 = (b^2 - ac) A1 + abc B with b^2 - ac a unit mod a gives a | A1; with
-    A1 = a m, (b^2 - ac) m = -bc B (mod a^2) gives a | bm + cB, so
-    a^2 | A2 = bA1 + acB = a(bm + cB).  And 2a | A1: for b even A1 is even
-    and a odd; for b odd 4 | A3 gives 4 | B, so 2 | A1 = 4cA - bB, and if
-    a is even b^2 - ac is odd and (b^2 - ac) A1 = -abc B (mod 4a^3) puts
-    one more 2 in A1 than in a.
+    (d1, d2) is `lattice_diagonal`, and k is the class mod d2 of the B with
+    (d1, B) in the lattice, which exist since d1 is the least A > 0 of a
+    point.  The second and third congruences cut out the lattice (below).
+    At A = d1 they read v2 B = 4bc d1 (mod a^2) and v3 B = 4c v2 d1
+    (mod 4|a|^3), with v2 = b^2 - ac and v3 = b(b^2 - 2ac).  Each has a
+    solution, so the divisor g_i = gcd(v_i, n_i) of v_i and of its modulus
+    n_i divides its right side, and it reads B = r_i (mod m_i = n_i / g_i),
+    with v_i / g_i a unit mod m_i.  k solves both, a class mod
+    lcm(m2, m3) = d2: r3 when m2 | m3, else one CRT step.
 
-    Other forms go through `SubLattice.from_congruences` with the second
-    and third congruences only, since for any primitive f those imply
+    For any primitive f the second and third congruences imply
     A1 = 0 (mod 2a).  It suffices that v_p(A1) >= v_p(2a) for each prime
     p | 2a; let v = v_p(a).  The identities
     a c A1 = b A2 - A3 and A2 = b A1 + a c B hold.
@@ -152,21 +154,15 @@ def lattice_triple(a: int, b: int, c: int) -> tuple[int, int, int]:
       for a even, b^2 - ac is odd and (b^2 - ac) A1 = A3 - abc B has
       v_2 >= min(3v + 2, v + 2) = v + 2.
     * p = 2, a odd, b even: A1 = 4cA - bB is even.
-    The HNF triple of a lattice is unique, so the two congruences give the
-    same triple as the three; `lattice_det` asserts it against all three
+    `lattice_det` asserts the triple against all three congruences
     (`lattice_Lfa`).
     """
     _check_family_form(a, b, c)
-    if math.gcd(a, b) != 1:
-        L = SubLattice.from_congruences(_lattice_congruences(a, b, c)[1:])
-        return L.d1, L.k, L.d2
-    if b % 2:
-        d2 = 4 * abs(a * a * a)
-        k = 4 * c * (b * b - a * c) * pow(b * (b * b - 2 * a * c), -1, d2) % d2
-    else:
-        h, d2 = b // 2, abs(a * a * a)
-        k = c * (b * b - a * c) * pow(h * (2 * h * h - a * c), -1, d2) % d2
-    return 1, k, d2
+    d1, d2, v2, g2, m2, v3, g3, m3 = _diagonal(a, b, c)
+    k = 4 * c * v2 * d1 // g3 * pow(v3 // g3, -1, m3) % m3
+    if d2 > m3:
+        k, _ = _crt(k, m3, 4 * b * c * d1 // g2 * pow(v2 // g2, -1, m2) % m2, m2)
+    return d1, k, d2
 
 
 def lattice_det(f: QuadraticForm) -> int:
@@ -421,8 +417,6 @@ class FiberAction:
 
 def fiber_action(f: QuadraticForm) -> FiberAction:
     """Compute the induced (A, B)-action of the signed automorphisms of f."""
-    from .classes import signed_automorphisms
-
     _check_family_form(*f.coeffs())
     L = lattice_Lfa(f)
     v1, v2 = (L.d1, L.k), (0, L.d2)

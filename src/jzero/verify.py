@@ -11,6 +11,7 @@ Suites:
   reducibility        classification, cofactor identities, square curve
   oracle-equivalence  brute-force orbit counts vs family counts (binding)
   constants           class number sums, uniqueness, asymptotic trends
+  identities          randomized exact identities of invariants, families and pairs
 """
 
 from __future__ import annotations

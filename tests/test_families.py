@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jzero.classes import enumerate_reduced, signed_automorphisms
-from jzero.counting import decide_member
+from jzero.counting import decide_member, ellipse_frame
 from jzero.families import (
     FamilyPoint,
     family_coefficients,
@@ -180,10 +180,9 @@ def test_lattice_det_sweep():
 @settings(max_examples=400, deadline=2000, database=None)
 @given(st.integers(-30, 30).filter(bool), st.integers(-30, 30), st.integers(-60, 60))
 def test_lattice_Lfa_matches_congruences_property(a, b, c):
-    # `lattice_Lfa`, and the closed forms of `lattice_triple` (gcd(a, b) = 1)
-    # and `lattice_diagonal` (every form), against the three congruences
-    # solved directly; a < 0 and c <= 0 included, which covers M's
-    # a x^2 + n xy
+    # `lattice_Lfa`, and the closed forms of `lattice_triple` and
+    # `lattice_diagonal`, against the three congruences solved directly;
+    # a < 0 and c <= 0 included, which covers M's a x^2 + n xy
     f = QuadraticForm(a, b, c)
     assume(f.is_primitive() and f.disc() != 0)
     reference = SubLattice.from_congruences(
@@ -203,8 +202,9 @@ def test_lattice_Lfa_matches_congruences_property(a, b, c):
 @settings(max_examples=150, deadline=2000, database=None)
 @given(st.integers(2, 12), st.integers(1, 20), st.integers(-20, 20), st.integers(0, 400))
 def test_two_congruences_suffice_when_gcd_a_b_exceeds_1(sign, definite, g, a0, b0, extra):
-    # for gcd(a, b) > 1 `lattice_triple` solves only A2 = 0 (mod a^2) and
-    # A3 = 0 (mod 4a^3); the lattice equals that of all three congruences
+    # the lemma `lattice_triple` rests on: A2 = 0 (mod a^2) and
+    # A3 = 0 (mod 4a^3) cut out the lattice of all three congruences, here
+    # where A1 = 0 (mod 2a) is not implied by A3 alone (gcd(a, b) > 1)
     a, b = sign * g * a0, g * b0
     c = sign * (b * b // (4 * g * a0) + 1 + extra) if definite else -sign * extra
     f = QuadraticForm(a, b, c)
@@ -218,6 +218,49 @@ def test_two_congruences_suffice_when_gcd_a_b_exceeds_1(sign, definite, g, a0, b
     two = SubLattice.from_congruences(congruences[1:])
     assert two == SubLattice.from_congruences(congruences) == SubLattice(*lattice_triple(a, b, c)), f
     assert lattice_det(f) == (4 if b % 2 else 1) * abs(a) ** 3
+
+
+def test_lattice_triple_lifts_by_crt():
+    # D = 164, the least D of a reduced form whose k the CRT step moves:
+    # the third congruence alone gives k = 5 mod m3 = 27, the second
+    # k = 14 mod 18
+    assert lattice_triple(6, 2, 7) == (4, 32, 54)
+    assert lattice_Lfa(QuadraticForm(6, 2, 7)) == SubLattice(4, 32, 54)
+
+
+def test_lattice_triple_exhaustive_small():
+    # every family form with |a|, |b|, |c| <= 12: a < 0, the M divisors
+    # a x^2 + n xy (c = 0), b^2 = ac, and the forms that take the CRT step
+    forms = lifts = 0
+    for a in range(-12, 13):
+        for b in range(-12, 13):
+            for c in range(-12, 13):
+                if a == 0 or b * b == 4 * a * c or math.gcd(a, b, c) != 1:
+                    continue
+                L = lattice_Lfa(QuadraticForm(a, b, c))
+                assert lattice_triple(a, b, c) == (L.d1, L.k, L.d2), (a, b, c)
+                assert lattice_diagonal(a, b, c) == (L.d1, L.d2), (a, b, c)
+                m2 = a * a // math.gcd(b * b - a * c, a * a)
+                m3 = 4 * abs(a) ** 3 // math.gcd(b * (b * b - 2 * a * c), 4 * abs(a) ** 3)
+                forms += 1
+                lifts += m3 % m2 != 0
+    assert (forms, lifts) == (12276, 912)
+
+
+def test_frames_need_no_congruence_solver(monkeypatch):
+    # the frame path takes every triple in closed form, gcd(a, b) > 1 too
+    def refuse(congs):
+        raise AssertionError("from_congruences called")
+
+    monkeypatch.setattr(SubLattice, "from_congruences", staticmethod(refuse))
+    cases = [((6, 2, 7), (4, 32, 54)), ((2, 2, 3), (4, 0, 2)), ((4, 2, 5), (2, 16, 32)),
+             ((4, 4, 5), (8, 4, 8))]
+    for (a, b, c), triple in cases:
+        assert math.gcd(a, b) > 1
+        assert lattice_triple(a, b, c) == triple
+        assert ellipse_frame(QuadraticForm(a, b, c))[0] == triple
+    with pytest.raises(AssertionError):
+        lattice_Lfa(QuadraticForm(6, 2, 7))
 
 
 def test_jacobian_examples():
