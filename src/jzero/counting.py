@@ -45,11 +45,21 @@ nonzero (x, y) with |x| >= |y| >= 1, |gb xy| <= ga x^2 leaves
 g >= gc y^2 >= ga; with |y| >= |x| >= 1, |gb xy| <= gc y^2 leaves
 g >= ga x^2 >= ga; on the axes g = ga x^2 or gc y^2.  And g(1, 0) = ga.
 So a family holds a point with I <= Z exactly when ga <= bound.  The
-count computes each family's setup once, on plain integers
-(`ellipse_frame`: the HNF triple, the bound as numerator and denominator,
-and the reduced g with its transform), and skips the family before it
-builds any object when ga exceeds the bound.  The others hand the same
-frame to `ellipse_points`.
+count sets its families up in blocks of about a thousand, of consecutive
+D (`frame_block`): one integer-array pass over their rows (a, b, c)
+decides each row by the A = 0 axis rule below, builds the frames of the
+rest (the HNF triple, the bound as numerator and denominator, and the
+reduced g with its transform) and drops those whose ga exceeds the bound.
+Only the families left become `Frame` tuples, and each goes to
+`ellipse_points`.  `ellipse_frame` and `axis_pairs` are the one-row case
+of the same pass.
+
+For even b, g(s, t) mod 16 is a square mod 16 (0, 1, 4 or 9).  Write
+b = 2h and D = 4m.  Then a q = (aB - 4hA)^2 + 16m A^2, so
+a^4 g = a q = (aB - 4hA)^2 (mod 16), and for odd a, a^4 = 1 (mod 16)
+gives the claim.  The values of g are 4I/(3D) over the family, a set that
+depends only on the class of f (the proof above), and a primitive f is
+equivalent to a form with odd a: f(1, 0), f(0, 1) or f(1, 1) is odd.
 
 The iteration range over D follows from the same identity: an integral
 positive definite g is at least 1 at every nonzero point, so
@@ -61,9 +71,9 @@ with D < 300 the least I/D is 12 for odd D and 3/4 for even D.
 The A = 0 axis decides most families before any frame.  When d1, the
 least |A| != 0 of the lattice, is too large for a point with A != 0 to
 have I <= Z, the family's points lie on A = 0 and are all reducible (y
-divides the member).  `axis_pairs` decides this and counts those points
-from (a, b, c, D) and two gcds (proof there), and the count adds them to
-its points and the zero_a branch at once.  At X = 10^11 the axis
+divides the member).  The block pass decides this and counts those points
+from (a, b, c, D) and two gcds (proof at `frame_block`), and the count
+adds them to its points and the zero_a branch at once.  At X = 10^11 the axis
 decides 24045 of the 45450 families (10408 of them hold 14454 pairs), the
 ga skip 19819 more, and 1586 are enumerated; at X = 10^12 the axis
 decides 64439 of 139393.
@@ -94,14 +104,15 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .classes import (
     _ZETA3,
     class_of,
     cover_multiplicity,
     enumerate_reduced,
-    gauss_reduce,
     square_label_inverse,
     square_label_negation,
 )
@@ -109,7 +120,6 @@ from .families import (
     FiberAction,
     family_coefficients,
     fiber_action,
-    lattice_diagonal,
     lattice_triple,
     square_split,
 )
@@ -153,7 +163,7 @@ ABS_I_POLICY = HeightPolicy("absI")
 
 
 # ---------------------------------------------------------------------------
-# Per-family point enumeration (positive definite divisor)
+# Per-family setup, a block of families at a time (positive definite divisor)
 # ---------------------------------------------------------------------------
 
 
@@ -162,56 +172,199 @@ ABS_I_POLICY = HeightPolicy("absI")
 # (t1, t2, t3, t4)): the HNF triple of L_{f,a}; the bound g <= num * Z // den
 # for I <= Z, with (num, den) = (1, 12D) for odd b and (4, 3D) for even b;
 # the Gauss-reduced g; and the entries of the unimodular map from reduced
-# to lattice coordinates (module docstring).  A plain tuple, since a count
-# builds one per family and drops most of them at once.
+# to lattice coordinates (module docstring).  A plain tuple: only the
+# families that reach `ellipse_points` get one.
 Frame = tuple[tuple[int, int, int], int, int, tuple[int, int, int], tuple[int, int, int, int]]
 
+# The families `_count_discs` sets up in one `frame_block` pass.  One pass
+# over a whole count holds every family's arrays at once, which raised its
+# peak memory by half; about a thousand keep it flat and still spread
+# numpy's per-call cost over many rows.
+BLOCK_FAMILIES = 1024
 
-def _family_scale(a: int, b: int, D: int) -> tuple[int, int, int]:
-    """(lam, num, den) of an N family: Q = lam g, and I <= Z reads
-    g <= num * Z // den (module docstring)."""
-    if b % 2:
-        return 16 * a * a * a, 1, 12 * D
-    return a * a * a, 4, 3 * D
+
+class FrameBlock(NamedTuple):
+    """What `frame_block` decides for its rows, in their order."""
+
+    axis: np.ndarray  # pairs on A = 0 where the axis rule decides the row, else -1
+    kept: list[int]  # the rows that reach enumeration, ascending
+    frames: list[Frame]  # their frames, in the same order
+
+
+def _block_dtype(a: int, b: int, c: int, ibound: int) -> type:
+    """np.int64 when every intermediate of `frame_block` stays below 2^63
+    on rows with a <= `a`, |b| <= `b`, c <= `c` and that bound, else object
+    (Python integers); the proof is at `frame_block`."""
+    n = 4 * a**3
+    top = max(n * n * (16 * c + 4 * b + 2 * a), 64 * a**4 * ibound, b * (b * b + 2 * a * c))
+    return np.int64 if top < 2**63 else object
+
+
+def _inverse(u: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """u^(-1) mod m row by row, for u a unit mod m, and 0 where m = 1 (as
+    `pow(u, -1, m)`): the extended Euclid algorithm (Cohen, GTM 138, 1.3),
+    stepping only the rows not yet done.  Every value stays within m."""
+    x = np.zeros_like(m)
+    rows = np.arange(len(m))
+    r0, r1, s0, s1 = m, u % m, 0 * m, 0 * m + 1  # r_i = s_i u (mod m)
+    while len(rows):
+        done = r1 == 0
+        x[rows[done]] = s0[done]
+        live = ~done
+        rows, r0, r1, s0, s1 = rows[live], r0[live], r1[live], s0[live], s1[live]
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    return x % m
+
+
+def _gauss_reduce_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """`classes.gauss_reduce` row by row: the rows (ga, gb, gc, t1, t2, t3,
+    t4) of its reduced forms and transforms, by the same steps, stepping
+    only the forms not yet reduced.  Its shear is taken on every row, since
+    k = floor((a - b) / 2a) is 0 exactly when b lies in (-a, a] already."""
+    one = np.ones_like(a)
+    out = np.empty((7, len(a)), dtype=a.dtype)
+    rows = np.arange(len(a))
+    t1, t2, t3, t4 = one, 0 * one, 0 * one, one
+    while len(rows):
+        k = (a - b) // (2 * a)
+        b, c = 2 * a * k + b, (a * k + b) * k + c
+        t2, t4 = t1 * k + t2, t3 * k + t4
+        done = (c > a) | ((c == a) & (b >= 0))
+        out[:, rows[done]] = np.array((a, b, c, t1, t2, t3, t4))[:, done]
+        live = ~done
+        rows, a, b, c = rows[live], c[live], -b[live], a[live]
+        t1, t2, t3, t4 = t2[live], -t1[live], t4[live], -t3[live]
+    return out
+
+
+def frame_block(forms: Sequence[QuadraticForm], ibound: Optional[int] = None) -> FrameBlock:
+    """The setup of the N families of `forms`, primitive positive definite
+    family forms, as one integer-array pass over the rows (a, b, c).
+
+    Without `ibound` every row is kept with its frame.  With it, each row
+    is decided in turn: by the A = 0 axis rule, then by the ga skip, and
+    only the rest keep a frame for `ellipse_points`.  A row's results do
+    not depend on the other rows, so a form's row in a block equals its
+    one-row result (`ellipse_frame`, `axis_pairs`).
+
+    The axis rule.  a q(A, B) = (aB - 2bA)^2 + 4D A^2 and d1 | A, so a
+    point with A != 0 has a q >= 4D d1^2, while it needs q = lam g <=
+    lam bound: there is none when 4D d1^2 > a lam bound, that is when
+    d1^2 > (a lam bound) // (4D).  The lattice points on A = 0 are
+    (0, t d2), where q = a d2^2 t^2, so the pairs are
+    t = 1 .. isqrt(lam bound // (a d2^2)), taken by `math.isqrt`.
+
+    The frame.  (d1, d2) are the closed forms of
+    `families.lattice_diagonal` and k is that of `families.lattice_triple`,
+    with each right side reduced mod its modulus n_i before the division
+    by g_i: rhs / g_i = (rhs mod n_i) / g_i (mod m_i), since g_i divides
+    rhs and n_i = g_i m_i.  The CRT step is taken on the rows where m2
+    does not divide m3 (d2 > m3).  The inverses come from `_inverse` and
+    the reduced Gram form from `_gauss_reduce_rows`.  The ga skip drops a
+    row when ga > bound, as `frame_empty`.
+
+    Exactness.  The arrays are np.int64 when `_block_dtype` bounds every
+    intermediate below 2^63, from the block's largest a, |b| and c
+    (A, B, C) and ibound Z, and Python integers (dtype object) otherwise;
+    the steps are the same on both.  Per row, with N = 4A^3:
+    * 4ac, D = 4ac - b^2 <= 4AC, 12D, |b^2 - ac| <= B^2 + AC and
+      |b (b^2 - 2ac)| <= B (B^2 + 2AC);
+    * n3 = 4a^3 <= N; the gcds and quotients of (v_i, n_i), d2 =
+      lcm(m2, m3) (a divisor of n3) and d1 = n3 / d2 or n3 / (4 d2) all
+      lie within N, and so do k < d2 and every residue;
+    * products of two residues mod some n_i <= N, the CRT product
+      ((r2 - r3) / g mod h) inv and m3 t < lcm(m3, m2) = d2: below N^2;
+      the Euclid steps stay within twice their modulus;
+    * the Gram numerators 16c d1^2 - 4b d1 k + a k^2,
+      2 d2 (ak - 2b d1) and a d2^2, with d1, k, d2 <= N, and each partial
+      sum and product of them: at most N^2 (16C + 4B + 2A);
+    * Gauss reduction keeps every coefficient within the largest initial
+      one, G, and each step's products within 4G: the shear's b' and c'
+      satisfy |b' - b| <= 2G and c' - c = (ak + b) k in (-c, 0]; the
+      transform's columns u are vectors with g(u) <= G, so
+      |u_i|^2 <= 4 G^2 / |disc g| < 4 G^2 and t1 k = t2' - t2 is within
+      4G.  G <= A^3 (16C + 4B + 2A): with lam = 16a^3 (b odd, d1, k, d2
+      <= 4a^3) or a^3 (b even, d1, k, d2 <= a^3) the division by lam
+      leaves at most a^3 (16c + 4|b| + 2a), and 4G <= N^2 (16C + 4B + 2A);
+    * lam <= 16A^3, bound <= 4Z, a lam bound <= 64 A^4 Z and
+      d1^2 <= N^2.
+    Each of these is at most the largest of N^2 (16C + 4B + 2A),
+    64 A^4 Z and B (B^2 + 2AC), which `_block_dtype` takes.  At
+    X = 10^12 it is about 9.2e17 on a block of the count.
+    """
+    if not forms:
+        return FrameBlock(np.empty(0, dtype=np.int64), [], [])
+    abc = np.array([f.coeffs() for f in forms])  # object when a coefficient passes int64
+    dtype = _block_dtype(*np.abs(abc).max(axis=0).tolist(), ibound or 0)
+    a, b, c = abc.astype(dtype).T
+    D = 4 * a * c - b * b
+    if not ((a > 0) & (D > 0) & (np.gcd(np.gcd(a, b), c) == 1)).all():
+        raise ValueError("frame_block takes primitive positive definite forms")
+    odd = b % 2 == 1
+    n2 = a * a
+    n3 = 4 * n2 * a
+    v2, v3 = b * b - a * c, b * (b * b - 2 * a * c)
+    g2, g3 = np.gcd(v2, n2), np.gcd(v3, n3)
+    m2, m3 = n2 // g2, n3 // g3
+    d2 = np.lcm(m2, m3)
+    d1 = np.where(odd, n3, n3 // 4) // d2
+    lam = np.where(odd, 4 * n3, n2 * a)
+    num = np.where(odd, 1, 4).astype(dtype)
+    den = np.where(odd, 12 * D, 3 * D)
+    rows = np.arange(len(forms))
+    axis = np.full(len(forms), -1, dtype=dtype)
+    if ibound is not None:
+        bound = num * ibound // den
+        fired = d1 * d1 > a * lam * bound // (4 * D)
+        axis[fired] = [math.isqrt(x) for x in (lam * bound // (a * d2 * d2))[fired].tolist()]
+        left = ~fired
+        rows = rows[left]
+        a, b, c, n2, n3, v2, v3, g2, g3, m2, m3, d1, d2, lam, num, den, bound = np.array(
+            (a, b, c, n2, n3, v2, v3, g2, g3, m2, m3, d1, d2, lam, num, den, bound)
+        )[:, left]
+    # k: B = r3 (mod m3) at A = d1, and one CRT step joins B = r2 (mod m2)
+    # on the rows where m2 does not divide m3
+    lift = np.flatnonzero(d2 > m3)
+    bl, cl, n2, g2, m2, v2l, d1l, m3l = np.array((b, c, n2, g2, m2, v2, d1, m3))[:, lift]
+    g = np.gcd(m3l, m2)
+    h = m2 // g
+    inv3, inv2, inv = np.split(
+        _inverse(np.concatenate((v3 // g3, v2l // g2, m3l // g)), np.concatenate((m3, m2, h))),
+        (len(m3), len(m3) + len(lift)),
+    )
+    k = 4 * c % n3 * (v2 % n3) % n3 * d1 % n3 // g3 * inv3 % m3
+    r3 = k[lift]
+    r2 = 4 * bl % n2 * (cl % n2) % n2 * d1l % n2 // g2 * inv2 % m2
+    k[lift] = (r3 + m3l * ((r2 - r3) // g % h * inv % h)) % d2[lift]
+    # the Gram form of q = 16c A^2 - 4b AB + a B^2 on the basis
+    # (d1, k), (0, d2), over lam, Gauss-reduced
+    gram = _gauss_reduce_rows(
+        (16 * c * d1 * d1 - 4 * b * d1 * k + a * k * k) // lam,
+        2 * d2 * (a * k - 2 * b * d1) // lam,
+        a * d2 * d2 // lam,
+    )
+    cols = np.vstack((np.array((d1, k, d2, num, den)), gram))
+    if ibound is not None:
+        nonempty = gram[0] <= bound
+        rows, cols = rows[nonempty], cols[:, nonempty]
+    frames = [(x[0:3], x[3], x[4], x[5:8], x[8:12]) for x in map(tuple, cols.T.tolist())]
+    return FrameBlock(axis, rows.tolist(), frames)
+
+
+def ellipse_frame(f: QuadraticForm) -> Frame:
+    """The frame of the family of the positive definite family form f: the
+    one-row case of `frame_block`."""
+    return frame_block([f]).frames[0]
 
 
 def axis_pairs(f: QuadraticForm, ibound: int) -> Optional[int]:
     """The number of pairs {P, -P} of points of the family of the positive
     definite family form f with I <= ibound, when all of them lie on the
-    axis A = 0; None when a point with A != 0 is not ruled out.  Decided from
-    (a, b, c, D) and two gcds (`families.lattice_diagonal`), with no frame.
-
-    a q(A, B) = (aB - 2bA)^2 + 4D A^2 and d1 | A, so a point with A != 0
-    has a q >= 4D d1^2, while it needs q = lam g <= lam bound: there is none
-    when 4D d1^2 > a lam bound, that is m a^4 bound with m = 16 for b odd
-    and 1 for b even.  The lattice points on A = 0 are (0, t d2), where
-    q = a d2^2 t^2, so the pairs are t = 1 .. isqrt(lam bound // (a d2^2)).
-    """
-    a, b, c = f.a, f.b, f.c
-    D = 4 * a * c - b * b
-    lam, num, den = _family_scale(a, b, D)
-    bound = num * ibound // den
-    d1, d2 = lattice_diagonal(a, b, c)
-    if 4 * D * d1 * d1 <= a * lam * bound:
-        return None
-    return math.isqrt(lam * bound // (a * d2 * d2))
-
-
-def ellipse_frame(f: QuadraticForm) -> Frame:
-    """The frame of the family of the positive definite family form f."""
-    a, b, c = f.a, f.b, f.c
-    D = 4 * a * c - b * b
-    assert D > 0 and a > 0
-    triple = d1, k, d2 = lattice_triple(a, b, c)
-    lam, num, den = _family_scale(a, b, D)
-    # the Gram form of q = 16c A^2 - 4b AB + a B^2 on the basis
-    # (d1, k), (0, d2), over lam
-    gram, transform = gauss_reduce(
-        (16 * c * d1 * d1 - 4 * b * d1 * k + a * k * k) // lam,
-        2 * d2 * (a * k - 2 * b * d1) // lam,
-        a * d2 * d2 // lam,
-    )
-    return triple, num, den, gram, transform
+    axis A = 0; None when a point with A != 0 is not ruled out (the axis
+    rule at `frame_block`, of which this is the one-row case)."""
+    pairs = int(frame_block([f], ibound).axis[0])
+    return None if pairs < 0 else pairs
 
 
 def frame_empty(frame: Frame, ibound: int) -> bool:
@@ -345,6 +498,14 @@ def family_points(f: QuadraticForm, Z: int) -> Iterable[tuple[int, int]]:
     if f.c == 0 and f.b > 0:
         return square_family_points(f.a, f.b, Z)
     raise ValueError(f"no family point set for the divisor {f}")
+
+
+def family_point_sets(fams: Sequence[QuadraticForm], Z: int) -> list[Iterable[tuple[int, int]]]:
+    """`family_points(f, Z)` for each divisor f of `fams`, the positive
+    definite ones with their frames from one `frame_block` pass."""
+    definite = [f.disc() < 0 and f.a > 0 for f in fams]
+    frames = iter(frame_block([f for f, d in zip(fams, definite) if d]).frames)
+    return [ellipse_points(next(frames), Z) if d else family_points(f, Z) for f, d in zip(fams, definite)]
 
 
 def _nonsquare_disc(coeffs: tuple[int, int, int, int, int]) -> bool:
@@ -555,30 +716,27 @@ def unit_families(kind: str, u: int) -> tuple[int, list[QuadraticForm]]:
     return u * u, [QuadraticForm(a, u, 0) for a in merged_square_labels(u)]
 
 
+# The tallies of one counting unit: (disc, points, orbits, irreducible
+# points, cover findings, max_coeff, points by branch).
+UnitCount = tuple[int, int, int, int, list[str], int, dict[str, int]]
+
+
 def _count_unit(
-    job: tuple[str, int, int]
-) -> tuple[int, int, int, int, list[str], int, dict[str, int]]:
-    """All families of one discriminant D ("N") or modulus n ("M"), as
-    (disc, points, orbits, irreducible points, cover findings, max_coeff,
-    points by branch); picklable for process pools."""
-    kind, u, Z = job
-    disc, fams = unit_families(kind, u)
-    pts = orbs = irr = mc = 0
+    disc: int,
+    families: Iterable[tuple[QuadraticForm, Iterable[tuple[int, int]]]],
+    axis: int = 0,
+) -> UnitCount:
+    """The tallies of one discriminant D (N) or modulus n (M) from its
+    families, each with one point of every pair of its points (`count_family`),
+    and `axis` pairs on A = 0 that the axis rule has counted without
+    enumerating them: those are reducible, so they add to the points and
+    the zero_a branch alone."""
+    pts = 2 * axis
+    orbs = irr = mc = 0
     findings = []
     decided = _branch_counts()
-    for f in fams:
-        if kind == "N":
-            axis = axis_pairs(f, Z)
-            if axis is not None:  # A = 0 pairs only, all reducible: no frame
-                pts += 2 * axis
-                decided["zero_a"] += 2 * axis
-                continue
-            frame = ellipse_frame(f)
-            if frame_empty(frame, Z):  # adds to no tally: skip before any object
-                continue
-            points = ellipse_points(frame, Z)
-        else:
-            points = square_family_points(f.a, f.b, Z)
+    decided["zero_a"] = pts
+    for f, points in families:
         fc = count_family(f, points)
         pts += fc.points
         orbs += fc.irreducible_orbits
@@ -595,6 +753,48 @@ def _count_unit(
     return (disc, pts, orbs, irr, findings, mc, decided)
 
 
+def _count_modulus(job: tuple[int, int]) -> list[UnitCount]:
+    """The M tallies of one modulus n; picklable for process pools."""
+    n, Z = job
+    disc, fams = unit_families("M", n)
+    return [_count_unit(disc, ((f, square_family_points(f.a, f.b, Z)) for f in fams))]
+
+
+def _count_block(run: list[tuple[int, list[QuadraticForm]]], Z: int) -> list[UnitCount]:
+    """The N tallies of each D of `run`, (D, GL2 reps) of consecutive D,
+    from one `frame_block` pass over all their families: the axis pairs of
+    each D are summed from the block, and only the families it keeps are
+    enumerated, in order."""
+    forms = [f for _, reps in run for f in reps]
+    block = frame_block(forms, Z)
+    starts = np.cumsum([0] + [len(reps) for _, reps in run[:-1]])
+    axis = np.add.reduceat(np.maximum(block.axis, 0), starts).tolist()
+    kept: list[list] = [[] for _ in run]
+    for i, unit, frame in zip(block.kept, np.searchsorted(starts, block.kept, "right") - 1, block.frames):
+        kept[unit].append((forms[i], ellipse_points(frame, Z)))
+    return [_count_unit(D, fams, pairs) for (D, _), fams, pairs in zip(run, kept, axis)]
+
+
+def _count_discs(job: tuple[Sequence[int], int]) -> list[UnitCount]:
+    """The N tallies of each D of a run of consecutive admissible D, in
+    order, set up in blocks of about BLOCK_FAMILIES families of
+    consecutive D (`_count_block`); picklable for process pools."""
+    discs, Z = job
+    out: list[UnitCount] = []
+    run: list[tuple[int, list[QuadraticForm]]] = []
+    size = 0
+    for D in discs:
+        reps = _gl2_reps(D)
+        run.append((D, reps))
+        size += len(reps)
+        if size >= BLOCK_FAMILIES:
+            out += _count_block(run, Z)
+            run, size = [], 0
+    if run:
+        out += _count_block(run, Z)
+    return out
+
+
 # The most worker processes a count may start (the CLI's --threads ceiling).
 MAX_WORKERS = 64
 
@@ -608,16 +808,23 @@ def check_workers(workers: int) -> None:
 def _count(kind: str, X: int, policy: HeightPolicy, workers: int) -> CountReport:
     check_workers(workers)
     Z = policy.ibound(X)
-    jobs = [(kind, u, Z) for u in count_units(kind, Z)]
+    if kind == "N":  # runs of consecutive D: one, or four per worker
+        discs = _admissible_discs(Z)
+        step = max(1, -(-len(discs) // (1 if workers == 1 else 4 * workers)))
+        count_job, chunk = _count_discs, 1
+        jobs = [(discs[i : i + step], Z) for i in range(0, len(discs), step)]
+    else:
+        count_job, chunk = _count_modulus, 16
+        jobs = [(n, Z) for n in count_units(kind, Z)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_count_unit, jobs, chunksize=16))
+            results = list(pool.map(count_job, jobs, chunksize=chunk))
     else:
-        results = [_count_unit(job) for job in jobs]
+        results = [count_job(job) for job in jobs]
     rep = CountReport(X, policy.mode, Z, 0, 0, 0)
-    for (disc, pts, orbs, irr, findings, mc, decided) in results:
+    for (disc, pts, orbs, irr, findings, mc, decided) in (unit for units in results for unit in units):
         if pts:
             rep.per_D[disc] = (pts, orbs)
         rep.raw_points += pts
@@ -790,15 +997,15 @@ def primitive_uniqueness_check(X: int) -> UniquenessReport:
     Dmin = int(X ** (2 / 9))
     rep = UniquenessReport(X, 0, [])
     Dmax = 4 * Z // 3
-    for D in range(Dmin + 1, Dmax + 1):
-        if D % 4 not in (0, 3):
-            continue
-        for f in enumerate_reduced(D):
+    reps = [(D, f) for D in range(Dmin + 1, Dmax + 1) if D % 4 in (0, 3) for f in enumerate_reduced(D)]
+    for i in range(0, len(reps), BLOCK_FAMILIES):  # frames in blocks of consecutive D
+        block = reps[i : i + BLOCK_FAMILIES]
+        for (D, f), pairs in zip(block, family_point_sets([f for _, f in block], Z)):
             rep.checked_forms += 1
             # -F has the content of F, so the pairs decide primitivity
             prim = [
                 (A, B)
-                for (A, B) in family_points(f, Z)
+                for (A, B) in pairs
                 if QuarticForm(*family_coefficients(f, A, B)).content() == 1
             ]
             if len(prim) > 1:
@@ -876,8 +1083,6 @@ def fit_ladder(reports: list[CountReport]) -> tuple[float, float]:
     """Least squares for count = a X^(1/3) log X + b X^(1/3) over the
     reports with X > 1, the ones `ratio` is taken against the main term
     for; (0.0, 0.0) when fewer than two remain."""
-    import numpy as np
-
     fit = [r for r in reports if r.X > 1]
     if len(fit) < 2:
         return 0.0, 0.0

@@ -135,13 +135,18 @@ def _ellipse_points_rowscan(f: forms.QuadraticForm, ibound: int) -> list[tuple[i
 def _check_reduced_enumeration(res: SuiteResult, dmax: int) -> None:
     """`counting.ellipse_points` (reduced coordinates, one point of each
     pair {P, -P}) with its negations against the row scan, the Gram
-    identity Q = lam g behind it, the integer frame of
-    `counting.ellipse_frame` against `families.lattice_Lfa`, `transport` and
-    `gauss_reduce`, the closed-form diagonal `families.lattice_diagonal` and
-    the determinant against `lattice_Lfa`, the frame's empty-family skip
-    and the A = 0 axis rule `counting.axis_pairs` against the row scan, and
-    the odd-D skip of `counting._admissible_discs`, on every GL2 family with
-    D <= dmax.  The bounds Z in {D, 2D, 3D} reach the even D above Z/3."""
+    identity Q = lam g behind it, the closed-form diagonal
+    `families.lattice_diagonal` and the determinant against
+    `families.lattice_Lfa`, and the odd-D skip of
+    `counting._admissible_discs`, on every GL2 family with D <= dmax.
+
+    `counting.frame_block` runs once on the GL2 reps of each D without a
+    bound, where its frames are checked against `lattice_Lfa`, `transport`
+    and `gauss_reduce`, and once at each bound Z, where its axis rule and
+    ga skip are checked against the row scan and its kept frames against
+    the ones without a bound.  At Z = 3D the one-row `counting.axis_pairs`
+    of the last rep must equal its row of the block.  The bounds Z in
+    {D, 2D, 3D} reach the even D above Z/3."""
     for D in range(3, dmax + 1):
         if D % 4 not in (0, 3):
             continue
@@ -151,7 +156,9 @@ def _check_reduced_enumeration(res: SuiteResult, dmax: int) -> None:
             admitted = (D in counting._admissible_discs(Z) for Z in (12 * D - 1, 12 * D))
             if tuple(admitted) != (False, True):
                 res.fail(f"odd D={D} is not admitted exactly from Z = 12D")
-        for f in counting._gl2_reps(D):
+        reps = counting._gl2_reps(D)
+        frames = counting.frame_block(reps).frames
+        for f, frame in zip(reps, frames):
             a, b, c = f.coeffs()
             L = families.lattice_Lfa(f)
             res.checks += 1
@@ -172,26 +179,32 @@ def _check_reduced_enumeration(res: SuiteResult, dmax: int) -> None:
             g = forms.QuadraticForm(*(x // lam for x in Q))
             if g.disc() != (-D if odd else -16 * D):
                 res.fail(f"disc of the family Gram form {g} of {f} is {g.disc()}")
-            frame = counting.ellipse_frame(f)
             triple, _, _, gram, transform = frame
             res.checks += 1
             reduced = classes.gauss_reduce(*L.transport((16 * c, -4 * b, a), lam))
             if triple != (L.d1, L.k, L.d2):
                 res.fail(f"frame triple {triple} of {f} is not lattice_Lfa's {L}")
-                continue
-            if (gram, transform) != reduced:
+            elif (gram, transform) != reduced:
                 res.fail(f"frame Gram form of {f} is not the reduced transport {reduced}")
-                continue
-            for Z in (D // 2, D, 2 * D, 3 * D, 12 * D - 1, 12 * D, 100 * D, 400 * D):
+        for Z in (D // 2, D, 2 * D, 3 * D, 12 * D - 1, 12 * D, 100 * D, 400 * D):
+            block = counting.frame_block(reps, Z)
+            kept = dict(zip(block.kept, block.frames))
+            if Z == 3 * D:
+                res.checks += 1
+                if counting.axis_pairs(reps[-1], Z) != (None if block.axis[-1] < 0 else block.axis[-1]):
+                    res.fail(f"the one-row axis rule of {reps[-1]} differs from its block row at Z={Z}")
+            for i, (f, frame) in enumerate(zip(reps, frames)):
                 res.checks += 1
                 want = _ellipse_points_rowscan(f, Z)
-                axis = counting.axis_pairs(f, Z)
-                if axis is not None and (any(A for A, _ in want) or len(want) != 2 * axis):
+                axis = block.axis[i]
+                if axis >= 0 and (i in kept or any(A for A, _ in want) or len(want) != 2 * axis):
                     res.fail(f"axis rule gives {axis} pairs on A = 0: f={f}, Z={Z}, {want}")
                 if counting.with_negations(counting.ellipse_points(frame, Z)) != want:
                     res.fail(f"ellipse_points differs from the row scan: f={f}, Z={Z}")
-                if counting.frame_empty(frame, Z) != (not want):
-                    res.fail(f"the frame's skip is not exact: f={f}, Z={Z}, {len(want)} points")
+                if axis < 0 and (i in kept) != bool(want):
+                    res.fail(f"the block's skip is not exact: f={f}, Z={Z}, {len(want)} points")
+                if kept.get(i, frame) != frame:
+                    res.fail(f"the block keeps another frame of {f} at Z={Z}")
                 if odd and Z < 12 * D and want:
                     res.fail(f"odd D={D} has points at Z={Z} < 12D: f={f}")
 
@@ -500,8 +513,9 @@ def _check_irreducibility_certificate(res: SuiteResult, X: int) -> None:
         points = irreducible = settled = split = missed = negated = 0
         decided = dict.fromkeys(counting.BRANCHES, 0)
         for u in counting.count_units(kind, Z):
-            for f in counting.unit_families(kind, u)[1]:
-                pairs = list(counting.family_points(f, Z))
+            fams = counting.unit_families(kind, u)[1]
+            for f, family in zip(fams, counting.family_point_sets(fams, Z)):
+                pairs = list(family)
                 pts = counting.with_negations(pairs)
                 fam_irreducible = 0
                 fam_decided = dict.fromkeys(counting.BRANCHES, 0)

@@ -3,7 +3,9 @@
 import hashlib
 import math
 import random
+from dataclasses import asdict
 
+import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +13,9 @@ from jzero import counting
 from jzero.classes import enumerate_reduced, gauss_reduce
 from jzero.counting import (
     ABS_I_POLICY,
+    BLOCK_FAMILIES,
     DISC_POLICY,
+    _gl2_reps,
     axis_pairs,
     count_family,
     count_M,
@@ -22,6 +26,7 @@ from jzero.counting import (
     ellipse_points,
     family_points,
     fit_ladder,
+    frame_block,
     frame_empty,
     icbrt,
     merged_square_labels,
@@ -81,11 +86,11 @@ def test_least_reduced_value_decides_empty_families():
     admissible = set(count_units("N", Z))
     outcomes = {True: 0, False: 0}
     for D in range(3, 4 * Z // 3 + 1):
-        for f in unit_families("N", D)[1]:
+        reps = unit_families("N", D)[1]
+        for f, frame in zip(reps, frame_block(reps).frames):
             a, b, c = f.coeffs()
             lam, bound = (16 * a**3, Z // (12 * D)) if b % 2 else (a**3, 4 * Z // (3 * D))
             (ga, _, _), _ = gauss_reduce(*lattice_Lfa(f).transport((16 * c, -4 * b, a), lam))
-            frame = ellipse_frame(f)
             assert (frame[3][0], frame[1] * Z // frame[2]) == (ga, bound), f
             empty = frame_empty(frame, Z)
             assert empty == (not _ellipse_points_rowscan(f, Z)), f
@@ -114,14 +119,12 @@ def test_ellipse_points_match_naive():
         a, b, c = f.coeffs()
         L = lattice_Lfa(f)
         K = 4 * a**3 * Z
-        want = sorted(
-            (A, B)
-            for A in range(-200, 201)
-            for B in range(-200, 201)
-            if (A, B) != (0, 0)
-            and contains(L, A, B)
-            and 3 * D * (a * B * B - 4 * b * A * B + 16 * c * A * A) <= K
-        )
+        # every (A, B) != (0, 0) of the box in L (`contains`) with I <= Z,
+        # scanned as arrays in the box's order
+        A, B = (x.ravel() for x in np.meshgrid(np.arange(-200, 201), np.arange(-200, 201), indexing="ij"))
+        inside = (A % L.d1 == 0) & ((B - L.k * (A // L.d1)) % L.d2 == 0) & ((A != 0) | (B != 0))
+        inside &= 3 * D * (a * B * B - 4 * b * A * B + 16 * c * A * A) <= K
+        want = sorted(zip(A[inside].tolist(), B[inside].tolist()))
         assert got == want, (f, Z)
 
 
@@ -153,8 +156,7 @@ def test_enumerators_match_their_two_sign_scans():
     # signs of a
     nonempty = 0
     for D in range(3, 1500):
-        for f in unit_families("N", D)[1] if D % 4 in (0, 3) else ():
-            frame = ellipse_frame(f)
+        for frame in frame_block(unit_families("N", D)[1]).frames:
             for Z in (12 * D, 40 * D + 3, 300 * D + 7):
                 want = ellipse_points_full_plane(frame, Z)
                 _check_half(list(ellipse_points(frame, Z)), want)
@@ -358,7 +360,6 @@ def test_imprimitive_scaling_consistency():
 def test_ellipse_points_match_row_scan_on_skewed_lattices():
     # the reduced-coordinate enumeration, with its negations, against the
     # HNF row scan it replaced; large D gives large a and skewed bases
-    from jzero.counting import _gl2_reps
     from jzero.verify import _ellipse_points_rowscan
 
     rng = random.Random(63)
@@ -368,8 +369,9 @@ def test_ellipse_points_match_row_scan_on_skewed_lattices():
     for _ in range(1500):
         D = rng.choice(discs)
         cases.append((rng.choice(_gl2_reps(D)), rng.randint(1, 400 * D)))
-    for f, Z in cases:
-        assert with_negations(ellipse_points(ellipse_frame(f), Z)) == _ellipse_points_rowscan(f, Z), (f, Z)
+    frames = frame_block([f for f, _ in cases]).frames
+    for (f, Z), frame in zip(cases, frames):
+        assert with_negations(ellipse_points(frame, Z)) == _ellipse_points_rowscan(f, Z), (f, Z)
 
 
 @settings(max_examples=300, deadline=None, database=None)
@@ -393,7 +395,7 @@ def test_axis_rule_matches_row_scan(a, b, c, zmul):
 def test_odd_disc_skip_is_exact():
     # an odd D holds a point iff 12 D <= Z: none below (row scan over every
     # family), and the principal family reaches I = 12 D
-    from jzero.counting import _admissible_discs, _gl2_reps
+    from jzero.counting import _admissible_discs
     from jzero.verify import _ellipse_points_rowscan
 
     for D in range(3, 800, 4):
@@ -421,16 +423,139 @@ def _report_digest(rep):
     return hashlib.sha256(repr(fields).encode()).hexdigest()
 
 
+# the counting contract: every output of count_N and count_M at 1e9 and
+# 1e10, and of count_N at 1e11, but the float fit, as SHA-256 of its repr
+_PINNED = {
+    ("N", 10**9): "de7c18da0c36abcd4da939087265547f154a9bedddb00bfe51200a1a72a5fe6c",
+    ("M", 10**9): "c40a1b6747c0e864321dd8c770aa477ea1bc92ab31853467fb0260e3131713fb",
+    ("N", 10**10): "a99c8222ed2bf8921a19388cad318225ff223d9c479d63c41ad1a8c92a907233",
+    ("M", 10**10): "c0db44ebd32710f9ce91946313f20172de672f18ebcdfacb75ee443dc09e793b",
+    ("N", 10**11): "e97a3331060544b00579b36015244b5c69f56513be5d73952f9c4a44e6a9a9af",
+}
+
+
 def test_count_reports_are_pinned():
-    # the counting contract: every output of count_N and count_M at 1e9 and
-    # 1e10, and of count_N at 1e11, but the float fit, as SHA-256 of its
-    # repr.  A change to the counting path must leave these unchanged
-    pinned = {
-        ("N", 10**9): "de7c18da0c36abcd4da939087265547f154a9bedddb00bfe51200a1a72a5fe6c",
-        ("M", 10**9): "c40a1b6747c0e864321dd8c770aa477ea1bc92ab31853467fb0260e3131713fb",
-        ("N", 10**10): "a99c8222ed2bf8921a19388cad318225ff223d9c479d63c41ad1a8c92a907233",
-        ("M", 10**10): "c0db44ebd32710f9ce91946313f20172de672f18ebcdfacb75ee443dc09e793b",
-        ("N", 10**11): "e97a3331060544b00579b36015244b5c69f56513be5d73952f9c4a44e6a9a9af",
-    }
-    got = {(kind, X): _report_digest((count_N if kind == "N" else count_M)(X)) for (kind, X) in pinned}
-    assert got == pinned
+    # a change to the counting path must leave these unchanged
+    got = {(kind, X): _report_digest((count_N if kind == "N" else count_M)(X)) for (kind, X) in _PINNED}
+    assert got == _PINNED
+
+
+def test_frame_block_matches_the_references():
+    # the GL2 reps with D <= 2000.  In one frame_block without a bound, each
+    # row's frame against lattice_Lfa and the Gauss reduction of the
+    # transported Gram form; in one frame_block per D at each bound Z, each
+    # row's verdict against the row scan: the axis rule with its pair count,
+    # the ga skip, or the same frame kept
+    from jzero.verify import _ellipse_points_rowscan
+
+    units = [(D, _gl2_reps(D)) for D in range(3, 2001) if D % 4 in (0, 3)]
+    block = frame_block([f for _, reps in units for f in reps])
+    assert block.kept == list(range(len(block.frames))) and (block.axis == -1).all()
+    frames = iter(block.frames)
+    verdicts = {"axis": 0, "skip": 0, "kept": 0}
+    for D, reps in units:
+        unframed = [next(frames) for _ in reps]
+        for f, frame in zip(reps, unframed):
+            a, b, c = f.coeffs()
+            L = lattice_Lfa(f)
+            lam, num, den = (16 * a**3, 1, 12 * D) if b % 2 else (a**3, 4, 3 * D)
+            assert frame[:3] == ((L.d1, L.k, L.d2), num, den), f
+            assert frame[3:] == gauss_reduce(*L.transport((16 * c, -4 * b, a), lam)), f
+        for Z in (D // 2, D, 3 * D, 12 * D - 1, 12 * D, 400 * D):
+            at = frame_block(reps, Z)
+            kept = dict(zip(at.kept, at.frames))
+            for i, f in enumerate(reps):
+                want = _ellipse_points_rowscan(f, Z)
+                if at.axis[i] >= 0:
+                    assert i not in kept and not any(A for A, _ in want), (f, Z)
+                    assert len(want) == 2 * at.axis[i], (f, Z)
+                    verdicts["axis"] += 1
+                elif i in kept:
+                    assert want and kept[i] == unframed[i], (f, Z)
+                    verdicts["kept"] += 1
+                else:
+                    assert not want, (f, Z)
+                    verdicts["skip"] += 1
+    assert min(verdicts.values()) > 1000, verdicts
+
+
+_DEFINITE_FORMS = (
+    st.tuples(st.integers(1, 60), st.integers(-90, 90), st.integers(1, 300))
+    .map(lambda abc: QuadraticForm(*abc))
+    .filter(lambda f: f.is_primitive() and f.disc() < 0)
+)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.lists(_DEFINITE_FORMS, min_size=2, max_size=8), st.integers(1, 10**6))
+def test_block_rows_equal_their_one_row_results(forms, Z):
+    # primitive positive definite forms, not reduced and with b < 0 too: a
+    # row's results do not depend on the other rows of its block, so
+    # blocking cannot change a count
+    frames = [ellipse_frame(f) for f in forms]
+    assert frame_block(forms).frames == frames
+    block = frame_block(forms, Z)
+    kept = dict(zip(block.kept, block.frames))
+    for i, (f, frame) in enumerate(zip(forms, frames)):
+        axis = axis_pairs(f, Z)
+        assert block.axis[i] == (-1 if axis is None else axis), (f, Z)
+        assert kept.get(i) == (None if axis is not None or frame_empty(frame, Z) else frame), (f, Z)
+
+
+def test_object_arrays_keep_the_pinned_counts(monkeypatch):
+    # the same pass on Python integers, which a block takes when its bound
+    # on the intermediates reaches 2^63, gives the same count reports
+    monkeypatch.setattr(counting, "_block_dtype", lambda *bounds: object)
+    for X in (10**9, 10**10):
+        assert _report_digest(count_N(X)) == _PINNED[("N", X)], X
+
+
+def test_family_points_take_the_object_path_for_large_a(monkeypatch):
+    # a = 2^21 + 1, so a^3 > 2^63: the block must run on Python integers
+    # and agree with the row scan, with no int64 wrap.  For b = 0 the
+    # lattice is a^2 | A, a | B and g(s, t) = t^2 + 16ac s^2, so at the
+    # bound g <= 25 the points are (0, t a) with 1 <= t <= 5
+    from jzero.verify import _ellipse_points_rowscan
+
+    dtypes = []
+    dtype_of = counting._block_dtype
+    monkeypatch.setattr(counting, "_block_dtype", lambda *bounds: dtypes.append(dtype_of(*bounds)) or dtypes[-1])
+    a = 2**21 + 1
+    f = QuadraticForm(a, 0, a + 1)
+    D = -f.disc()
+    Z = 3 * D * 25 // 4
+    pts = with_negations(family_points(f, Z))
+    assert pts == _ellipse_points_rowscan(f, Z) == sorted((0, t * a) for t in range(-5, 6) if t)
+    assert axis_pairs(f, Z) == 5
+    L = lattice_Lfa(f)
+    assert ellipse_frame(f) == ((L.d1, L.k, L.d2), 4, 3 * D, *gauss_reduce(*L.transport((16 * (a + 1), 0, a), a**3)))
+    # a small form in the same block takes the same path and keeps its results
+    small = QuadraticForm(2, 1, 3)
+    assert frame_block([small, f]).frames[0] == frame_block([small]).frames[0]
+    assert dtypes[-2:] == [object, np.int64] and set(dtypes[:-1]) == {object}
+
+
+def test_workers_agree_across_blocks():
+    # at 1e9 the admissible D hold several blocks of families, which two
+    # workers split into runs of consecutive D; the reports agree field for
+    # field
+    Z = DISC_POLICY.ibound(10**9)
+    assert sum(len(_gl2_reps(D)) for D in count_units("N", Z)) > 4 * BLOCK_FAMILIES
+    assert asdict(count_N(10**9, workers=2)) == asdict(count_N(10**9))
+
+
+_EVEN_B_FORMS = (
+    st.tuples(st.integers(1, 200), st.integers(-200, 200), st.integers(1, 2000))
+    .map(lambda ahc: QuadraticForm(ahc[0], 2 * ahc[1], ahc[2]))
+    .filter(lambda f: f.is_primitive() and f.disc() < 0)
+)
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(st.lists(_EVEN_B_FORMS, min_size=1, max_size=20))
+def test_even_b_gram_values_are_squares_mod_16(forms):
+    # for even b the frame's Gram form g takes only squares mod 16 (proof in
+    # the counting docstring), on reduced forms and others alike
+    for f, (_, _, _, (ga, gb, gc), _) in zip(forms, frame_block(forms).frames):
+        values = {(ga * s * s + gb * s * t + gc * t * t) % 16 for s in range(-4, 5) for t in range(-4, 5)}
+        assert values <= {0, 1, 4, 9}, (f, values)

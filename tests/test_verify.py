@@ -196,21 +196,36 @@ def test_parametrization_suite_checks_reduced_enumeration(monkeypatch):
     assert any("not admitted exactly" in msg for msg in r.failures)
 
 
+def _patch_block(monkeypatch, change):
+    # counting.frame_block with `change` applied to its output
+    block_of = counting.frame_block
+
+    def changed(forms, ibound=None):
+        return change(block_of(forms, ibound), ibound)
+
+    monkeypatch.setattr(counting, "frame_block", changed)
+
+
 def test_parametrization_suite_checks_the_integer_frame(monkeypatch):
-    frame_of = counting.ellipse_frame
+    def wrong_k(block, Z):
+        frames = [((d1, (k + 1) % d2, d2), *rest) for (d1, k, d2), *rest in block.frames]
+        return block._replace(frames=frames)
 
-    def wrong_k(f):
-        (d1, k, d2), *rest = frame_of(f)
-        return ((d1, (k + 1) % d2, d2), *rest)
-
-    monkeypatch.setattr(counting, "ellipse_frame", wrong_k)
+    _patch_block(monkeypatch, wrong_k)
     r = run_suite("parametrization", dmax=20, coeff_box=0, det_alpha=0)
     assert any(msg.startswith("frame triple") for msg in r.failures)
     monkeypatch.undo()
+
     # a skip at ga = bound drops families whose point g(1, 0) = ga is in
-    monkeypatch.setattr(counting, "frame_empty", lambda frame, Z: frame[3][0] >= frame[1] * Z // frame[2])
+    def skip_at_bound(block, Z):
+        if Z is None:
+            return block
+        keep = [i for i, (_, num, den, (ga, _, _), _) in enumerate(block.frames) if ga < num * Z // den]
+        return block._replace(kept=[block.kept[i] for i in keep], frames=[block.frames[i] for i in keep])
+
+    _patch_block(monkeypatch, skip_at_bound)
     r = run_suite("parametrization", dmax=20, coeff_box=0, det_alpha=0)
-    assert any(msg.startswith("the frame's skip is not exact") for msg in r.failures)
+    assert any(msg.startswith("the block's skip is not exact") for msg in r.failures)
 
 
 def test_parametrization_suite_checks_the_axis_rule(monkeypatch):
@@ -220,13 +235,11 @@ def test_parametrization_suite_checks_the_axis_rule(monkeypatch):
     r = run_suite("parametrization", dmax=20, coeff_box=0, det_alpha=0)
     assert any(msg.startswith("closed-form diagonal") for msg in r.failures)
     monkeypatch.undo()
-    axis_of = counting.axis_pairs
 
-    def one_more(f, Z):
-        n = axis_of(f, Z)
-        return None if n is None else n + 1
+    def one_more(block, Z):
+        return block._replace(axis=block.axis + (block.axis >= 0))
 
-    monkeypatch.setattr(counting, "axis_pairs", one_more)
+    _patch_block(monkeypatch, one_more)
     r = run_suite("parametrization", dmax=20, coeff_box=0, det_alpha=0)
     assert any(msg.startswith("axis rule gives") for msg in r.failures)
 
