@@ -23,6 +23,8 @@ over Q is first tried by a certificate mod small primes
 root of F mod p proves it, by Stickelberger's theorem); forms it does not
 settle are factored, with rational roots and quadratic factors found by
 divisor enumeration under a Mignotte-style coefficient bound.
+`irreducible_rows` decides a whole array of coefficient rows the same way,
+with the certificate on int64 arrays.
 """
 
 from __future__ import annotations
@@ -31,6 +33,15 @@ import math
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from typing import Optional
+
+import numpy as np
+
+# the largest |coefficient| of a brute-force box, and of a row that
+# `irreducible_rows` takes
+MAX_BRUTE_HEIGHT = 60
+
+# the primes that `irreducible_mod_p` and `irreducible_rows` try
+CERTIFICATE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +678,7 @@ def irreducible_mod_p(F: QuarticForm) -> Optional[int]:
     if disc == 0 or (disc > 0 and math.isqrt(disc) ** 2 == disc):
         return None
     a4, a3, a2, a1, a0 = F.coeffs()
-    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59):
+    for p in CERTIFICATE_PRIMES:
         if a4 % p == 0 or pow(disc % p, (p - 1) // 2, p) != p - 1:
             continue
         c4, c3, c2, c1, c0 = a4 % p, a3 % p, a2 % p, a1 % p, a0 % p
@@ -682,6 +693,7 @@ def irreducible_mod_p(F: QuarticForm) -> Optional[int]:
 def is_irreducible_Q(F: QuarticForm) -> bool:
     """True iff F has no rational factor of degree 1 or 2: proved by
     `irreducible_mod_p` when it finds a prime, else by factorization.
+    `irreducible_rows` is the same decision on an array of rows.
 
     a4 = 0 or a0 = 0 settles it at once: then y or x divides the nonzero F,
     with a nonzero cubic cofactor, so F is reducible."""
@@ -692,3 +704,46 @@ def is_irreducible_Q(F: QuarticForm) -> bool:
     if irreducible_mod_p(F) is not None:
         return True
     return quartic_factorization(F).is_irreducible()
+
+
+def irreducible_rows(rows) -> np.ndarray:
+    """`[is_irreducible_Q(QuarticForm(*r)) for r in rows]` as a bool array,
+    for an integer array of coefficient rows (a4, a3, a2, a1, a0).
+
+    A row with a4 a0 = 0 is reducible.  The others meet the certificate of
+    `irreducible_mod_p` one prime of CERTIFICATE_PRIMES at a time, each
+    prime testing only the rows still open: p does not divide a4,
+    (disc/p) = -1 (read from a table of the non-residues mod p) and none
+    of the p values F(t, 1) is 0 mod p.  A square or zero disc(F) is a
+    square mod every p, so it never passes the Legendre test and needs no
+    test of its own.  The rows no prime certifies are factored.
+
+    Every value is exact in int64 for |a_i| <= H = MAX_BRUTE_HEIGHT:
+    |I| <= 16 H^2 and |J| <= 137 H^3, so |4 I^3 - J^2| <= 35153 H^6 < 2^51,
+    and |F(t, 1)| <= H (1 + t + t^2 + t^3 + t^4) < 2^30 for t <= 58.
+    Raises ValueError on a zero row or a coefficient beyond that bound.
+    """
+    rows = np.asarray(rows).reshape(-1, 5)
+    if rows.size and np.abs(rows).max() > MAX_BRUTE_HEIGHT:
+        raise ValueError(f"a coefficient beyond the row bound {MAX_BRUTE_HEIGHT}")
+    rows = rows.astype(np.int64)
+    if not rows.any(axis=1).all():
+        raise ValueError("zero form")
+    out = np.zeros(len(rows), dtype=bool)
+    left = np.flatnonzero(rows[:, 0] * rows[:, 4])
+    a4, a3, a2, a1, a0 = rows[left].T
+    I = 12 * a4 * a0 - 3 * a3 * a1 + a2 * a2
+    J = 72 * a4 * a2 * a0 + 9 * a3 * a2 * a1 - 27 * a4 * a1 * a1 - 27 * a0 * a3 * a3 - 2 * a2**3
+    disc = (4 * I**3 - J * J) // 27
+    for p in CERTIFICATE_PRIMES:
+        t = np.arange(p, dtype=np.int64)
+        nonresidue = np.ones(p, dtype=bool)
+        nonresidue[t * t % p] = False
+        cert = (rows[left, 0] % p != 0) & nonresidue[disc % p]
+        values = rows[left[cert]] @ (t ** np.arange(4, -1, -1)[:, None])  # F(t, 1)
+        cert[cert] = (values % p != 0).all(axis=1)
+        out[left[cert]] = True
+        left, disc = left[~cert], disc[~cert]
+    for i, row in zip(left.tolist(), rows[left].tolist()):
+        out[i] = quartic_factorization(QuarticForm(*row)).is_irreducible()
+    return out

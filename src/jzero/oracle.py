@@ -7,12 +7,16 @@ with 3 | a2 are solved: J = a0 den - num with 9 | den and num = 2 a2^3
 (mod 9), so a solved a0 needs 3 | a2.  F -> -F negates J and keeps I, so
 the box is closed under it, and `brute_quartics` yields one form of each
 pair {F, -F}, the one with (a4, a3) < (0, 0).  F and -F are irreducible
-together, so the box decides irreducibility once per pair, and keys each
-pair once as well: F is keyed by transporting it into the canonical
-coordinates of its Hessian divisor class and canonicalizing the family
-point under the divisor's finite symmetry group, and -F shares that key
-but for the point, which is the canonical image of minus the point
-(`negated_key`, with the proof).
+together, so the box decides irreducibility once per pair, a block of
+BOX_CHUNK pairs at a time (`forms.irreducible_rows`: a4 a0 = 0, the
+mod-p certificate on int64 arrays, and full factorization of the rows it
+leaves).  That decision uses no family theory, only the mod-p theorem and
+factorization, so the oracle stays independent of the counts it checks.
+Each irreducible pair is keyed once as well: F is keyed by transporting
+it into the canonical coordinates of its Hessian divisor class and
+canonicalizing the family point under the divisor's finite symmetry
+group, and -F shares that key but for the point, which is the canonical
+image of minus the point (`negated_key`, with the proof).
 Everything that depends only on the Hessian divisor (its canonical form
 and transform, fiber action and n_f) is computed once per divisor
 (`divisor`).  The per-form steps are integer
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress, islice
 from typing import Iterator, Optional
 
 import numpy as np
@@ -50,6 +55,7 @@ from .classes import (
 from .counting import CountReport, DISC_POLICY, count_M, count_N
 from .families import FiberAction, fiber_action, member_of
 from .forms import (
+    MAX_BRUTE_HEIGHT,
     QuadraticForm,
     QuarticForm,
     Unimodular,
@@ -57,11 +63,15 @@ from .forms import (
     act_quartic,
     hessian_sqrt,
     invariants,
-    is_irreducible_Q,
+    irreducible_rows,
     value_type,
 )
 
-MAX_BRUTE_HEIGHT = 60
+# box forms decided per `irreducible_rows` call: fewer than about a
+# thousand pay more in numpy's per-call cost, and 4096, whose table of
+# F(t, 1) mod p holds up to 4096 x 59 values, raised the oracle's peak RSS
+# by about 1 MB, where 2048 keeps it within 0.3 MB
+BOX_CHUNK = 2048
 
 
 def brute_quartics(height: int, imax: Optional[int] = None) -> Iterator[QuarticForm]:
@@ -322,7 +332,10 @@ def orbit_count_bruteforce(X: int, height: Optional[int] = None) -> BruteForceRe
     split by Hessian-divisor slice, and record where a counted key's fiber
     size falls short of n_f.  Each {F, -F} pair of the box is decided and
     keyed once, on the member that `brute_quartics` yields, and its
-    partner's key is `negated_key` of it."""
+    partner's key is `negated_key` of it.  The forms are decided in blocks
+    of BOX_CHUNK by `irreducible_rows`, so memory stays flat, and only the
+    irreducible ones are keyed; that decision reads no family theory, so
+    the oracle stays independent of the counts it checks."""
     required, n_rep, m_rep = certify_cover(X)
     if height is None:
         height = required
@@ -335,13 +348,13 @@ def orbit_count_bruteforce(X: int, height: Optional[int] = None) -> BruteForceRe
     # ibound(X) = icbrt(27X // 4), so for an integer I the box filter
     # |I| <= ibound(X) holds exactly when 4|I|^3 <= 27X: it is the whole
     # height condition |disc F| <= X.
-    for F in brute_quartics(height, imax=DISC_POLICY.ibound(X)):
-        if not is_irreducible_Q(F):
-            continue
-        key = orbit_key(F)
-        keys = by_slice[key.slice]
-        keys.add(key)
-        keys.add(negated_key(key)[0])
+    box = brute_quartics(height, imax=DISC_POLICY.ibound(X))
+    while chunk := list(islice(box, BOX_CHUNK)):
+        for F in compress(chunk, irreducible_rows([F.coeffs() for F in chunk])):
+            key = orbit_key(F)
+            keys = by_slice[key.slice]
+            keys.add(key)
+            keys.add(negated_key(key)[0])
     rep.n_orbits = len(rep.n_keys)
     rep.m_orbits = len(rep.m_keys)
     rep.indefinite_orbits = len(by_slice["indefinite"])

@@ -365,9 +365,11 @@ def suite_reducibility(
     """Also checks the irreducibility fast paths against slow ones: the mod-p
     certificate, the square split and the counting kernel's decision
     against full factorization on every family point of N(X) and M(X) for
-    X = certificate_x, and `is_irreducible_Q` against
-    `sympy.factor_list` on a seeded sample of sympy_samples J = 0 forms of
-    height at most 12 (this check needs sympy, from the dev extra)."""
+    X = certificate_x, `forms.irreducible_rows` against the scalar
+    decisions on those points within its coefficient bound and on every
+    J = 0 form of height at most 12, and `is_irreducible_Q` against
+    `sympy.factor_list` on a seeded sample of sympy_samples of those forms
+    (this check needs sympy, from the dev extra)."""
     res = SuiteResult("reducibility")
     rng = random.Random(seed)
     type1 = type2 = 0
@@ -433,11 +435,12 @@ def suite_reducibility(
     for D in range(3, 60):
         if D % 4 not in (0, 3):
             continue
-        for f in classes.enumerate_reduced(D):
+        reps = classes.enumerate_reduced(D)
+        for f, family in zip(reps, counting.family_point_sets(reps, Z)):
             s, t = reducible.square_part_split(D)
             m_odd = hensel.canonical_fp(f).m % 2 == 1
             fam_sq = set()
-            for (A, B) in counting.family_points(f, Z):
+            for (A, B) in family:
                 I, _ = families.family_invariant(families.FamilyPoint(f, A, B))
                 r = math.isqrt(I)
                 if r * r == I:
@@ -483,8 +486,19 @@ def suite_reducibility(
     res.stats["xi_m_checked"] = cnt
     res.stats["xi_m_order_violations"] = bad
     _check_irreducibility_certificate(res, certificate_x)
-    _check_against_sympy(res, rng, sympy_samples)
+    _check_box_irreducibility(res, rng, sympy_samples)
     return res
+
+
+def _check_rows(res: SuiteResult, label: str, coeffs: list, want: list) -> None:
+    """`forms.irreducible_rows` on the coefficient rows `coeffs` against the
+    per-form decisions `want`, with the rows checked as a stat."""
+    got = forms.irreducible_rows(coeffs).tolist()
+    res.checks += len(coeffs)
+    res.stats[f"irreducible_rows_{label}"] = len(coeffs)
+    for row, g, w in zip(coeffs, got, want):
+        if g != w:
+            res.fail(f"irreducible_rows decides {row} {g}, the slow path {w}")
 
 
 def _check_irreducibility_certificate(res: SuiteResult, X: int) -> None:
@@ -498,7 +512,11 @@ def _check_irreducibility_certificate(res: SuiteResult, X: int) -> None:
     split settles, those missed points, and the points by kernel branch.
     It also checks the lemma at `count_family` on every point P: a fiber
     map that sends P to -P makes F reducible.  It records the points that
-    some fiber map sends to -P.
+    some fiber map sends to -P.  `forms.irreducible_rows` must agree with
+    full factorization on the points whose coefficients lie within its
+    bound.  Every N point of a D above the cut-off (odd D > Z/24, even
+    D > 4Z/51) must lie on A = 0 or be split by `families.square_split`,
+    so no such D holds an irreducible point; those points are recorded.
 
     Per family it also checks `counting.count_family`, which decides one
     point of each pair {P, -P} and keys the orbits of irreducible pairs
@@ -510,10 +528,12 @@ def _check_irreducibility_certificate(res: SuiteResult, X: int) -> None:
     point."""
     Z = counting.DISC_POLICY.ibound(X)
     for kind in ("N", "M"):
-        points = irreducible = settled = split = missed = negated = 0
+        points = irreducible = settled = split = missed = negated = beyond = 0
         decided = dict.fromkeys(counting.BRANCHES, 0)
+        rows, fulls = [], []
         for u in counting.count_units(kind, Z):
-            fams = counting.unit_families(kind, u)[1]
+            disc, fams = counting.unit_families(kind, u)
+            past_cutoff = kind == "N" and (24 * disc > Z if disc % 2 else 51 * disc > 4 * Z)
             for f, family in zip(fams, counting.family_point_sets(fams, Z)):
                 pairs = list(family)
                 pts = counting.with_negations(pairs)
@@ -530,6 +550,9 @@ def _check_irreducibility_certificate(res: SuiteResult, X: int) -> None:
                     settled += full and p is not None
                     if p is not None and not full:
                         res.fail(f"certificate mod {p} on the reducible {F}")
+                    if max(map(abs, F.coeffs())) <= forms.MAX_BRUTE_HEIGHT:
+                        rows.append(F.coeffs())
+                        fulls.append(full)
                     branch, kernel = (
                         counting.decide_member(f, A, B, F.coeffs()) if A else ("zero_a", False)
                     )
@@ -549,7 +572,15 @@ def _check_irreducibility_certificate(res: SuiteResult, X: int) -> None:
                         c = orbit[0]  # action.canonical(A, B)
                         h = max(map(abs, F.coeffs()))
                         height[c] = min(height.get(c, h), h)
-                    if families.square_split(f, A, B, F) is not None:
+                    is_split = families.square_split(f, A, B, F) is not None
+                    if past_cutoff:
+                        beyond += 1
+                        if A and not is_split:
+                            res.fail(
+                                f"the point ({A},{B}) of f={f} at D={disc}, above the "
+                                "cut-off, is neither on A = 0 nor split"
+                            )
+                    if is_split:
                         split += 1
                         if full:
                             res.fail(f"square split on the irreducible {F}")
@@ -590,9 +621,18 @@ def _check_irreducibility_certificate(res: SuiteResult, X: int) -> None:
         res.stats[f"negation_in_orbit_{kind}"] = negated
         for branch, n in decided.items():
             res.stats[f"kernel_{kind}_{branch}"] = n
+        if kind == "N":
+            res.stats["cutoff_N_points"] = beyond
+        _check_rows(res, kind, rows, fulls)
 
 
-def _check_against_sympy(res: SuiteResult, rng: random.Random, samples: int) -> None:
+def _check_box_irreducibility(res: SuiteResult, rng: random.Random, samples: int) -> None:
+    """On the J = 0 box of height 12, one form of each pair {F, -F}, which
+    factor alike: `forms.irreducible_rows` against `is_irreducible_Q` on
+    every form, and `is_irreducible_Q` against `sympy.factor_list` on a
+    seeded sample of `samples` forms."""
+    box = list(oracle.brute_quartics(12))
+    _check_rows(res, "box", [F.coeffs() for F in box], [forms.is_irreducible_Q(F) for F in box])
     if samples <= 0:
         return
     try:
@@ -601,9 +641,7 @@ def _check_against_sympy(res: SuiteResult, rng: random.Random, samples: int) -> 
         res.fail("sympy.factor_list oracle unavailable: install the dev extra")
         return
 
-    # one form of each pair {F, -F}, which factor alike
     x, y = sympy.symbols("x y")
-    box = list(oracle.brute_quartics(12))
     for F in rng.sample(box, min(samples, len(box))):
         poly = sum(c * x ** (4 - i) * y**i for i, c in enumerate(F.coeffs()))
         _, factors = sympy.factor_list(poly)

@@ -18,6 +18,7 @@ from jzero.classes import enumerate_reduced
 from jzero.families import family_coefficients, lattice_Lfa
 from jzero.forms import (
     _divisors,
+    _exact_sqrt,
     _mignotte_bound,
     _quadratic_split,
     IDENTITY,
@@ -31,6 +32,7 @@ from jzero.forms import (
     hessian_sqrt,
     invariants,
     irreducible_mod_p,
+    irreducible_rows,
     is_irreducible_Q,
     prime_factorization,
     quadratic_product,
@@ -444,6 +446,50 @@ def test_square_disc_irreducible_falls_back():
     assert invariants(X4_PLUS_Y4).disc == 256
     assert irreducible_mod_p(X4_PLUS_Y4) is None
     assert is_irreducible_Q(X4_PLUS_Y4)
+
+
+def test_irreducible_rows_match_the_scalar_decision():
+    box = brute_quartics_both_signs(8)
+    got = irreducible_rows([F.coeffs() for F in box])
+    assert got.dtype == bool and got.tolist() == [is_irreducible_Q(F) for F in box]
+    assert 0 < got.sum() < len(box)
+
+
+def test_irreducible_rows_edge_rows():
+    rows = [
+        QuarticForm(0, 1, 2, 3, 4),  # a4 = 0
+        QuarticForm(5, 0, 1, 2, 0),  # a0 = 0
+        X4_PLUS_Y4,  # disc 256 = 16^2, irreducible
+        QuarticForm(-12, 0, 0, 0, -12),  # J = 0 and 3I = 36^2, irreducible
+        QuarticForm(-12, 0, 0, 0, -3),  # J = 0 and 3I = 18^2, reducible
+        # disc not a square, and each prime divides a4 or fails the test
+        QuarticForm(-3, -3, -1, -2, -5),  # irreducible
+        QuarticForm(-12, -12, 0, -12, 12),  # reducible
+        QuarticForm(60, -60, 60, -60, 59),  # at the coefficient bound
+    ]
+    for F in rows[3:5]:
+        assert invariants(F).J == 0 and _exact_sqrt(3 * invariants(F).I) is not None
+    for F in rows[5:7]:
+        assert _exact_sqrt(invariants(F).disc) is None and irreducible_mod_p(F) is None
+    want = [is_irreducible_Q(F) for F in rows]
+    assert want[:7] == [False, False, True, True, False, True, False]
+    assert irreducible_rows([F.coeffs() for F in rows]).tolist() == want
+    assert irreducible_rows([]).tolist() == []
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(0, 0, 0, 0, 0)],
+        [(1, 0, 0, 0, 1), (0, 0, 0, 0, 0)],
+        [(61, 0, 0, 0, 1)],
+        [(1, 0, 0, 0, -61)],
+        [(1, 0, 0, 0, 10**30)],
+    ],
+)
+def test_irreducible_rows_reject_zero_rows_and_large_coefficients(rows):
+    with pytest.raises(ValueError):
+        irreducible_rows(rows)
 
 
 def test_type2_reducible_family_point():

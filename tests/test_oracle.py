@@ -1,5 +1,6 @@
 """Tests for the brute-force oracle: enumeration, keys, counts, composition."""
 
+import hashlib
 import math
 import os
 import random
@@ -41,6 +42,7 @@ from jzero.oracle import (
     orbit_key,
     value_candidates,
 )
+from jzero.verify import run_suite
 from reference import (
     brute_quartics_both_signs,
     brute_quartics_per_form,
@@ -251,6 +253,16 @@ def test_cover_certificate_monotone():
 def test_box_too_small_rejected():
     with pytest.raises(ValueError):
         orbit_count_bruteforce(20000, height=2)
+
+
+def test_oracle_equivalence_is_pinned_at_the_benchmark_size():
+    # the box, its irreducibility and its keys must leave the suite's
+    # checks, stats and findings at X = 1e7 unchanged (SHA-256 of their repr)
+    res = run_suite("oracle-equivalence", xs=(10**7,), completeness_height=16)
+    assert res.passed
+    fields = (res.checks, sorted(res.stats.items()), res.findings)
+    got = hashlib.sha256(repr(fields).encode()).hexdigest()
+    assert got == "31c0ab8ee98a5a04cedde42509d834547f175d3fb258a9d358ddd37c19a69047"
 
 
 def test_compose_oracle_agreement():

@@ -167,6 +167,25 @@ def test_reducibility_suite_checks_the_negation_lemma(monkeypatch):
     assert any(" sends the irreducible point (" in msg for msg in failures)
 
 
+def test_reducibility_suite_checks_the_row_decision_and_the_cutoff(monkeypatch):
+    def run():
+        return run_suite("reducibility", dmax=3, coeff_box=2, certificate_x=10**6, sympy_samples=0)
+
+    r = run()
+    assert r.passed, r.failures[:3]
+    assert r.stats["cutoff_N_points"] > 0
+    assert min(r.stats[f"irreducible_rows_{k}"] for k in ("N", "M", "box")) > 0
+    # a row decision that disagrees with is_irreducible_Q on every row
+    irreducible_rows = forms.irreducible_rows
+    with monkeypatch.context() as m:
+        m.setattr(forms, "irreducible_rows", lambda rows: ~irreducible_rows(rows))
+        failures = run().failures
+    assert failures and all(msg.startswith("irreducible_rows decides") for msg in failures)
+    # points above the cut-off that nothing splits
+    monkeypatch.setattr(families, "square_split", lambda f, A, B, F: None)
+    assert any("above the cut-off, is neither" in msg for msg in run().failures)
+
+
 def test_reducibility_without_sympy_is_a_failure_not_a_crash(monkeypatch):
     monkeypatch.setitem(sys.modules, "sympy", None)  # import sympy -> ImportError
     r = run_suite(
