@@ -2,7 +2,7 @@
 
 Positive definite forms: Gauss reduction with transform tracking, reduced
 |b| <= a <= c (b >= 0 on the boundary), class enumeration per discriminant
-(h2(-D) = len(enumerate_reduced(D))), and Dirichlet composition through
+(h2(-D) = len(reduced_forms(D))), and Dirichlet composition through
 concordant representatives.
 
 Square discriminant n^2 > 0: every primitive class has a unique
@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable
 import numpy as np
 
 from .forms import (
@@ -85,56 +84,60 @@ def reduce_form(f: QuadraticForm) -> tuple[QuadraticForm, Unimodular]:
     return g, T
 
 
-# _SQRT_4A[a][r] holds the b in [0, a] with b^2 = r (mod 4a), for every a up
-# to the largest one asked for so far and at most SQRT_4A_ROWS (slot 0 is
-# unused).  Rows depend on a alone, so the table holds no per-D results; the
-# bound keeps it below 2 * SQRT_4A_ROWS^2 slots (about 0.3 MB) plus its
-# tuples for the life of the process.
-SQRT_4A_ROWS = 128
-_SQRT_4A: list[list[tuple[int, ...]]] = [[]]
-
-
-def enumerate_reduced(D: int) -> list[QuadraticForm]:
-    """All primitive reduced forms of discriminant -D (D > 0), sorted by
-    (a, c, -b).
+def enumerate_reduced(lo: int, hi: int) -> np.ndarray:
+    """The primitive reduced forms of discriminant -D for lo <= D < hi, as
+    int64 rows (D, a, b, c) sorted by (D, a, c, -b).
 
     A reduced form has |b| <= a <= c, so D = 4ac - b^2 >= 3a^2 and a runs
-    over 1 ... isqrt(D // 3).  For each a the b in [0, a] with
-    b^2 = -D (mod 4a), which are those with an integral c = (b^2 + D) / 4a,
-    are read from `_SQRT_4A`, a table of square roots mod 4a that grows only
-    to the largest a asked for (isqrt(D // 3), so 91 rows for the D of
-    N(10^12)) and never past SQRT_4A_ROWS = 128 rows (every D < 49923); a larger
-    a tests the b = D (mod 2) in [0, a] directly.  The forms with c >= a and
-    gcd(a, b, c) = 1 are kept, with (a, -b, c) beside (a, b, c) when
-    0 < b < a < c.  This walks O(sqrt D) values of a instead of the O(D)
-    pairs (b, a) of a scan over the divisors of (b^2 + D) / 4 (Cohen,
-    GTM 138, §5.3).
+    over 1 ... isqrt((hi - 1) // 3).  Each pair (a, b) with -a < b <= a
+    takes its run of c with lo <= 4ac - b^2 < hi and c >= a, or c > a when
+    b < 0 (reduced forms put b >= 0 on the boundary), and the rows with
+    gcd(a, b, c) = 1 are kept: Cohen, GTM 138, 5.3, for many D at once.
+    The pairs go through in chunks of a of about 2^17 cells (a, b), so a
+    single large D (3.3M pairs at 10^7) takes no larger arrays than a window
+    of small D.  The pairs come in (a, 2b^2 - b) order, the order of
+    (c, -b) at fixed D and a, so one stable sort by D sorts the rows.
     """
+    amax = math.isqrt(max(hi - 1, 0) // 3)
+    parts = [np.empty((0, 4), dtype=np.int64)]
+    a0 = 1
+    while a0 <= amax:
+        a1 = min(amax, math.isqrt(a0 * a0 + 2**16))
+        a = np.arange(a0, a1 + 1, dtype=np.int64)[:, None]
+        k = np.arange(2 * a1 + 1, dtype=np.int64)
+        b = np.where(k % 2, (k + 1) // 2, -(k // 2))  # 0, 1, -1, 2, -2, ...
+        a4, bb = 4 * a, b * b
+        cmin = np.maximum(a + (b < 0), (bb + (lo - 1) + a4) // a4)
+        cmax = (bb + (hi - 1)) // a4
+        run = np.nonzero((cmax >= cmin) & (np.abs(2 * b - 1) < 2 * a))
+        a, b, c = run[0] + a0, b[run[1]], cmin[run]
+        if hi - lo > 4 * a0:  # else each run holds at most one c
+            n = cmax[run] - c + 1
+            first = np.cumsum(n) - n
+            a, b = np.repeat(a, n), np.repeat(b, n)
+            c = np.repeat(c - first, n) + np.arange(len(a))
+        rows = np.stack((4 * a * c - b * b, a, b, c), axis=1)
+        parts.append(rows[np.gcd(np.gcd(a, b), c) == 1])
+        a0 = a1 + 1
+    rows = np.concatenate(parts)
+    return rows[np.argsort(rows[:, 0], kind="stable")]
+
+
+def reduced_forms_by_disc(lo: int, hi: int) -> dict[int, list[QuadraticForm]]:
+    """The reduced forms of `enumerate_reduced(lo, hi)` by D, ascending:
+    every D = 0, 3 (mod 4) with D >= 3 in [lo, hi) has at least one."""
+    out: dict[int, list[QuadraticForm]] = {}
+    for D, a, b, c in enumerate_reduced(lo, hi).tolist():
+        out.setdefault(D, []).append(QuadraticForm(a, b, c))
+    return out
+
+
+def reduced_forms(D: int) -> list[QuadraticForm]:
+    """All primitive reduced forms of discriminant -D (D > 0), sorted by
+    (a, c, -b): the one-D case of `enumerate_reduced`."""
     if D <= 0:
         raise ValueError("D must be positive")
-    if D % 4 not in (0, 3):
-        return []
-    amax = math.isqrt(D // 3)
-    while len(_SQRT_4A) <= min(amax, SQRT_4A_ROWS):
-        a = len(_SQRT_4A)
-        row: list[tuple[int, ...]] = [()] * (4 * a)
-        for b in range(a + 1):
-            row[b * b % (4 * a)] += (b,)
-        _SQRT_4A.append(row)
-    keys = []
-    for a in range(1, amax + 1):
-        if a <= SQRT_4A_ROWS:
-            roots: Iterable[int] = _SQRT_4A[a][-D % (4 * a)]
-        else:
-            roots = (b for b in range(D % 2, a + 1, 2) if (b * b + D) % (4 * a) == 0)
-        for b in roots:
-            c = (b * b + D) // (4 * a)
-            if c >= a and math.gcd(a, b, c) == 1:
-                keys.append((a, c, -b))
-                if 0 < b < a < c:
-                    keys.append((a, c, b))
-    keys.sort()
-    return [QuadraticForm(a, -nb, c) for a, c, nb in keys]
+    return reduced_forms_by_disc(D, D + 1).get(D, [])
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +295,7 @@ class ClassGroup:
         if D <= 0 or D % 4 not in (0, 3):
             raise ValueError("need D > 0 with D = 0, 3 (mod 4)")
         self.disc = -D
-        self.elements = [class_of(f) for f in enumerate_reduced(D)]
+        self.elements = [FormClass(f, -D) for f in reduced_forms(D)]
         self.by_coeffs = {c.rep.coeffs(): c for c in self.elements}
         # one rep (a, b, c) with b >= 0 per inverse pair, with the keys of
         # (a, b, c) and of (a, -b, c) when that is a rep too

@@ -45,12 +45,13 @@ nonzero (x, y) with |x| >= |y| >= 1, |gb xy| <= ga x^2 leaves
 g >= gc y^2 >= ga; with |y| >= |x| >= 1, |gb xy| <= gc y^2 leaves
 g >= ga x^2 >= ga; on the axes g = ga x^2 or gc y^2.  And g(1, 0) = ga.
 So a family holds a point with I <= Z exactly when ga <= bound.  The
-count sets its families up in blocks of about a thousand, of consecutive
-D (`frame_block`): one integer-array pass over their rows (a, b, c)
-decides each row by the A = 0 axis rule below, builds the frames of the
-rest (the HNF triple, the bound as numerator and denominator, and the
-reduced g with its transform) and drops those whose ga exceeds the bound.
-Only the families left become `Frame` tuples, and each goes to
+count lists its families in windows of consecutive D, as the int64 rows
+(a, b, c) of one `classes.enumerate_reduced` call, and sets them up in
+one integer-array pass (`frame_block`): it decides each row by the A = 0
+axis rule below, builds the frames of the rest (the HNF triple, the
+bound as numerator and denominator, and the reduced g with its
+transform) and drops those whose ga exceeds the bound.  Only the
+families left become forms and `Frame` tuples, and each goes to
 `ellipse_points`.  `ellipse_frame` and `axis_pairs` are the one-row case
 of the same pass.
 
@@ -113,6 +114,7 @@ from .classes import (
     class_of,
     cover_multiplicity,
     enumerate_reduced,
+    reduced_forms,
     square_label_inverse,
     square_label_negation,
 )
@@ -176,11 +178,12 @@ ABS_I_POLICY = HeightPolicy("absI")
 # families that reach `ellipse_points` get one.
 Frame = tuple[tuple[int, int, int], int, int, tuple[int, int, int], tuple[int, int, int, int]]
 
-# The families `_count_discs` sets up in one `frame_block` pass.  One pass
-# over a whole count holds every family's arrays at once, which raised its
-# peak memory by half; about a thousand keep it flat and still spread
-# numpy's per-call cost over many rows.
-BLOCK_FAMILIES = 1024
+# The admissible D whose reps `_count_discs` lists with one
+# `enumerate_reduced` call and sets up with one `frame_block` pass.  One
+# window over a whole count holds every family's arrays at once, which
+# raised its peak memory by a tenth; 64 D (about a thousand families at
+# 10^12) keep it flat and still spread numpy's per-call cost over many rows.
+WINDOW_DISCS = 64
 
 
 class FrameBlock(NamedTuple):
@@ -238,9 +241,9 @@ def _gauss_reduce_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarra
     return out
 
 
-def frame_block(forms: Sequence[QuadraticForm], ibound: Optional[int] = None) -> FrameBlock:
-    """The setup of the N families of `forms`, primitive positive definite
-    family forms, as one integer-array pass over the rows (a, b, c).
+def frame_block(abc: Sequence, ibound: Optional[int] = None) -> FrameBlock:
+    """The setup of the N families of the primitive positive definite family
+    forms of `abc`, an (n, 3) integer array of rows (a, b, c), in one pass.
 
     Without `ibound` every row is kept with its frame.  With it, each row
     is decided in turn: by the A = 0 axis rule, then by the ga skip, and
@@ -293,9 +296,9 @@ def frame_block(forms: Sequence[QuadraticForm], ibound: Optional[int] = None) ->
     64 A^4 Z and B (B^2 + 2AC), which `_block_dtype` takes.  At
     X = 10^12 it is about 9.2e17 on a block of the count.
     """
-    if not forms:
+    if not len(abc):
         return FrameBlock(np.empty(0, dtype=np.int64), [], [])
-    abc = np.array([f.coeffs() for f in forms])  # object when a coefficient passes int64
+    abc = np.asarray(abc)  # object when a coefficient passes int64
     dtype = _block_dtype(*np.abs(abc).max(axis=0).tolist(), ibound or 0)
     a, b, c = abc.astype(dtype).T
     D = 4 * a * c - b * b
@@ -312,8 +315,8 @@ def frame_block(forms: Sequence[QuadraticForm], ibound: Optional[int] = None) ->
     lam = np.where(odd, 4 * n3, n2 * a)
     num = np.where(odd, 1, 4).astype(dtype)
     den = np.where(odd, 12 * D, 3 * D)
-    rows = np.arange(len(forms))
-    axis = np.full(len(forms), -1, dtype=dtype)
+    rows = np.arange(len(abc))
+    axis = np.full(len(abc), -1, dtype=dtype)
     if ibound is not None:
         bound = num * ibound // den
         fired = d1 * d1 > a * lam * bound // (4 * D)
@@ -355,7 +358,7 @@ def frame_block(forms: Sequence[QuadraticForm], ibound: Optional[int] = None) ->
 def ellipse_frame(f: QuadraticForm) -> Frame:
     """The frame of the family of the positive definite family form f: the
     one-row case of `frame_block`."""
-    return frame_block([f]).frames[0]
+    return frame_block([f.coeffs()]).frames[0]
 
 
 def axis_pairs(f: QuadraticForm, ibound: int) -> Optional[int]:
@@ -363,7 +366,7 @@ def axis_pairs(f: QuadraticForm, ibound: int) -> Optional[int]:
     definite family form f with I <= ibound, when all of them lie on the
     axis A = 0; None when a point with A != 0 is not ruled out (the axis
     rule at `frame_block`, of which this is the one-row case)."""
-    pairs = int(frame_block([f], ibound).axis[0])
+    pairs = int(frame_block([f.coeffs()], ibound).axis[0])
     return None if pairs < 0 else pairs
 
 
@@ -504,7 +507,7 @@ def family_point_sets(fams: Sequence[QuadraticForm], Z: int) -> list[Iterable[tu
     """`family_points(f, Z)` for each divisor f of `fams`, the positive
     definite ones with their frames from one `frame_block` pass."""
     definite = [f.disc() < 0 and f.a > 0 for f in fams]
-    frames = iter(frame_block([f for f, d in zip(fams, definite) if d]).frames)
+    frames = iter(frame_block([f.coeffs() for f, d in zip(fams, definite) if d]).frames)
     return [ellipse_points(next(frames), Z) if d else family_points(f, Z) for f, d in zip(fams, definite)]
 
 
@@ -687,10 +690,6 @@ C1_STATED = math.pi**2 / (27 * 32 ** (1 / 3) * _ZETA3)
 C2_STATED = math.pi**2 / (18 * 32 ** (1 / 3) * _ZETA3)
 
 
-def _gl2_reps(D: int) -> list[QuadraticForm]:
-    return [f for f in enumerate_reduced(D) if f.b >= 0]
-
-
 def _admissible_discs(Z: int) -> list[int]:
     """The D whose families can hold a point with I <= Z: odd D with
     12D <= Z and even D with 3D <= 4Z (module docstring)."""
@@ -712,7 +711,7 @@ def count_units(kind: str, Z: int) -> Iterable[int]:
 def unit_families(kind: str, u: int) -> tuple[int, list[QuadraticForm]]:
     """The discriminant and the family divisors of one counting unit."""
     if kind == "N":
-        return u, _gl2_reps(u)
+        return u, [f for f in reduced_forms(u) if f.b >= 0]
     return u * u, [QuadraticForm(a, u, 0) for a in merged_square_labels(u)]
 
 
@@ -760,38 +759,26 @@ def _count_modulus(job: tuple[int, int]) -> list[UnitCount]:
     return [_count_unit(disc, ((f, square_family_points(f.a, f.b, Z)) for f in fams))]
 
 
-def _count_block(run: list[tuple[int, list[QuadraticForm]]], Z: int) -> list[UnitCount]:
-    """The N tallies of each D of `run`, (D, GL2 reps) of consecutive D,
-    from one `frame_block` pass over all their families: the axis pairs of
-    each D are summed from the block, and only the families it keeps are
-    enumerated, in order."""
-    forms = [f for _, reps in run for f in reps]
-    block = frame_block(forms, Z)
-    starts = np.cumsum([0] + [len(reps) for _, reps in run[:-1]])
-    axis = np.add.reduceat(np.maximum(block.axis, 0), starts).tolist()
-    kept: list[list] = [[] for _ in run]
-    for i, unit, frame in zip(block.kept, np.searchsorted(starts, block.kept, "right") - 1, block.frames):
-        kept[unit].append((forms[i], ellipse_points(frame, Z)))
-    return [_count_unit(D, fams, pairs) for (D, _), fams, pairs in zip(run, kept, axis)]
-
-
 def _count_discs(job: tuple[Sequence[int], int]) -> list[UnitCount]:
     """The N tallies of each D of a run of consecutive admissible D, in
-    order, set up in blocks of about BLOCK_FAMILIES families of
-    consecutive D (`_count_block`); picklable for process pools."""
+    order; picklable for process pools.  Each window of WINDOW_DISCS D
+    takes its GL2 reps (b >= 0) from one `enumerate_reduced` call and sets
+    them up in one `frame_block` pass; the axis pairs are summed per D, and
+    only the families the block keeps become forms and are enumerated."""
     discs, Z = job
     out: list[UnitCount] = []
-    run: list[tuple[int, list[QuadraticForm]]] = []
-    size = 0
-    for D in discs:
-        reps = _gl2_reps(D)
-        run.append((D, reps))
-        size += len(reps)
-        if size >= BLOCK_FAMILIES:
-            out += _count_block(run, Z)
-            run, size = [], 0
-    if run:
-        out += _count_block(run, Z)
+    for i in range(0, len(discs), WINDOW_DISCS):
+        window = discs[i : i + WINDOW_DISCS]
+        rows = enumerate_reduced(window[0], window[-1] + 1)
+        rows = rows[(rows[:, 2] >= 0) & np.isin(rows[:, 0], window)]
+        block = frame_block(rows[:, 1:], Z)
+        starts = np.searchsorted(rows[:, 0], window)  # every D has a rep
+        axis = np.add.reduceat(np.maximum(block.axis, 0), starts).tolist()
+        kept: list[list] = [[] for _ in window]
+        units = np.searchsorted(starts, block.kept, "right") - 1
+        for unit, abc, frame in zip(units, rows[block.kept, 1:].tolist(), block.frames):
+            kept[unit].append((QuadraticForm(*abc), ellipse_points(frame, Z)))
+        out += [_count_unit(D, fams, pairs) for D, fams, pairs in zip(window, kept, axis)]
     return out
 
 
@@ -996,20 +983,18 @@ def primitive_uniqueness_check(X: int) -> UniquenessReport:
     Z = icbrt(X)
     Dmin = int(X ** (2 / 9))
     rep = UniquenessReport(X, 0, [])
-    Dmax = 4 * Z // 3
-    reps = [(D, f) for D in range(Dmin + 1, Dmax + 1) if D % 4 in (0, 3) for f in enumerate_reduced(D)]
-    for i in range(0, len(reps), BLOCK_FAMILIES):  # frames in blocks of consecutive D
-        block = reps[i : i + BLOCK_FAMILIES]
-        for (D, f), pairs in zip(block, family_point_sets([f for _, f in block], Z)):
-            rep.checked_forms += 1
-            # -F has the content of F, so the pairs decide primitivity
-            prim = [
-                (A, B)
-                for (A, B) in pairs
-                if QuarticForm(*family_coefficients(f, A, B)).content() == 1
-            ]
-            if len(prim) > 1:
-                rep.violations.append(f"f={f}, D={D}: primitive points {with_negations(prim)}")
+    rows = enumerate_reduced(Dmin + 1, 4 * Z // 3 + 1)
+    for (D, a, b, c), frame in zip(rows.tolist(), frame_block(rows[:, 1:]).frames):
+        f = QuadraticForm(a, b, c)
+        rep.checked_forms += 1
+        # -F has the content of F, so the pairs decide primitivity
+        prim = [
+            (A, B)
+            for (A, B) in ellipse_points(frame, Z)
+            if QuarticForm(*family_coefficients(f, A, B)).content() == 1
+        ]
+        if len(prim) > 1:
+            rep.violations.append(f"f={f}, D={D}: primitive points {with_negations(prim)}")
     return rep
 
 

@@ -140,21 +140,27 @@ def brute_quartics(height: int, imax: Optional[int] = None) -> Iterator[QuarticF
             lines.append(np.stack((a3[keep], a2f[cell], a1f[cell], a0[keep]), axis=1))
         return np.concatenate(lines).astype(np.int16)
 
+    a0s = np.arange(-H, H + 1, dtype=np.int64)
+
     def degenerate(a4: int) -> np.ndarray:
-        # (a3, a2, a1, a0) rows of the cells where J does not involve a0
-        rows = []
+        # (a3, a2, a1, a0) rows of the cells where J does not involve a0:
+        # J is linear in a0, so J = 0 at a0 = 0 and 1 holds on the cell, and
+        # I = 12 a4 a0 - 3 a3 a1 + a2^2 is taken over all a0 at once
+        rows = [np.empty((0, 4), dtype=np.int64)]
         for a3 in range(-H, H + 1):
             a2, r2 = divmod(3 * a3 * a3, 8 * a4)
             a1, r1 = divmod(a3**3, 16 * a4 * a4)
             if r2 or r1 or abs(a2) > H or abs(a1) > H:
                 continue
-            for a0 in range(-H, H + 1):
-                t = invariants(QuarticForm(a4, a3, a2, a1, a0))
-                if t.J != 0:
-                    raise AssertionError("degenerate branch must have J = 0")
-                if t.I != 0 and (imax is None or abs(t.I) <= imax):
-                    rows.append((a3, a2, a1, a0))
-        return np.array(rows, dtype=np.int16).reshape(-1, 4)
+            if any(invariants(QuarticForm(a4, a3, a2, a1, a0)).J for a0 in (0, 1)):
+                raise AssertionError("degenerate branch must have J = 0")
+            I = 12 * a4 * a0s - 3 * a3 * a1 + a2 * a2
+            keep = I != 0
+            if imax is not None:
+                keep &= np.abs(I) <= imax
+            a0 = a0s[keep]
+            rows.append(np.column_stack((np.full((len(a0), 3), (a3, a2, a1)), a0)))
+        return np.concatenate(rows).astype(np.int16)
 
     def emit(a4: int, rows: np.ndarray) -> Iterator[QuarticForm]:
         # a few hundred rows at a time, so that no block is one big list

@@ -57,10 +57,8 @@ def suite_parametrization(
     dmax: int = 300, coeff_box: int = 40, det_alpha: int = 20
 ) -> SuiteResult:
     res = SuiteResult("parametrization")
-    for D in range(3, dmax + 1):
-        if D % 4 not in (0, 3):
-            continue
-        for f in classes.enumerate_reduced(D):
+    for reps in classes.reduced_forms_by_disc(3, dmax + 1).values():
+        for f in reps:
             for A, B in _box_points(families.lattice_Lfa(f), coeff_box):
                 pt = families.FamilyPoint(f, A, B)
                 try:
@@ -147,17 +145,16 @@ def _check_reduced_enumeration(res: SuiteResult, dmax: int) -> None:
     the ones without a bound.  At Z = 3D the one-row `counting.axis_pairs`
     of the last rep must equal its row of the block.  The bounds Z in
     {D, 2D, 3D} reach the even D above Z/3."""
-    for D in range(3, dmax + 1):
-        if D % 4 not in (0, 3):
-            continue
+    for D, reduced in classes.reduced_forms_by_disc(3, dmax + 1).items():
         odd = D % 2 == 1
         if odd:
             res.checks += 1
             admitted = (D in counting._admissible_discs(Z) for Z in (12 * D - 1, 12 * D))
             if tuple(admitted) != (False, True):
                 res.fail(f"odd D={D} is not admitted exactly from Z = 12D")
-        reps = counting._gl2_reps(D)
-        frames = counting.frame_block(reps).frames
+        reps = [f for f in reduced if f.b >= 0]
+        rows = [f.coeffs() for f in reps]
+        frames = counting.frame_block(rows).frames
         for f, frame in zip(reps, frames):
             a, b, c = f.coeffs()
             L = families.lattice_Lfa(f)
@@ -187,7 +184,7 @@ def _check_reduced_enumeration(res: SuiteResult, dmax: int) -> None:
             elif (gram, transform) != reduced:
                 res.fail(f"frame Gram form of {f} is not the reduced transport {reduced}")
         for Z in (D // 2, D, 2 * D, 3 * D, 12 * D - 1, 12 * D, 100 * D, 400 * D):
-            block = counting.frame_block(reps, Z)
+            block = counting.frame_block(rows, Z)
             kept = dict(zip(block.kept, block.frames))
             if Z == 3 * D:
                 res.checks += 1
@@ -288,11 +285,9 @@ def suite_hensel(
     dmax_classes: int = 500, pmax: int = 50, dmax_integrality: int = 200
 ) -> SuiteResult:
     res = SuiteResult("hensel")
-    for D in range(3, dmax_classes + 1):
-        if D % 4 not in (0, 3):
-            continue
+    for D, reps in classes.reduced_forms_by_disc(3, dmax_classes + 1).items():
         ws = {}  # reduced w(f) of the GL2 representatives f (b >= 0)
-        for f in classes.enumerate_reduced(D):
+        for f in reps:
             # nu = w^4 (up to the GL2 inverse identification of the class)
             res.checks += 1
             c = hensel.canonical_fp(f)
@@ -309,7 +304,7 @@ def suite_hensel(
         if len(set(ws.values())) != len(ws):
             res.fail(f"w(f) collides across GL2 classes at D={D}: {ws}")
         # lift class walk
-        for f in classes.enumerate_reduced(D):
+        for f in reps:
             for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
                 if p > pmax or D % p == 0:
                     continue
@@ -323,10 +318,8 @@ def suite_hensel(
                     res.note(f"vacuous class walk (no exponent s) for {f}, p={p}")
     # integrality of script-I on canonical translates
     quarter = 0
-    for D in range(3, dmax_integrality + 1):
-        if D % 4 not in (0, 3):
-            continue
-        for f in classes.enumerate_reduced(D):
+    for reps in classes.reduced_forms_by_disc(3, dmax_integrality + 1).values():
+        for f in reps:
             c = hensel.canonical_fp(f)
             g = c.form()
             for A, B in _box_points(families.lattice_Lfa(g), 50):
@@ -373,10 +366,8 @@ def suite_reducibility(
     res = SuiteResult("reducibility")
     rng = random.Random(seed)
     type1 = type2 = 0
-    for D in range(3, dmax + 1):
-        if D % 4 not in (0, 3):
-            continue
-        for f in classes.enumerate_reduced(D):
+    for reps in classes.reduced_forms_by_disc(3, dmax + 1).values():
+        for f in reps:
             for A, B in _box_points(families.lattice_Lfa(f), coeff_box):
                 if (A, B) == (0, 0):
                     continue
@@ -432,10 +423,7 @@ def suite_reducibility(
     # square curve vs I-square family members
     X = 10**9
     Z = counting.DISC_POLICY.ibound(X)
-    for D in range(3, 60):
-        if D % 4 not in (0, 3):
-            continue
-        reps = classes.enumerate_reduced(D)
+    for D, reps in classes.reduced_forms_by_disc(3, 60).items():
         for f, family in zip(reps, counting.family_point_sets(reps, Z)):
             s, t = reducible.square_part_split(D)
             m_odd = hensel.canonical_fp(f).m % 2 == 1
@@ -462,10 +450,8 @@ def suite_reducibility(
                 )
     # xi_m order observations
     cnt = bad = 0
-    for D in range(3, 500):
-        if D % 4 not in (0, 3):
-            continue
-        for f in classes.enumerate_reduced(D):
+    for D, reps in classes.reduced_forms_by_disc(3, 500).items():
+        for f in reps:
             for m in _odd_squarefree_unit_divisors(D):
                 try:
                     xi = hensel.xi_of(f)

@@ -3,13 +3,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from jzero import classes
 from jzero.classes import (
-    SQRT_4A_ROWS,
     ClassGroup,
     canonical_square_label,
     class_number_sum_report,
@@ -25,6 +24,7 @@ from jzero.classes import (
     order,
     principal_class,
     reduce_form,
+    reduced_forms,
     reducible_class_reps,
     representations,
     represents,
@@ -114,7 +114,7 @@ def test_unique_reduced_rep_vs_orbit_search():
     mats = _unimodular_ball(4)
     for _ in range(40):
         D = rng.choice([d for d in range(3, 500) if d % 4 in (0, 3)])
-        forms = enumerate_reduced(D)
+        forms = reduced_forms(D)
         for f in forms:
             for g in forms:
                 equiv_search = any(act_quadratic(f, T) == g for T in mats if T.det() == 1)
@@ -133,39 +133,60 @@ def _unimodular_ball(bound):
 
 
 def test_enumerate_reduced_examples():
-    assert enumerate_reduced(3) == [QuadraticForm(1, 1, 1)]
-    assert enumerate_reduced(23) == [
+    assert reduced_forms(3) == [QuadraticForm(1, 1, 1)]
+    assert reduced_forms(23) == [
         QuadraticForm(1, 1, 6),
         QuadraticForm(2, 1, 3),
         QuadraticForm(2, -1, 3),
     ]
-    assert enumerate_reduced(20) == [QuadraticForm(1, 0, 5), QuadraticForm(2, 2, 3)]
-    assert enumerate_reduced(7) == [QuadraticForm(1, 1, 2)]
-    assert enumerate_reduced(21) == []  # 21 = 1 mod 4
-    assert enumerate_reduced(22) == []
+    assert reduced_forms(20) == [QuadraticForm(1, 0, 5), QuadraticForm(2, 2, 3)]
+    assert reduced_forms(7) == [QuadraticForm(1, 1, 2)]
+    assert reduced_forms(21) == []  # 21 = 1 mod 4
+    assert reduced_forms(22) == []
+    with pytest.raises(ValueError):
+        reduced_forms(0)
+    rows = enumerate_reduced(20, 24)
+    assert rows.dtype == np.int64 and rows.tolist() == [[20, 1, 0, 5], [20, 2, 2, 3], [23, 1, 1, 6], [23, 2, 1, 3], [23, 2, -1, 3]]
+    assert enumerate_reduced(21, 23).shape == (0, 4)
 
 
 def test_enumerate_reduced_matches_scan():
-    # the square-root table walk against the divisor scan, list for list
-    # (order included), for every D < 20000
+    # the one-D case against the divisor scan, list for list (order
+    # included), for every D < 20000
     for D in range(1, 20000):
-        assert enumerate_reduced(D) == enumerate_reduced_scan(D), D
+        assert reduced_forms(D) == enumerate_reduced_scan(D), D
+
+
+def _scan_rows(lo, hi):
+    # the reference rows (D, a, b, c) of every D in [lo, hi), D by D
+    return [[D, *f.coeffs()] for D in range(lo, hi) for f in enumerate_reduced_scan(D)]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.integers(1, 6000), st.integers(0, 400))
+@example(1, 6)  # D = 3, 4 and D = 1, 2, 5 (mod 4) with no form
+@example(3, 2)
+@example(2, 3)
+def test_enumerate_reduced_window_is_the_per_d_scan(lo, width):
+    # a window [lo, lo + width) lists the rows of every D in it, sorted by
+    # (D, a, c, -b); D = 1, 2 (mod 4) contribute none
+    assert enumerate_reduced(lo, lo + width).tolist() == _scan_rows(lo, lo + width)
 
 
 def test_enumerate_reduced_past_the_table():
-    # a > SQRT_4A_ROWS tests b directly, and the square-root table keeps
-    # SQRT_4A_ROWS rows however large a D it has seen
-    first = 3 * (SQRT_4A_ROWS + 1) ** 2  # the least D reaching a = SQRT_4A_ROWS + 1
-    for D in [*range(first - 40, first + 600), 10**6, 10**6 + 3, 10**6 + 7]:
-        assert enumerate_reduced(D) == enumerate_reduced_scan(D), D
-    enumerate_reduced(10**7)
-    assert len(classes._SQRT_4A) == SQRT_4A_ROWS + 1
+    # a single large D goes through its (a, b) pairs in several chunks of a
+    # (D = 10^7 has 1825 values of a); at and beside 10^6 and 10^7, and a
+    # window of 640 D near 50000, against the scan
+    for D in (10**6, 10**6 + 3, 10**6 + 7, 10**7, 10**7 + 3, 10**7 + 4):
+        assert enumerate_reduced(D, D + 1).tolist() == _scan_rows(D, D + 1), D
+        assert reduced_forms(D) == enumerate_reduced_scan(D), D
+    assert enumerate_reduced(49883, 50523).tolist() == _scan_rows(49883, 50523)
 
 
 def test_class_numbers():
     # classical values of h2(-D)
     for D, h in [(3, 1), (4, 1), (7, 1), (8, 1), (11, 1), (15, 2), (20, 2), (23, 3), (47, 5), (71, 7)]:
-        assert len(enumerate_reduced(D)) == h, D
+        assert len(reduced_forms(D)) == h, D
 
 
 def test_compose_examples():
@@ -177,9 +198,20 @@ def test_compose_examples():
     assert order(c) == 3
 
 
+def test_class_group_elements_are_their_classes():
+    # ClassGroup keeps each reduced form as its class without reducing it
+    # again; class_of must give back the same element, for every D <= 2000
+    for D in range(3, 2001):
+        if D % 4 in (0, 3):
+            G = ClassGroup(D)
+            assert len(G) == len(reduced_forms(D)), D
+            for e in G.elements:
+                assert class_of(e.rep) == e, (D, e)
+
+
 def test_group_axioms_sample():
     rng = random.Random(23)
-    discs = [d for d in range(3, 400) if len(enumerate_reduced(d)) > 1]
+    discs = [d for d in range(3, 400) if len(reduced_forms(d)) > 1]
     for D in rng.sample(discs, 20):
         G = ClassGroup(D)
         e = G.identity()
@@ -228,7 +260,7 @@ def test_ambiguous_iff_order_two():
     for D in range(3, 500):
         if D % 4 not in (0, 3):
             continue
-        for f in enumerate_reduced(D):
+        for f in reduced_forms(D):
             c = class_of(f)
             assert is_ambiguous(c) == (order(c) <= 2), (D, f)
 
@@ -337,7 +369,7 @@ def test_class_number_sum_report():
     r1 = class_number_sum_report(1000)
     r2 = class_number_sum_report(2000)
     assert r1.total < r2.total
-    assert r1.total == sum(len(enumerate_reduced(D)) for D in range(1, 1001))
+    assert r1.total == sum(len(reduced_forms(D)) for D in range(1, 1001))
 
 
 @settings(max_examples=400, deadline=2000, database=None)

@@ -10,12 +10,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jzero import counting
-from jzero.classes import enumerate_reduced, gauss_reduce
+from jzero.classes import enumerate_reduced, gauss_reduce, reduced_forms
 from jzero.counting import (
     ABS_I_POLICY,
-    BLOCK_FAMILIES,
     DISC_POLICY,
-    _gl2_reps,
+    WINDOW_DISCS,
+    _count_discs,
     axis_pairs,
     count_family,
     count_M,
@@ -48,6 +48,15 @@ from jzero.families import (
 )
 from jzero.forms import QuadraticForm, QuarticForm, invariants, is_irreducible_Q
 from reference import contains, ellipse_points_full_plane, square_family_points_two_signs
+
+
+def _gl2_reps(D):
+    return unit_families("N", D)[1]
+
+
+def _rows(forms):
+    # the (a, b, c) rows that frame_block takes
+    return [f.coeffs() for f in forms]
 
 
 def test_icbrt():
@@ -87,7 +96,7 @@ def test_least_reduced_value_decides_empty_families():
     outcomes = {True: 0, False: 0}
     for D in range(3, 4 * Z // 3 + 1):
         reps = unit_families("N", D)[1]
-        for f, frame in zip(reps, frame_block(reps).frames):
+        for f, frame in zip(reps, frame_block(_rows(reps)).frames):
             a, b, c = f.coeffs()
             lam, bound = (16 * a**3, Z // (12 * D)) if b % 2 else (a**3, 4 * Z // (3 * D))
             (ga, _, _), _ = gauss_reduce(*lattice_Lfa(f).transport((16 * c, -4 * b, a), lam))
@@ -113,7 +122,7 @@ def test_ellipse_points_match_naive():
     rng = random.Random(61)
     for _ in range(100):
         D = rng.choice([d for d in range(3, 120) if d % 4 in (0, 3)])
-        f = rng.choice(enumerate_reduced(D))
+        f = rng.choice(reduced_forms(D))
         Z = rng.randint(1, 500)
         got = with_negations(ellipse_points(ellipse_frame(f), Z))
         a, b, c = f.coeffs()
@@ -132,7 +141,7 @@ def test_counted_points_have_valid_invariants():
     # no degenerate member is counted and I is within bound and a positive
     # multiple of 3D/4
     for D in (3, 4, 7, 8):
-        for f in enumerate_reduced(D):
+        for f in reduced_forms(D):
             for (A, B) in ellipse_points(ellipse_frame(f), 200):
                 F = QuarticForm(*family_coefficients(f, A, B))
                 t = invariants(F)
@@ -156,7 +165,7 @@ def test_enumerators_match_their_two_sign_scans():
     # signs of a
     nonempty = 0
     for D in range(3, 1500):
-        for frame in frame_block(unit_families("N", D)[1]).frames:
+        for frame in frame_block(_rows(unit_families("N", D)[1])).frames:
             for Z in (12 * D, 40 * D + 3, 300 * D + 7):
                 want = ellipse_points_full_plane(frame, Z)
                 _check_half(list(ellipse_points(frame, Z)), want)
@@ -369,7 +378,7 @@ def test_ellipse_points_match_row_scan_on_skewed_lattices():
     for _ in range(1500):
         D = rng.choice(discs)
         cases.append((rng.choice(_gl2_reps(D)), rng.randint(1, 400 * D)))
-    frames = frame_block([f for f, _ in cases]).frames
+    frames = frame_block(_rows(f for f, _ in cases)).frames
     for (f, Z), frame in zip(cases, frames):
         assert with_negations(ellipse_points(frame, Z)) == _ellipse_points_rowscan(f, Z), (f, Z)
 
@@ -449,7 +458,7 @@ def test_frame_block_matches_the_references():
     from jzero.verify import _ellipse_points_rowscan
 
     units = [(D, _gl2_reps(D)) for D in range(3, 2001) if D % 4 in (0, 3)]
-    block = frame_block([f for _, reps in units for f in reps])
+    block = frame_block(_rows(f for _, reps in units for f in reps))
     assert block.kept == list(range(len(block.frames))) and (block.axis == -1).all()
     frames = iter(block.frames)
     verdicts = {"axis": 0, "skip": 0, "kept": 0}
@@ -462,7 +471,7 @@ def test_frame_block_matches_the_references():
             assert frame[:3] == ((L.d1, L.k, L.d2), num, den), f
             assert frame[3:] == gauss_reduce(*L.transport((16 * c, -4 * b, a), lam)), f
         for Z in (D // 2, D, 3 * D, 12 * D - 1, 12 * D, 400 * D):
-            at = frame_block(reps, Z)
+            at = frame_block(_rows(reps), Z)
             kept = dict(zip(at.kept, at.frames))
             for i, f in enumerate(reps):
                 want = _ellipse_points_rowscan(f, Z)
@@ -493,8 +502,8 @@ def test_block_rows_equal_their_one_row_results(forms, Z):
     # row's results do not depend on the other rows of its block, so
     # blocking cannot change a count
     frames = [ellipse_frame(f) for f in forms]
-    assert frame_block(forms).frames == frames
-    block = frame_block(forms, Z)
+    assert frame_block(_rows(forms)).frames == frames
+    block = frame_block(_rows(forms), Z)
     kept = dict(zip(block.kept, block.frames))
     for i, (f, frame) in enumerate(zip(forms, frames)):
         axis = axis_pairs(f, Z)
@@ -531,17 +540,29 @@ def test_family_points_take_the_object_path_for_large_a(monkeypatch):
     assert ellipse_frame(f) == ((L.d1, L.k, L.d2), 4, 3 * D, *gauss_reduce(*L.transport((16 * (a + 1), 0, a), a**3)))
     # a small form in the same block takes the same path and keeps its results
     small = QuadraticForm(2, 1, 3)
-    assert frame_block([small, f]).frames[0] == frame_block([small]).frames[0]
+    assert frame_block(_rows([small, f])).frames[0] == frame_block(_rows([small])).frames[0]
     assert dtypes[-2:] == [object, np.int64] and set(dtypes[:-1]) == {object}
 
 
 def test_workers_agree_across_blocks():
-    # at 1e9 the admissible D hold several blocks of families, which two
-    # workers split into runs of consecutive D; the reports agree field for
-    # field
+    # at 1e9 the admissible D fill several windows, which two workers split
+    # into runs of consecutive D; the reports agree field for field
     Z = DISC_POLICY.ibound(10**9)
-    assert sum(len(_gl2_reps(D)) for D in count_units("N", Z)) > 4 * BLOCK_FAMILIES
+    assert len(count_units("N", Z)) > 4 * WINDOW_DISCS
     assert asdict(count_N(10**9, workers=2)) == asdict(count_N(10**9))
+
+
+def test_count_discs_tallies_do_not_depend_on_the_window_split():
+    # the per-D tallies of a run of admissible D are the same whether the
+    # run goes as one job, as jobs of a few D (windows that end inside a
+    # WINDOW_DISCS window) or one D at a time
+    Z = DISC_POLICY.ibound(10**9)
+    discs = list(count_units("N", Z))
+    whole = _count_discs((discs, Z))
+    assert [unit[0] for unit in whole] == discs
+    for size in (1, 7, WINDOW_DISCS - 1, WINDOW_DISCS + 5):
+        split = [unit for i in range(0, len(discs), size) for unit in _count_discs((discs[i : i + size], Z))]
+        assert split == whole, size
 
 
 _EVEN_B_FORMS = (
@@ -556,6 +577,6 @@ _EVEN_B_FORMS = (
 def test_even_b_gram_values_are_squares_mod_16(forms):
     # for even b the frame's Gram form g takes only squares mod 16 (proof in
     # the counting docstring), on reduced forms and others alike
-    for f, (_, _, _, (ga, gb, gc), _) in zip(forms, frame_block(forms).frames):
+    for f, (_, _, _, (ga, gb, gc), _) in zip(forms, frame_block(_rows(forms)).frames):
         values = {(ga * s * s + gb * s * t + gc * t * t) % 16 for s in range(-4, 5) for t in range(-4, 5)}
         assert values <= {0, 1, 4, 9}, (f, values)

@@ -9,7 +9,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from jzero.classes import enumerate_reduced, signed_automorphisms
+from jzero.classes import reduced_forms, signed_automorphisms
 from jzero.counting import decide_member, ellipse_frame
 from jzero.families import (
     FamilyPoint,
@@ -118,7 +118,7 @@ def test_parametrization_identities_sweep():
     for D in range(3, 60):
         if D % 4 not in (0, 3):
             continue
-        for f in enumerate_reduced(D):
+        for f in reduced_forms(D):
             L = lattice_Lfa(f)
             for s in range(-6, 7):
                 for t in range(-6, 7):

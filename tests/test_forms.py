@@ -14,7 +14,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jzero.classes import enumerate_reduced
+from jzero.classes import reduced_forms
 from jzero.families import family_coefficients, lattice_Lfa
 from jzero.forms import (
     _divisors,
@@ -561,7 +561,7 @@ def test_quadratic_split_matches_scan():
         )
     # family points of the reducibility suite's box at small D
     for D in (3, 4, 7, 8):
-        for f in enumerate_reduced(D):
+        for f in reduced_forms(D):
             L = lattice_Lfa(f)
             for s in range(-(12 // L.d1) - 1, 12 // L.d1 + 2):
                 for t in range(-13, 14):

@@ -7,7 +7,7 @@ import pytest
 from jzero.classes import (
     class_of,
     compose,
-    enumerate_reduced,
+    reduced_forms,
     inverse,
     order,
     principal_class,
@@ -43,7 +43,7 @@ def test_canonical_fp_transform_is_exact():
     for D in range(3, 200):
         if D % 4 not in (0, 3):
             continue
-        for f in enumerate_reduced(D):
+        for f in reduced_forms(D):
             c = canonical_fp(f)
             from jzero.forms import act_quadratic
 
@@ -72,7 +72,7 @@ def test_split_lattices_residue_exhaustive():
     for D in range(3, 120):
         if D % 4 not in (0, 3):
             continue
-        for f in enumerate_reduced(D):
+        for f in reduced_forms(D):
             for p in (3, 5, 7, 11, 13):
                 if D % p == 0 or pow(-D % p, (p - 1) // 2, p) != 1:
                     continue
@@ -141,7 +141,7 @@ def test_nu_is_w_fourth_power():
     for D in range(3, 160):
         if D % 4 not in (0, 3):
             continue
-        for f in enumerate_reduced(D):
+        for f in reduced_forms(D):
             nu = nu_of(f)
             w = class_of(reduce_w(f))
             w2 = compose(w, w)
@@ -161,7 +161,7 @@ def test_w_distinct_biconditional_small():
     for D in range(3, 160):
         if D % 4 not in (0, 3):
             continue
-        gl2 = [f for f in enumerate_reduced(D) if f.b >= 0]
+        gl2 = [f for f in reduced_forms(D) if f.b >= 0]
         ws = []
         for f in gl2:
             w, _ = __import__("jzero.classes", fromlist=["reduce_form"]).reduce_form(
@@ -200,7 +200,7 @@ def test_hensel_class_check_sweep():
     for D in range(3, 120):
         if D % 4 not in (0, 3):
             continue
-        for f in enumerate_reduced(D):
+        for f in reduced_forms(D):
             for p in (3, 5, 7):
                 if D % p == 0 or pow(-D % p, (p - 1) // 2, p) != 1:
                     continue
@@ -268,7 +268,7 @@ def test_hensel_class_check_matches_reference_walk():
     kmax = 3
     wraps_below = wraps_above = 0
     for D in range(3, 201):
-        for f in enumerate_reduced(D):
+        for f in reduced_forms(D):
             for p in (3, 5, 7, 11, 13, 17, 19, 23):
                 if D % p == 0 or pow(-D % p, (p - 1) // 2, p) != 1:
                     continue

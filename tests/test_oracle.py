@@ -19,7 +19,7 @@ from jzero.classes import (
     ClassGroup,
     class_group,
     class_of,
-    enumerate_reduced,
+    reduced_forms,
     inverse,
     representations,
 )
@@ -338,7 +338,7 @@ def _reference_value_candidates(c1, c2, pairs=2):
     """value_candidates without any cache: a fresh class list and one
     representations call per class and value."""
     D = -c1.disc
-    reps = [f.coeffs() for f in enumerate_reduced(D)]
+    reps = [f.coeffs() for f in reduced_forms(D)]
     used, cand = [], None
     for m1 in _reference_small_values(c1.rep, 2 * D):
         for m2 in _reference_small_values(c2.rep, 2 * D * m1):
@@ -355,7 +355,7 @@ def test_value_candidates_match_uncached_reference():
     for D in range(3, 151):
         if D % 4 not in (0, 3):
             continue
-        els = [class_of(f) for f in enumerate_reduced(D)]
+        els = [class_of(f) for f in reduced_forms(D)]
         for c1 in els:
             for c2 in els:
                 assert value_candidates(c1, c2) == _reference_value_candidates(c1, c2)

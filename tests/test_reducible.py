@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from jzero.classes import enumerate_reduced
+from jzero.classes import reduced_forms
 from jzero.families import FamilyPoint, family_coefficients, jacobian
 from jzero.forms import QuadraticForm, QuarticForm, invariants, is_irreducible_Q
 from jzero.reducible import (
@@ -46,7 +46,7 @@ def test_classify_agrees_with_irreducibility():
     for D in range(3, 50):
         if D % 4 not in (0, 3):
             continue
-        for f in enumerate_reduced(D):
+        for f in reduced_forms(D):
             from jzero.families import lattice_Lfa
 
             L = lattice_Lfa(f)
@@ -70,7 +70,7 @@ def test_type1_has_square_disc():
     for D in range(3, 50):
         if D % 4 not in (0, 3):
             continue
-        for f in enumerate_reduced(D):
+        for f in reduced_forms(D):
             from jzero.families import lattice_Lfa
 
             L = lattice_Lfa(f)

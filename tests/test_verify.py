@@ -54,7 +54,7 @@ def test_box_walk_reaches_every_lattice_point():
     for D in range(3, 80):
         if D % 4 not in (0, 3):
             continue
-        for f in classes.enumerate_reduced(D):
+        for f in classes.reduced_forms(D):
             for g in (f, hensel.canonical_fp(f).form()):
                 L = families.lattice_Lfa(g)
                 for box in (0, 7, 25):
@@ -219,8 +219,8 @@ def _patch_block(monkeypatch, change):
     # counting.frame_block with `change` applied to its output
     block_of = counting.frame_block
 
-    def changed(forms, ibound=None):
-        return change(block_of(forms, ibound), ibound)
+    def changed(abc, ibound=None):
+        return change(block_of(abc, ibound), ibound)
 
     monkeypatch.setattr(counting, "frame_block", changed)
 
