@@ -71,6 +71,51 @@ def gauss_reduce(
         t1, t2, t3, t4 = t2, -t1, t4, -t3
 
 
+def xgcd_rows(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(g, x, y) row by row with g = gcd(u, v) = u x + v y, for v > 0 and
+    any u: the extended Euclid algorithm (Cohen, GTM 138, 1.3), stepping
+    only the rows not yet done.  u^(-1) mod m is x mod m of (u mod m, m),
+    as `pow(u, -1, m)`, and 0 where m = 1.  After the first step every
+    remainder lies in [0, v) and |x| <= v, so nothing passes max(|u|, v)
+    but the products u x and v y of the last line, within |u| v.  The
+    arrays may be int64 or object (Python integers)."""
+    g, x = np.empty_like(v), np.empty_like(v)
+    rows = np.arange(len(v))
+    r0, r1, s0, s1 = u, v, 0 * v + 1, 0 * v  # r_i = s_i u (mod v)
+    while len(rows):
+        done = r1 == 0
+        g[rows[done]], x[rows[done]] = r0[done], s0[done]
+        live = ~done
+        rows, r0, r1, s0, s1 = rows[live], r0[live], r1[live], s0[live], s1[live]
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    return g, x, (g - u * x) // v
+
+
+def gauss_reduce_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """`gauss_reduce` row by row: the rows (ga, gb, gc, t1, t2, t3, t4) of
+    its reduced forms and transforms, by the same steps, stepping only the
+    forms not yet reduced.  Its shear is taken on every row, since
+    k = floor((a - b) / 2a) is 0 exactly when b lies in (-a, a] already.
+    Every coefficient stays within the largest initial one, G, and each
+    product within 4G (the proof is at `counting.frame_block`).  The arrays
+    may be int64 or object (Python integers)."""
+    one = np.ones_like(a)
+    out = np.empty((7, len(a)), dtype=a.dtype)
+    rows = np.arange(len(a))
+    t1, t2, t3, t4 = one, 0 * one, 0 * one, one
+    while len(rows):
+        k = (a - b) // (2 * a)
+        b, c = 2 * a * k + b, (a * k + b) * k + c
+        t2, t4 = t1 * k + t2, t3 * k + t4
+        done = (c > a) | ((c == a) & (b >= 0))
+        out[:, rows[done]] = np.array((a, b, c, t1, t2, t3, t4))[:, done]
+        live = ~done
+        rows, a, b, c = rows[live], c[live], -b[live], a[live]
+        t1, t2, t3, t4 = t2[live], -t1[live], t4[live], -t3[live]
+    return out
+
+
 def reduce_form(f: QuadraticForm) -> tuple[QuadraticForm, Unimodular]:
     """Gauss-reduce a positive definite form; returns (g, T) with f_T = g."""
     if f.disc() >= 0:
@@ -186,6 +231,32 @@ def represents(f: QuadraticForm, m: int) -> bool:
     return False
 
 
+def _isqrt_rows(n: np.ndarray) -> np.ndarray:
+    """floor(sqrt(n)) row by row for 0 <= n < 2^52: the float square root
+    of an exactly represented n is within 1 of it, and one step each way
+    makes it exact."""
+    s = np.sqrt(n).astype(np.int64)
+    s -= s * s > n
+    return s + ((s + 1) * (s + 1) <= n)
+
+
+def represents_rows(D: np.ndarray, f: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """`represents` row by row: whether the positive definite form f[i] =
+    (a, b, c) of discriminant -D[i] takes the value m[i] >= 1, from one
+    integer-array scan of every row y of every form.  Row y of (a, b, c)
+    holds a solution exactly when 4am - D y^2 = s^2 and 2a divides s - by
+    or s + by, so the scan reads only a and |b|.  Exact while 4am < 2^52."""
+    a, b = f[:, 0], f[:, 1]
+    a4m = 4 * a * m
+    ny = _isqrt_rows(a4m // D) + 1
+    row = np.repeat(np.arange(len(f)), ny)
+    y = np.arange(len(row)) - np.repeat(np.cumsum(ny) - ny, ny)
+    rest = a4m[row] - D[row] * y * y
+    s, a2, by = _isqrt_rows(rest), 2 * a[row], b[row] * y
+    hit = (s * s == rest) & (((s - by) % a2 == 0) | ((s + by) % a2 == 0))
+    return np.bincount(row[hit], minlength=len(f)) > 0
+
+
 # ---------------------------------------------------------------------------
 # Form classes and composition
 # ---------------------------------------------------------------------------
@@ -270,6 +341,51 @@ def compose(c1: FormClass, c2: FormClass) -> FormClass:
     return class_of(QuadraticForm(A, B, C))
 
 
+def compose_rows(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
+    """`compose` row by row: the reduced (a, b, c) of the composition of
+    the classes of the reduced forms f1[i] and f2[i], of one discriminant
+    -D each, as rows of an (n, 3) int64 array.
+
+    Shanks' composition (Cohen, GTM 138, 5.4.7) with a1 <= a2: s = (b1 +
+    b2)/2, n = b2 - s; d = gcd(a2, a1) = y1 a2 + v a1 and d1 = gcd(s, d) =
+    x2 s - y2 d, from two `xgcd_rows` passes (a1 | a2 gives y1 = 0, and
+    d | s gives x2 = 0, y2 = -1, as Cohen's special cases); v1 = a1/d1,
+    v2 = a2/d1, r = (y1 y2 n - x2 c2) mod v1, and the composite (v1 v2,
+    b2 + 2 v2 r, (c2 d1 + r (b2 + v2 r))/v1) goes through
+    `gauss_reduce_rows`.
+
+    Exact in int64 while 4D^2 < 2^63 (D < 1.5e9): with a1 <= a2 <=
+    sqrt(D/3) and c2 <= (D + a2^2)/4a2 < D, the largest intermediates
+    c2 d1 and r (b2 + v2 r) are below D^2, and so is every coefficient of
+    the composite, whose reduction keeps its products within 4D^2.
+    """
+    swap = (f1[:, 0] > f2[:, 0])[:, None]
+    a1, b1, _ = np.where(swap, f2, f1).T
+    a2, b2, c2 = np.where(swap, f1, f2).T
+    s = (b1 + b2) // 2
+    n = b2 - s
+    d, y1, _ = xgcd_rows(a2, a1)
+    d1, x2, w = xgcd_rows(s, d)  # Cohen's y2 is -w
+    v1, v2 = a1 // d1, a2 // d1
+    r = (-y1 * w * n - x2 * c2) % v1
+    return gauss_reduce_rows(
+        v1 * v2, b2 + 2 * v2 * r, (c2 * d1 + r * (b2 + v2 * r)) // v1
+    )[:3].T
+
+
+def class_pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The indices (i, j) of every ordered pair of rows (D, a, b, c) of
+    `enumerate_reduced` with equal D, in (D, i, j) order: h^2 pairs for a
+    D of h classes, at the rows of its h classes."""
+    first = np.flatnonzero(np.diff(rows[:, 0], prepend=-1))
+    h = np.diff(first, append=len(rows))
+    size = np.repeat(h, h)  # each row's class number
+    start = np.repeat(first, h)
+    i = np.repeat(np.arange(len(rows)), size)
+    j = np.arange(len(i)) - np.repeat(np.cumsum(size) - size, size) + np.repeat(start, size)
+    return i, j
+
+
 def inverse(c: FormClass) -> FormClass:
     f = c.rep
     return class_of(QuadraticForm(f.a, -f.b, f.c))
@@ -289,24 +405,14 @@ def order(c: FormClass) -> int:
 
 class ClassGroup:
     """The Picard group of primitive SL2 classes of discriminant -D, with
-    its composition table and the classes representing each value m."""
+    its composition table."""
 
     def __init__(self, D: int):
         if D <= 0 or D % 4 not in (0, 3):
             raise ValueError("need D > 0 with D = 0, 3 (mod 4)")
         self.disc = -D
         self.elements = [FormClass(f, -D) for f in reduced_forms(D)]
-        self.by_coeffs = {c.rep.coeffs(): c for c in self.elements}
-        # one rep (a, b, c) with b >= 0 per inverse pair, with the keys of
-        # (a, b, c) and of (a, -b, c) when that is a rep too
-        self._inverse_pairs = []
-        for f in (c.rep for c in self.elements):
-            if f.b >= 0:
-                keys = {f.coeffs(), (f.a, -f.b, f.c)} & self.by_coeffs.keys()
-                self._inverse_pairs.append((f, frozenset(keys)))
         self._table: dict[tuple, FormClass] = {}
-        self._represented: dict[int, frozenset] = {}
-        self._small: dict[tuple, list[int]] = {}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -318,52 +424,6 @@ class ClassGroup:
             got = compose(c1, c2)
             self._table[key] = got
             self._table[(key[1], key[0])] = got
-        return got
-
-    def represented(self, m: int) -> frozenset:
-        """Coefficients of the class reps that represent m.
-
-        Only the reps (a, b, c) with b >= 0 are tested.  (a, -b, c)(x, -y)
-        = (a, b, c)(x, y), so the inverse rep (a, -b, c), when it is a rep
-        (0 < b < a < c), represents exactly the same values and joins
-        (a, b, c) without a test of its own.
-        """
-        got = self._represented.get(m)
-        if got is None:
-            got = frozenset(
-                k for f, keys in self._inverse_pairs if represents(f, m) for k in keys
-            )
-            self._represented[m] = got
-        return got
-
-    def small_values(self, f: QuadraticForm, avoid: int) -> list[int]:
-        """Values 0 < f(x, y) <= 4000 coprime to avoid at primitive (x, y),
-        from the least box |x|, |y| <= r (r <= 12) that has any.
-
-        The scan goes ring by ring, max(|x|, |y|) = r, and stops after the
-        first ring with a value.  The box of that r is the union of the
-        rings up to r, and the rings before it held no value, so the set is
-        that of the whole box.  f(-x, -y) = f(x, y), so each ring takes one
-        point of each pair +-(x, y): (x, r) for |x| <= r, which also stands
-        for the corners, and (r, y) for |y| < r.
-        """
-        a, b, c = coeffs = f.coeffs()
-        key = (coeffs, avoid)
-        got = self._small.get(key)
-        if got is None:
-            out = set()
-            r = 1
-            while not out and r <= 12:
-                ring = [(x, r) for x in range(-r, r + 1)]
-                ring += [(r, y) for y in range(-r + 1, r)]
-                for x, y in ring:
-                    if math.gcd(x, y) != 1:
-                        continue
-                    v = (a * x + b * y) * x + c * y * y
-                    if 0 < v <= 4000 and math.gcd(v, avoid) == 1:
-                        out.add(v)
-                r += 1
-            got = self._small[key] = sorted(out)
         return got
 
     def identity(self) -> FormClass:

@@ -252,15 +252,17 @@ def cmd_reduce(args) -> int:
 
 def cmd_classgroup(args) -> int:
     D = args.D
-    G = classes.class_group(D)
-    els = [c.rep.coeffs() for c in G.elements]
-    table = {}
-    for c1 in G.elements:
-        for c2 in G.elements:
-            table[f"{c1.rep.coeffs()}*{c2.rep.coeffs()}"] = G.compose(c1, c2).rep.coeffs()
+    els = [c.rep.coeffs() for c in classes.class_group(D).elements]
+    # every ordered pair of classes composed in one row pass
+    rows = classes.enumerate_reduced(D, D + 1)
+    i, j = classes.class_pairs(rows)
+    composites = classes.compose_rows(rows[i, 1:], rows[j, 1:]).tolist()
+    table = {
+        f"{els[x]}*{els[y]}": tuple(g) for x, y, g in zip(i.tolist(), j.tolist(), composites)
+    }
     emit_summary(
         args,
-        {"disc": -D, "h2": len(G), "classes": els, "composition": table},
+        {"disc": -D, "h2": len(els), "classes": els, "composition": table},
         args.out,
     )
     return EXIT_OK

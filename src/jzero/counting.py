@@ -114,9 +114,11 @@ from .classes import (
     class_of,
     cover_multiplicity,
     enumerate_reduced,
+    gauss_reduce_rows,
     reduced_forms,
     square_label_inverse,
     square_label_negation,
+    xgcd_rows,
 )
 from .families import (
     FiberAction,
@@ -203,44 +205,6 @@ def _block_dtype(a: int, b: int, c: int, ibound: int) -> type:
     return np.int64 if top < 2**63 else object
 
 
-def _inverse(u: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """u^(-1) mod m row by row, for u a unit mod m, and 0 where m = 1 (as
-    `pow(u, -1, m)`): the extended Euclid algorithm (Cohen, GTM 138, 1.3),
-    stepping only the rows not yet done.  Every value stays within m."""
-    x = np.zeros_like(m)
-    rows = np.arange(len(m))
-    r0, r1, s0, s1 = m, u % m, 0 * m, 0 * m + 1  # r_i = s_i u (mod m)
-    while len(rows):
-        done = r1 == 0
-        x[rows[done]] = s0[done]
-        live = ~done
-        rows, r0, r1, s0, s1 = rows[live], r0[live], r1[live], s0[live], s1[live]
-        q = r0 // r1
-        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
-    return x % m
-
-
-def _gauss_reduce_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """`classes.gauss_reduce` row by row: the rows (ga, gb, gc, t1, t2, t3,
-    t4) of its reduced forms and transforms, by the same steps, stepping
-    only the forms not yet reduced.  Its shear is taken on every row, since
-    k = floor((a - b) / 2a) is 0 exactly when b lies in (-a, a] already."""
-    one = np.ones_like(a)
-    out = np.empty((7, len(a)), dtype=a.dtype)
-    rows = np.arange(len(a))
-    t1, t2, t3, t4 = one, 0 * one, 0 * one, one
-    while len(rows):
-        k = (a - b) // (2 * a)
-        b, c = 2 * a * k + b, (a * k + b) * k + c
-        t2, t4 = t1 * k + t2, t3 * k + t4
-        done = (c > a) | ((c == a) & (b >= 0))
-        out[:, rows[done]] = np.array((a, b, c, t1, t2, t3, t4))[:, done]
-        live = ~done
-        rows, a, b, c = rows[live], c[live], -b[live], a[live]
-        t1, t2, t3, t4 = t2[live], -t1[live], t4[live], -t3[live]
-    return out
-
-
 def frame_block(abc: Sequence, ibound: Optional[int] = None) -> FrameBlock:
     """The setup of the N families of the primitive positive definite family
     forms of `abc`, an (n, 3) integer array of rows (a, b, c), in one pass.
@@ -263,8 +227,9 @@ def frame_block(abc: Sequence, ibound: Optional[int] = None) -> FrameBlock:
     with each right side reduced mod its modulus n_i before the division
     by g_i: rhs / g_i = (rhs mod n_i) / g_i (mod m_i), since g_i divides
     rhs and n_i = g_i m_i.  The CRT step is taken on the rows where m2
-    does not divide m3 (d2 > m3).  The inverses come from `_inverse` and
-    the reduced Gram form from `_gauss_reduce_rows`.  The ga skip drops a
+    does not divide m3 (d2 > m3).  The inverses come from
+    `classes.xgcd_rows` and the reduced Gram form from
+    `classes.gauss_reduce_rows`.  The ga skip drops a
     row when ga > bound, as `frame_empty`.
 
     Exactness.  The arrays are np.int64 when `_block_dtype` bounds every
@@ -278,7 +243,8 @@ def frame_block(abc: Sequence, ibound: Optional[int] = None) -> FrameBlock:
       lie within N, and so do k < d2 and every residue;
     * products of two residues mod some n_i <= N, the CRT product
       ((r2 - r3) / g mod h) inv and m3 t < lcm(m3, m2) = d2: below N^2;
-      the Euclid steps stay within twice their modulus;
+      the Euclid steps stay within twice their modulus, and its Bezout
+      product u x within the modulus squared;
     * the Gram numerators 16c d1^2 - 4b d1 k + a k^2,
       2 d2 (ak - 2b d1) and a d2^2, with d1, k, d2 <= N, and each partial
       sum and product of them: at most N^2 (16C + 4B + 2A);
@@ -332,17 +298,16 @@ def frame_block(abc: Sequence, ibound: Optional[int] = None) -> FrameBlock:
     bl, cl, n2, g2, m2, v2l, d1l, m3l = np.array((b, c, n2, g2, m2, v2, d1, m3))[:, lift]
     g = np.gcd(m3l, m2)
     h = m2 // g
-    inv3, inv2, inv = np.split(
-        _inverse(np.concatenate((v3 // g3, v2l // g2, m3l // g)), np.concatenate((m3, m2, h))),
-        (len(m3), len(m3) + len(lift)),
-    )
+    mods = np.concatenate((m3, m2, h))
+    units = np.concatenate((v3 // g3, v2l // g2, m3l // g)) % mods
+    inv3, inv2, inv = np.split(xgcd_rows(units, mods)[1] % mods, (len(m3), len(m3) + len(lift)))
     k = 4 * c % n3 * (v2 % n3) % n3 * d1 % n3 // g3 * inv3 % m3
     r3 = k[lift]
     r2 = 4 * bl % n2 * (cl % n2) % n2 * d1l % n2 // g2 * inv2 % m2
     k[lift] = (r3 + m3l * ((r2 - r3) // g % h * inv % h)) % d2[lift]
     # the Gram form of q = 16c A^2 - 4b AB + a B^2 on the basis
     # (d1, k), (0, d2), over lam, Gauss-reduced
-    gram = _gauss_reduce_rows(
+    gram = gauss_reduce_rows(
         (16 * c * d1 * d1 - 4 * b * d1 * k + a * k * k) // lam,
         2 * d2 * (a * k - 2 * b * d1) // lam,
         a * d2 * d2 // lam,

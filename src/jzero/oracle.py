@@ -44,13 +44,12 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .classes import (
-    FormClass,
-    class_group,
     class_of,
     canonical_square_label,
     cover_multiplicity,
     indefinite_class_key,
     reduce_form,
+    represents_rows,
 )
 from .counting import CountReport, DISC_POLICY, count_M, count_N
 from .families import FiberAction, fiber_action, member_of
@@ -388,51 +387,94 @@ def _check_fiber_sizes(rep: BruteForceReport) -> None:
 # ---------------------------------------------------------------------------
 
 
-VALUE_PAIRS = 2  # coprime value pairs whose candidate sets are intersected
+VALUE_PAIRS = 2  # coprime value pairs whose products the composite must represent
 
 
-def value_candidates(
-    c1: FormClass, c2: FormClass
-) -> tuple[list[FormClass], list[tuple[int, int]]]:
-    """Classes of disc(c1) representing m1*m2 for VALUE_PAIRS coprime value
-    pairs represented by c1 and c2; intersected over the pairs."""
-    if c1.disc != c2.disc or c1.disc >= 0:
-        raise ValueError("need equal negative discriminants")
-    D = -c1.disc
-    G = class_group(D)
-    used = []
-    cand: Optional[frozenset] = None
-    for m1 in G.small_values(c1.rep, 2 * D):
-        for m2 in G.small_values(c2.rep, 2 * D * m1):
-            got = G.represented(m1 * m2)
-            cand = got if cand is None else (cand & got)
-            used.append((m1, m2))
-            if len(used) >= VALUE_PAIRS:
-                return [G.by_coeffs[t] for t in sorted(cand)], used
-    if cand is None:
-        raise RuntimeError(f"no coprime value pairs found for {c1} and {c2}")
-    return [G.by_coeffs[t] for t in sorted(cand)], used
+def _ring(r: int) -> np.ndarray:
+    """The primitive points of the ring max(|x|, |y|) = r, one of each pair
+    +-(x, y): (x, r) for |x| <= r, which also stands for the corners, and
+    (r, y) for |y| < r; as the rows x and y of a (2, n) array."""
+    pts = [(x, r) for x in range(-r, r + 1)] + [(r, y) for y in range(-r + 1, r)]
+    return np.array([p for p in pts if math.gcd(*p) == 1], dtype=np.int64).T
 
 
-def compose_oracle(c1: FormClass, c2: FormClass) -> FormClass:
-    """The composition class located through represented values.
+_RINGS = [_ring(r) for r in range(1, 13)]
 
-    The value data pins the product only up to the inverse ambiguity, so
-    the returned class is the candidate matching the Dirichlet composition;
-    a composition outside the candidate set raises.
+
+def ring_values(f: np.ndarray, avoid: np.ndarray) -> np.ndarray:
+    """For each positive definite form f[i] = (a, b, c): its values
+    0 < f(x, y) <= 4000 coprime to avoid[i] at primitive (x, y), from the
+    least box |x|, |y| <= r (r <= 12) that has any, ascending and padded
+    with 0 to the widest ring that gave a row its values.
+
+    The scan goes ring by ring, max(|x|, |y|) = r, for the rows with no
+    value yet.  The box of r is the union of the rings up to r, and the
+    rings before it held no value, so the set is that of the whole box.
+    f(-x, -y) = f(x, y), so each ring reads one point of each pair
+    +-(x, y) (`_ring`).  A row with no value in the 12 rings stays 0.
     """
-    cands, used = value_candidates(c1, c2)
-    G = class_group(-c1.disc)
-    got = G.compose(c1, c2)
-    # the candidates are classes of this same cached G, so identity decides;
-    # the inverse of reduced (a, b, c) is (a, -b, c), or itself when that is
-    # not reduced
-    a, b, c = got.rep.coeffs()
-    own, inverse = G.by_coeffs.get((a, b, c)), G.by_coeffs.get((a, -b, c))
-    for x in cands:
-        if x is own or x is inverse:
-            return got
-    raise AssertionError(
-        f"composition {got.rep} not among value candidates "
-        f"{[c.rep.coeffs() for c in cands]} (pairs {used})"
-    )
+    none = 4001  # above every kept value: sorts after them
+    parts = []
+    rows = np.arange(len(f))
+    a, b, c = f[:, :, None].transpose(1, 0, 2)
+    avoid = avoid[:, None]
+    for x, y in _RINGS:
+        v = (a * x + b * y) * x + c * y * y
+        v = np.where((v <= 4000) & (np.gcd(v, avoid) == 1), v, none)
+        v.sort(axis=1)
+        v[:, 1:][v[:, 1:] == v[:, :-1]] = none
+        v.sort(axis=1)
+        done = v[:, 0] < none
+        if done.any():
+            parts.append((rows[done], v[done]))
+        live = ~done
+        rows, a, b, c, avoid = rows[live], a[live], b[live], c[live], avoid[live]
+        if not len(rows):
+            break
+    out = np.full((len(f), max((v.shape[1] for _, v in parts), default=0)), none)
+    for r, v in parts:
+        out[r, : v.shape[1]] = v
+    return np.where(out < none, out, 0)
+
+
+def value_candidates(D: np.ndarray, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
+    """The coprime value pairs (m1, m2) of the pairs of reduced forms f1[i],
+    f2[i] of discriminant -D[i], as an (n, VALUE_PAIRS, 2) array padded
+    with 0: the first VALUE_PAIRS of the nested order m1 over
+    `ring_values(f1, 2D)`, then m2 over `ring_values(f2, 2D m1)`.  Raises
+    when a pair has none."""
+    m1s = ring_values(f1, 2 * D)
+    used = np.zeros((len(D), VALUE_PAIRS, 2), dtype=np.int64)
+    count = np.zeros(len(D), dtype=np.int64)
+    rows = np.arange(len(D))
+    for m1 in m1s.T:
+        rows = rows[(count[rows] < VALUE_PAIRS) & (m1[rows] > 0)]
+        if not len(rows):
+            break
+        m2s = ring_values(f2[rows], 2 * D[rows] * m1[rows])
+        for m2 in m2s[:, :VALUE_PAIRS].T:
+            take = (count[rows] < VALUE_PAIRS) & (m2 > 0)
+            at = rows[take]
+            used[at, count[at]] = np.stack((m1[at], m2[take]), axis=1)
+            count[at] += 1
+    if not count.all():
+        i = np.argmin(count)
+        raise RuntimeError(f"no coprime value pairs found for {f1[i]} and {f2[i]}")
+    return used
+
+
+def compose_oracle(D: np.ndarray, f: np.ndarray, used: np.ndarray) -> np.ndarray:
+    """Whether each composite f[i], a reduced form of discriminant -D[i],
+    represents both products m1 m2 of its `value_candidates` row used[i].
+
+    The class of c1 c2 represents m1 m2 when c1 represents m1, c2 represents
+    m2 and gcd(m1, m2) = 1, and the values pin the class only up to
+    inverse.  (a, -b, c)(x, -y) = (a, b, c)(x, y), so the inverse rep
+    (a, -b, c) represents the same values as (a, b, c) and the test is
+    that of "the composite or its inverse is a candidate"; a composite
+    that fails it is not the composition.
+    """
+    m = used[:, :, 0] * used[:, :, 1]
+    pair, col = np.nonzero(m)
+    ok = represents_rows(D[pair], f[pair], m[pair, col])
+    return np.bincount(pair[~ok], minlength=len(D)) == 0

@@ -6,7 +6,9 @@ formulas from the computed ground truth, reported but non-fatal).
 
 Suites:
   parametrization     family identities, lattice determinants, reduced enumeration
-  classgroup          group laws, value oracle, reducible class counts
+  classgroup          group laws, value oracle, reducible class counts; every
+                      ordered pair of classes of a window of consecutive D
+                      composed and checked in one integer-row pass
   hensel              nu = w^4, w-distinctness, lift class walk, integrality
   reducibility        classification, cofactor identities, square curve
   oracle-equivalence  brute-force orbit counts vs family counts (binding)
@@ -20,6 +22,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 from . import classes, counting, families, forms, hensel, oracle, reducible
 
@@ -211,48 +215,77 @@ def _check_reduced_enumeration(res: SuiteResult, dmax: int) -> None:
 # ---------------------------------------------------------------------------
 
 
+# The ordered pairs of classes `suite_classgroup` composes and checks per
+# numpy pass, a window of consecutive D at a time (at least one D).  At
+# dmax = 500 one pass over all 13928 pairs raised the process's peak memory
+# by about 12 MB over the scalar suite's; 2048 pairs (8 windows) keep it
+# within about 1.3 MB and spread numpy's per-call cost over enough pairs
+# that 1024 ran no faster.
+WINDOW_PAIRS = 2048
+
+
+def _windows(rows):
+    """The windows of consecutive D of the `enumerate_reduced` rows, as
+    lists of the (lo, hi) row range of each D: each holds about
+    WINDOW_PAIRS ordered pairs of classes of equal D, and at least one D."""
+    first = np.flatnonzero(np.diff(rows[:, 0], prepend=-1)).tolist() + [len(rows)]
+    window, pairs = [], 0
+    for lo, hi in zip(first, first[1:]):
+        if window and pairs + (hi - lo) ** 2 > WINDOW_PAIRS:
+            yield window
+            window, pairs = [], 0
+        window.append((lo, hi))
+        pairs += (hi - lo) ** 2
+    if window:
+        yield window
+
+
+def _row_index(rows, D, f):
+    """The index of the row (D[i], *f[i]) among `rows`, -1 where none: a
+    reduced form of discriminant -D is fixed by (D, a, b), which keys the
+    search, and the found row is compared whole."""
+    w = math.isqrt(int(rows[:, 0].max()) // 3) + 1  # above every reduced |b| <= a
+    scale = np.array([w * (2 * w + 1), 2 * w + 1, 1])
+    keys = rows[:, :3] @ scale
+    order = np.argsort(keys)
+    at = np.searchsorted(keys[order], np.column_stack((D, f[:, :2])) @ scale)
+    at = order[at.clip(max=len(rows) - 1)]
+    found = (rows[at, 0] == D) & (rows[at, 1:] == f).all(axis=1)
+    return np.where(found, at, -1)
+
+
 def suite_classgroup(
     dmax: int = 2000, phimax: int = 1000, rednf_trials: int = 20, seed: int = 20260809
 ) -> SuiteResult:
+    """Group laws, the value oracle and reducible class counts.
+
+    The reduced forms of 3 <= D <= dmax come from one `enumerate_reduced`
+    call, and each window of consecutive D (`_windows`) has every ordered
+    pair (i, j) of classes of equal D composed by `classes.compose_rows`
+    and checked by `oracle.value_candidates`/`compose_oracle` in one pass.
+    T[i, j] is the index of class i * class j among the D's classes, -1
+    outside the group; the laws are checked on T per D."""
     res = SuiteResult("classgroup")
     rng = random.Random(seed)
-    for D in range(3, dmax + 1):
-        if D % 4 not in (0, 3):
-            continue
-        G = classes.class_group(D)
-        els = G.elements
-        key = {c.rep.coeffs(): i for i, c in enumerate(els)}
-        e = key.get(G.identity().rep.coeffs())
-        if e is None:
-            res.fail(f"principal class missing for D={D}")
-        # T[i][j] is the index of els[i] * els[j], None outside the group
-        T = [[key.get(G.compose(c1, c2).rep.coeffs()) for c2 in els] for c1 in els]
-        res.checks += len(els) ** 2
-        if any(None in row for row in T):
-            res.fail(f"composition leaves the group at D={D}")
-        elif e is not None:
-            for i, c in enumerate(els):
-                if T[e][i] != i:
-                    res.fail(f"identity law fails at D={D}, {c.rep}")
-                if T[i][key[classes.inverse(c).rep.coeffs()]] != e:
-                    res.fail(f"inverse law fails at D={D}, {c.rep}")
-            for row in T:  # (ij)k = i(jk): T[T[i][j]][k] == T[i][T[j][k]]
-                for j, ij in enumerate(row):
-                    if any(x != row[jk] for x, jk in zip(T[ij], T[j])):
-                        res.fail(f"associativity fails at D={D}")
-        # ambiguity <-> order <= 2, i.e. c * c = e
-        for i, c in enumerate(els):
-            res.checks += 1
-            if classes.is_ambiguous(c) != (T[i][i] == e):
-                res.fail(f"ambiguity mismatch at D={D}, {c.rep}")
-        # value oracle on all pairs
-        for c1 in els:
-            for c2 in els:
-                res.checks += 1
-                try:
-                    oracle.compose_oracle(c1, c2)
-                except AssertionError as exc:
-                    res.fail(f"compose oracle disagrees at D={D}: {exc}")
+    rows = classes.enumerate_reduced(3, dmax + 1)
+    for runs in _windows(rows):
+        start = runs[0][0]
+        win = rows[start : runs[-1][1]]
+        i, j = classes.class_pairs(win)
+        D, f1, f2 = win[i, 0], win[i, 1:], win[j, 1:]
+        f3 = classes.compose_rows(f1, f2)
+        index = _row_index(win, D, f3)
+        used = oracle.value_candidates(D, f1, f2)
+        disagree = ~((index >= 0) & oracle.compose_oracle(D, f3, used))
+        pair = 0
+        for lo, hi in runs:
+            h, d, reps = hi - lo, int(rows[lo, 0]), rows[lo:hi, 1:].tolist()
+            table = index[pair : pair + h * h].reshape(h, h)
+            _check_class_table(res, d, reps, np.where(table >= 0, table - (lo - start), -1))
+            for p in np.flatnonzero(disagree[pair : pair + h * h]) + pair:
+                _oracle_failure(res, d, reps, f3[p], used[p])
+            res.checks += h * h
+            pair += h * h
     # reducible class representatives
     for n in range(1, phimax + 1):
         reps = classes.reducible_class_reps(n)
@@ -274,6 +307,48 @@ def suite_classgroup(
                 f"{rep.decomposed} vs {rep.raw_pairs}"
             )
     return res
+
+
+def _check_class_table(res: SuiteResult, D: int, reps: list, T: np.ndarray) -> None:
+    """The group laws of the classes `reps` of -D on their composition
+    table T (-1 outside the group): identity and inverse laws per class,
+    associativity as one comparison T[T[i, j], k] == T[i, T[j, k]], and
+    ambiguity <-> order <= 2."""
+    els = [classes.FormClass(forms.QuadraticForm(*f), -D) for f in reps]
+    key = {f: i for i, f in enumerate(map(tuple, reps))}
+    e = key.get(classes.principal_class(-D).rep.coeffs(), -1)
+    if e < 0:
+        res.fail(f"principal class missing for D={D}")
+    res.checks += len(els) ** 2
+    rows = T.tolist()
+    if (T < 0).any():
+        res.fail(f"composition leaves the group at D={D}")
+    elif e >= 0:
+        for i, c in enumerate(els):
+            if rows[e][i] != i:
+                res.fail(f"identity law fails at D={D}, {c.rep}")
+            if rows[i][key[classes.inverse(c).rep.coeffs()]] != e:
+                res.fail(f"inverse law fails at D={D}, {c.rep}")
+        for _ in range(int((T[T] != T[:, T]).any(axis=2).sum())):
+            res.fail(f"associativity fails at D={D}")
+    for i, c in enumerate(els):
+        res.checks += 1
+        if classes.is_ambiguous(c) != (rows[i][i] == e):
+            res.fail(f"ambiguity mismatch at D={D}, {c.rep}")
+
+
+def _oracle_failure(res: SuiteResult, D: int, reps: list, f, used) -> None:
+    """The failure of a composite f that `oracle.compose_oracle` rejects,
+    with the classes that do represent every product of `used`."""
+    ms = [(m1, m2) for m1, m2 in used.tolist() if m1]
+    cands = sorted(
+        tuple(g) for g in reps
+        if all(classes.represents(forms.QuadraticForm(*g), m1 * m2) for m1, m2 in ms)
+    )
+    res.fail(
+        f"compose oracle disagrees at D={D}: composition "
+        f"{forms.QuadraticForm(*f.tolist())} not among value candidates {cands} (pairs {ms})"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,13 @@ from jzero.classes import (
     canonical_square_label,
     class_number_sum_report,
     class_of,
+    class_pairs,
     compose,
+    compose_rows,
     cover_multiplicity,
     enumerate_reduced,
     gauss_reduce,
+    gauss_reduce_rows,
     indefinite_class_key,
     inverse,
     is_ambiguous,
@@ -28,8 +31,10 @@ from jzero.classes import (
     reducible_class_reps,
     representations,
     represents,
+    represents_rows,
     square_label_inverse,
     square_label_negation,
+    xgcd_rows,
 )
 from jzero.forms import QuadraticForm, Unimodular, act_quadratic
 from reference import enumerate_reduced_scan, indefinite_class_key_four_cycles
@@ -105,6 +110,25 @@ def test_gauss_reduce_matches_matrix_reduction():
         g, T = _reduce_form_by_matrices(f)
         assert gauss_reduce(a, b, c) == (g.coeffs(), T.entries()), f
         assert reduce_form(f) == (g, T), f
+    # the row reduction, on int64 and on Python integers, by the same steps
+    want = [(*g, *T) for g, T in (gauss_reduce(*f) for f in cases)]
+    for dtype in (np.int64, object):
+        got = gauss_reduce_rows(*np.array(cases, dtype=dtype).T)
+        assert [tuple(map(int, r)) for r in got.T] == want, dtype
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(st.tuples(st.integers(-10**9, 10**9), st.integers(1, 10**9)), min_size=1, max_size=30))
+@example([(0, 1), (5, 1), (6, 4), (-6, 4), (7, 7), (3, 10**9)])
+def test_xgcd_rows_is_bezout(pairs):
+    u, v = (list(col) for col in zip(*pairs))
+    for dtype in (np.int64, object):
+        g, x, y = (col.tolist() for col in xgcd_rows(np.array(u, dtype=dtype), np.array(v, dtype=dtype)))
+        for ui, vi, gi, xi, yi in zip(u, v, g, x, y):
+            assert gi == math.gcd(ui, vi) and ui * xi + vi * yi == gi, (ui, vi, dtype)
+            assert abs(xi) <= vi
+            if gi == 1:
+                assert xi % vi == pow(ui, -1, vi)
 
 
 def test_unique_reduced_rep_vs_orbit_search():
@@ -207,6 +231,20 @@ def test_class_group_elements_are_their_classes():
             assert len(G) == len(reduced_forms(D)), D
             for e in G.elements:
                 assert class_of(e.rep) == e, (D, e)
+
+
+def test_compose_rows_matches_compose():
+    # Shanks' row composition against Dirichlet's through concordant reps,
+    # on every ordered pair of classes of every D <= 500
+    rows = enumerate_reduced(3, 501)
+    i, j = class_pairs(rows)
+    h = np.bincount(rows[:, 0])
+    assert len(i) == (h * h).sum() == 13928
+    assert (rows[i, 0] == rows[j, 0]).all()
+    got = compose_rows(rows[i, 1:], rows[j, 1:]).tolist()
+    for D, f1, f2, f3 in zip(rows[i, 0].tolist(), rows[i, 1:].tolist(), rows[j, 1:].tolist(), got):
+        c1, c2 = (class_of(QuadraticForm(*f)) for f in (f1, f2))
+        assert compose(c1, c2).rep.coeffs() == tuple(f3), (D, f1, f2)
 
 
 def test_group_axioms_sample():
@@ -352,13 +390,16 @@ def test_represents_matches_representations(a, b, c, m):
 
 
 def test_represented_matches_every_class_test():
+    # the row scan against the full search, for every class and every m
     reps = []
     for D in (3, 4, 23, 84, 420, 1000):
-        G = ClassGroup(D)
-        reps += G.by_coeffs
-        for m in range(1, 2001):
-            want = frozenset(k for k, c in G.by_coeffs.items() if representations(c.rep, m))
-            assert G.represented(m) == want, (D, m)
+        forms = [f.coeffs() for f in reduced_forms(D)]
+        reps += forms
+        f = np.array(forms * 2000)
+        m = np.repeat(np.arange(1, 2001), len(forms))
+        got = represents_rows(np.full(len(f), D), f, m).tolist()
+        want = [bool(representations(QuadraticForm(*g), int(n))) for g, n in zip(forms * 2000, m)]
+        assert got == want, D
     # every shape of rep that is its own inverse pair occurs
     assert any(b == 0 for a, b, c in reps)
     assert any(b == a for a, b, c in reps)

@@ -1,5 +1,6 @@
 """CLI surface tests: syntax, outputs, exit codes, reproducibility."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -45,6 +46,26 @@ def test_classgroup_command():
     doc = json.loads(out.stdout)
     assert doc["h2"] == 3
     assert len(doc["composition"]) == 9
+
+
+@pytest.mark.parametrize(
+    "D, h2, digest",
+    [
+        (3, 1, "5c6896f3e7258146b4788e4af4b860f6a8e929a63a30171fbaa64bfaeda3d8fd"),
+        (23, 3, "50702cd5eb05af2c9725f441971a1812d9abfbf1c182d890dbd456cecc1d1f8d"),
+        (71, 7, "7c0c9187c66d55b250f4066d3554adf6cbb20c4b9195dca54db57750322ff4b8"),
+        (84, 4, "6d3e396212608743e7e84c0aa4a6b439753cd24c50879421c26221c9ce39536a"),
+        (231, 12, "df261639e7f15f2d6b20ebfb36223ef2101576ec6fe0c21140c464157137b5d5"),
+    ],
+)
+def test_classgroup_composition_is_pinned(D, h2, digest, tmp_path):
+    # the JSON composition table, key order included (SHA-256 of its dump),
+    # as the per-pair scalar composition wrote it
+    out = tmp_path / "cg.json"
+    assert main(["classgroup", str(D), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["h2"] == h2 and len(doc["composition"]) == h2 * h2
+    assert hashlib.sha256(json.dumps(doc["composition"]).encode()).hexdigest() == digest
 
 
 def test_family_command(tmp_path):

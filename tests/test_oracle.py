@@ -9,18 +9,20 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jzero
 from jzero import oracle
+from jzero import classes
 from jzero.classes import (
-    ClassGroup,
-    class_group,
     class_of,
+    class_pairs,
+    compose_rows,
+    enumerate_reduced,
     reduced_forms,
-    inverse,
     representations,
 )
 from jzero.counting import DISC_POLICY, count_M, count_N
@@ -40,6 +42,8 @@ from jzero.oracle import (
     negated_key,
     orbit_count_bruteforce,
     orbit_key,
+    VALUE_PAIRS,
+    ring_values,
     value_candidates,
 )
 from jzero.verify import run_suite
@@ -265,29 +269,31 @@ def test_oracle_equivalence_is_pinned_at_the_benchmark_size():
     assert got == "31c0ab8ee98a5a04cedde42509d834547f175d3fb258a9d358ddd37c19a69047"
 
 
+def _pairs(*Ds):
+    """Every ordered pair of classes of each D: (D, f1, f2) rows."""
+    rows = np.concatenate([enumerate_reduced(D, D + 1) for D in Ds])
+    i, j = class_pairs(rows)
+    return rows[i, 0], rows[i, 1:], rows[j, 1:]
+
+
 def test_compose_oracle_agreement():
-    rng = random.Random(73)
-    for D in (23, 47, 71, 84, 120, 231, 255):
-        if D % 4 not in (0, 3):
-            continue
-        G = ClassGroup(D)
-        for c1 in G.elements:
-            for c2 in G.elements:
-                got = compose_oracle(c1, c2)  # raises on disagreement
-                assert got.disc == -D
-    # principal composed with c stays c
-    G = ClassGroup(23)
-    e = G.identity()
-    for c in G.elements:
-        assert compose_oracle(e, c) in (c, inverse(c))
+    D, f1, f2 = _pairs(23, 47, 71, 84, 120, 231, 255)
+    f3 = compose_rows(f1, f2)
+    assert compose_oracle(D, f3, value_candidates(D, f1, f2)).all()
+    # principal composed with c stays c, and the oracle takes it
+    D, f1, f2 = _pairs(23)
+    e = f1[:, 0] == 1
+    assert (compose_rows(f1[e], f2[e]) == f2[e]).all()
 
 
 def test_value_candidates_contains_product():
-    G = ClassGroup(23)
-    c = class_of(QuadraticForm(2, 1, 3))
-    cands, used = value_candidates(c, c)
-    reps = {x.rep.coeffs() for x in cands}
-    assert (2, -1, 3) in reps or (2, 1, 3) in reps
+    f = np.array([[2, 1, 3]])
+    used = value_candidates(np.array([23]), f, f)
+    assert used.shape == (1, VALUE_PAIRS, 2) and used[0, 0, 0] > 0
+    # the square of (2, 1, 3) is (2, -1, 3), which takes every product
+    for m1, m2 in used[0].tolist():
+        if m1:
+            assert representations(QuadraticForm(2, -1, 3), m1 * m2)
 
 
 def _reference_small_values(f, avoid):
@@ -304,7 +310,7 @@ def _reference_small_values(f, avoid):
 
 
 def _box_values(f, avoid, r):
-    """The values small_values keeps from the box |x|, |y| <= r alone."""
+    """The values ring_values keeps from the box |x|, |y| <= r alone."""
     return {
         v
         for x in range(-r, r + 1)
@@ -317,18 +323,24 @@ def _box_values(f, avoid, r):
 def test_small_values_ring_scan_matches_box_scan():
     primes = (3, 5, 7, 11, 13, 17, 19, 23)
     deepest = 0
-    for D in range(3, 160):
-        if D % 4 not in (0, 3):
-            continue
-        G = ClassGroup(D)
-        avoids = [2 * D] + [2 * D * p for p in primes] + [2 * D * math.prod(primes)]
-        for c in G.elements:
-            for avoid in avoids:
-                got = G.small_values(c.rep, avoid)
-                assert got == _reference_small_values(c.rep, avoid), (c.rep, avoid)
-                if got:
-                    r = next(r for r in range(1, 13) if _box_values(c.rep, avoid, r))
-                    deepest = max(deepest, r)
+    cases = [
+        ((a, b, c), avoid)
+        for D, a, b, c in enumerate_reduced(3, 160).tolist()
+        for avoid in [2 * D] + [2 * D * p for p in primes] + [2 * D * math.prod(primes)]
+    ]
+    # one block of rows that stop at different rings; (4001, 1, 4001) takes
+    # no value <= 4000 and reads all 12 rings
+    cases += [((4001, 1, 4001), 2), ((1, 0, 1), 2)]
+    f, avoid = (np.array(col) for col in zip(*cases))
+    got = ring_values(f, avoid)
+    for (coeffs, avoid), values in zip(cases, got.tolist()):
+        values = [v for v in values if v]
+        f = QuadraticForm(*coeffs)
+        assert values == _reference_small_values(f, avoid), (f, avoid)
+        if values:
+            r = next(r for r in range(1, 13) if _box_values(f, avoid, r))
+            deepest = max(deepest, r)
+    assert got[-2].tolist() == [0] * got.shape[1]
     # past r = 1 the ring scan and the box scan read different points, so
     # the comparison must reach there (here it reaches r = 5)
     assert deepest >= 3
@@ -351,45 +363,78 @@ def _reference_value_candidates(c1, c2, pairs=2):
 
 
 def test_value_candidates_match_uncached_reference():
-    pairs = 0
-    for D in range(3, 151):
-        if D % 4 not in (0, 3):
-            continue
-        els = [class_of(f) for f in reduced_forms(D)]
-        for c1 in els:
-            for c2 in els:
-                assert value_candidates(c1, c2) == _reference_value_candidates(c1, c2)
-                pairs += 1
-    assert pairs > 1000
+    # the block's value pairs are the reference's, and its verdict is the
+    # reference's "the composite or its inverse is a candidate"
+    D, f1, f2 = _pairs(*(D for D in range(3, 151) if D % 4 in (0, 3)))
+    used = value_candidates(D, f1, f2)
+    f3 = compose_rows(f1, f2)
+    ok = compose_oracle(D, f3, used)
+    assert len(D) > 1000
+    for Dp, g1, g2, g3, u, verdict in zip(D.tolist(), f1.tolist(), f2.tolist(), f3.tolist(), used.tolist(), ok.tolist()):
+        c1, c2 = (class_of(QuadraticForm(*g)) for g in (g1, g2))
+        cands, want = _reference_value_candidates(c1, c2)
+        assert [tuple(p) for p in u if p[0]] == want, (Dp, g1, g2)
+        a, b, c = g3
+        reps = {x.rep.coeffs() for x in cands}
+        assert verdict == bool({(a, b, c), (a, -b, c)} & reps) == True, (Dp, g1, g2)
 
 
-def test_value_candidates_survive_cache_replacement():
-    def answers(D):
-        els = class_group(D).elements
-        return [value_candidates(c1, c2) for c1 in els for c2 in els]
+def test_value_candidates_do_not_depend_on_the_block():
+    # a pair's answers are those of its one-row block, whatever else the
+    # block holds
+    D, f1, f2 = _pairs(71, 84)
+    used = value_candidates(D, f1, f2)
+    f3 = compose_rows(f1, f2)
+    ok = compose_oracle(D, f3, used)
+    for k in range(len(D)):
+        one = slice(k, k + 1)
+        assert (value_candidates(D[one], f1[one], f2[one]) == used[one]).all()
+        assert compose_oracle(D[one], f3[one], used[one]).tolist() == [ok[k]]
 
-    first = answers(71)
-    G71 = class_group(71)
-    other = answers(84)
-    assert answers(71) == first
-    assert class_group(71) is not G71  # the one slot held D = 84 in between
-    assert answers(84) == other
+
+def test_compose_oracle_flags_a_corrupted_composite():
+    # one pair's composite replaced by a class that is neither it nor its
+    # inverse: exactly that pair is flagged, unless the class takes both of
+    # the pair's products too (the values pin the class only so far)
+    flagged = 0
+    for Ds in ((23,), (71,), (84, 231)):
+        D, f1, f2 = _pairs(*Ds)
+        used = value_candidates(D, f1, f2)
+        f3 = compose_rows(f1, f2)
+        for k in (0, 1, len(D) // 2, len(D) - 1):
+            a, b, c = f3[k].tolist()
+            ms = [m1 * m2 for m1, m2 in used[k].tolist() if m1]
+            for wrong in enumerate_reduced(D[k], D[k] + 1)[:, 1:].tolist():
+                if tuple(wrong) in ((a, b, c), (a, -b, c)):
+                    continue
+                bad = f3.copy()
+                bad[k] = wrong
+                takes = all(representations(QuadraticForm(*wrong), m) for m in ms)
+                got = np.flatnonzero(~compose_oracle(D, bad, used)).tolist()
+                assert got == ([] if takes else [k]), (Ds, k, wrong)
+                flagged += not takes
+    assert flagged > 20
 
 
-def test_compose_oracle_raises_on_corrupted_candidates():
-    G = class_group(71)
-    c1, c2 = G.elements[1], G.elements[2]
-    compose_oracle(c1, c2)
-    _, used = value_candidates(c1, c2)
-    prod = G.compose(c1, c2)
-    wrong = next(c for c in G.elements if c not in (prod, inverse(prod)))
-    try:
-        for m1, m2 in used:
-            G._represented[m1 * m2] = frozenset({wrong.rep.coeffs()})
-        with pytest.raises(AssertionError):
-            compose_oracle(c1, c2)
-    finally:
-        class_group.cache_clear()
+def test_classgroup_suite_fails_on_a_corrupted_composition(monkeypatch):
+    # the row composition corrupted at one pair of D = 71 (h = 7): the
+    # suite reports it through the value oracle
+    compose = classes.compose_rows
+
+    def corrupt(f1, f2):
+        # (2, 1, 9)^2 = (4, -3, 5), the first pair of two classes with a = 2,
+        # becomes (3, 1, 6), which is neither it nor its inverse and does
+        # not take the pair's one product 9 * 19
+        got = compose(f1, f2)
+        a, b, c = f1.T
+        at = np.flatnonzero((4 * a * c - b * b == 71) & (a == 2) & (f2[:, 0] == 2))
+        got[at[:1]] = (3, 1, 6)
+        return got
+
+    monkeypatch.setattr(classes, "compose_rows", corrupt)
+    res = run_suite("classgroup", dmax=80, phimax=3, rednf_trials=0)
+    assert any(m.startswith("compose oracle disagrees at D=71: composition ") for m in res.failures)
+    assert all("D=71" in m for m in res.failures), res.failures
 
 
 _J0_FORMS = brute_quartics_both_signs(3)
