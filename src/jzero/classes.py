@@ -73,15 +73,15 @@ def gauss_reduce(
 
 def xgcd_rows(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(g, x, y) row by row with g = gcd(u, v) = u x + v y, for v > 0 and
-    any u: the extended Euclid algorithm (Cohen, GTM 138, 1.3), stepping
-    only the rows not yet done.  u^(-1) mod m is x mod m of (u mod m, m),
-    as `pow(u, -1, m)`, and 0 where m = 1.  After the first step every
-    remainder lies in [0, v) and |x| <= v, so nothing passes max(|u|, v)
-    but the products u x and v y of the last line, within |u| v.  The
-    arrays may be int64 or object (Python integers)."""
+    any u: the extended Euclid algorithm (Cohen, GTM 138, 1.3) on (v,
+    u mod v), stepping only the rows not yet done; y is (g - u x) / v.
+    u^(-1) mod m is x mod m of (u, m), as `pow(u, -1, m)`, and 0 where
+    m = 1.  The remainders lie in [0, v] and |x| <= v, so nothing passes
+    v but u mod v and the products u x and v y of the last line, within
+    |u| v.  The arrays may be int64 or object (Python integers)."""
     g, x = np.empty_like(v), np.empty_like(v)
     rows = np.arange(len(v))
-    r0, r1, s0, s1 = u, v, 0 * v + 1, 0 * v  # r_i = s_i u (mod v)
+    r0, r1, s0, s1 = v, u % v, 0 * v, 0 * v + 1  # r_i = s_i u (mod v)
     while len(rows):
         done = r1 == 0
         g[rows[done]], x[rows[done]] = r0[done], s0[done]

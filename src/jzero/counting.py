@@ -299,7 +299,7 @@ def frame_block(abc: Sequence, ibound: Optional[int] = None) -> FrameBlock:
     g = np.gcd(m3l, m2)
     h = m2 // g
     mods = np.concatenate((m3, m2, h))
-    units = np.concatenate((v3 // g3, v2l // g2, m3l // g)) % mods
+    units = np.concatenate((v3 // g3, v2l // g2, m3l // g)) % mods  # u x below mods^2
     inv3, inv2, inv = np.split(xgcd_rows(units, mods)[1] % mods, (len(m3), len(m3) + len(lift)))
     k = 4 * c % n3 * (v2 % n3) % n3 * d1 % n3 // g3 * inv3 % m3
     r3 = k[lift]
