@@ -23,8 +23,10 @@ over Q is first tried by a certificate mod small primes
 root of F mod p proves it, by Stickelberger's theorem); forms it does not
 settle are factored, with rational roots and quadratic factors found by
 divisor enumeration under a Mignotte-style coefficient bound.
-`irreducible_rows` decides a whole array of coefficient rows the same way,
-with the certificate on int64 arrays.
+`irreducible_rows` decides a whole array of coefficient rows: the
+certificate on int64 arrays, then an int64 pass over the divisor pairs of
+the outer coefficients that witnesses most reducible rows by a root or a
+quadratic factor, then factoring of the rows still open.
 """
 
 from __future__ import annotations
@@ -716,11 +718,34 @@ def irreducible_rows(rows) -> np.ndarray:
     (disc/p) = -1 (read from a table of the non-residues mod p) and none
     of the p values F(t, 1) is 0 mod p.  A square or zero disc(F) is a
     square mod every p, so it never passes the Legendre test and needs no
-    test of its own.  The rows no prime certifies are factored.
+    test of its own.
+
+    The rows no prime certifies meet two reducibility witnesses, on every
+    pair (s, r) with s > 0 dividing a4 and r dividing a0:
+    - the root test, F(r, s) = 0: then r/s is a root of F(t, 1), of degree
+      4, so (s x - r y) divides F;
+    - the 2+2 split test: with c2 = a4/s and c0 = a0/r (integers) and
+      det = s c0 - c2 r != 0, the system s c1 + c2 b1 = a3,
+      r c1 + c0 b1 = a1 has the one solution b1 = (s a1 - r a3)/det,
+      c1 = (c0 a3 - c2 a1)/det.  When both are integers and
+      s c0 + b1 c1 + r c2 = a2, the product (s, b1, r)(c2, c1, c0) has all
+      five coefficients of F, so F has a quadratic factor (s, c2 != 0).
+    Both only prove reducibility, so neither can mark an irreducible row
+    reducible; a row that neither proves is factored, so a reducible row
+    they miss costs a factorization, never a wrong answer.  They miss few:
+    a rational root of F is r/s in lowest terms with s | a4 and r | a0,
+    and by Gauss's lemma a 2+2 split of F is (s, b1, r)(c2, c1, c0) with
+    integral factors and s > 0, which swapping the factors (and negating
+    both when c2 < 0) turns into the split at (|c2|, +-c0) with det
+    negated; so a reducible row is missed only when it has no rational
+    root and det = 0 at every split, as for (x^2 + xy + y^2)^2.
 
     Every value is exact in int64 for |a_i| <= H = MAX_BRUTE_HEIGHT:
     |I| <= 16 H^2 and |J| <= 137 H^3, so |4 I^3 - J^2| <= 35153 H^6 < 2^51,
-    and |F(t, 1)| <= H (1 + t + t^2 + t^3 + t^4) < 2^30 for t <= 58.
+    |F(t, 1)| <= H (1 + t + t^2 + t^3 + t^4) < 2^30 for t <= 58,
+    |F(r, s)| <= 5 H^5 < 2^32 for |r|, s <= H, and in the split test
+    |det|, |s a1 - r a3|, |c0 a3 - c2 a1| <= 2 H^2, so
+    |s c0 + b1 c1 + r c2| <= 2 H^2 + 4 H^4 < 2^26.
     Raises ValueError on a zero row or a coefficient beyond that bound.
     """
     rows = np.asarray(rows).reshape(-1, 5)
@@ -744,6 +769,41 @@ def irreducible_rows(rows) -> np.ndarray:
         cert[cert] = (values % p != 0).all(axis=1)
         out[left[cert]] = True
         left, disc = left[~cert], disc[~cert]
+    left = left[~_factor_witness(rows[left])]
     for i, row in zip(left.tolist(), rows[left].tolist()):
         out[i] = quartic_factorization(QuarticForm(*row)).is_irreducible()
     return out
+
+
+def _factor_witness(rows: np.ndarray) -> np.ndarray:
+    """Whether the root test or the 2+2 split test of `irreducible_rows`
+    proves each int64 row (a4, a3, a2, a1, a0), a4 a0 != 0, reducible;
+    the proofs and the int64 bounds are in its docstring."""
+    d = np.arange(1, MAX_BRUTE_HEIGHT + 1, dtype=np.int64)
+    divides = np.arange(MAX_BRUTE_HEIGHT + 1)[:, None] % d == 0  # [n, d - 1]: d | n
+    # the pairs (s, r), s > 0 dividing a4 and r > 0 dividing a0: each row's
+    # s crossed with its r by a repeat and an offset
+    si, sd = np.nonzero(divides[np.abs(rows[:, 0])])
+    ri, rd = np.nonzero(divides[np.abs(rows[:, 4])])
+    nr = np.bincount(ri, minlength=len(rows))
+    per = nr[si]
+    k = np.repeat(si, per)
+    s = np.repeat(d[sd], per)
+    r = d[rd[np.repeat(np.cumsum(nr)[si] - np.cumsum(per), per) + np.arange(len(k))]]
+    a4, a3, a2, a1, a0 = rows[k].T
+
+    def split(r):
+        # the 2+2 split test; a function, so that its temporaries go at return
+        c2, c0 = a4 // s, a0 // r
+        det = s * c0 - c2 * r
+        ok = det != 0
+        det[~ok] = 1
+        b1, rb = np.divmod(s * a1 - r * a3, det)
+        c1, rc = np.divmod(c0 * a3 - c2 * a1, det)
+        return ok & (rb == 0) & (rc == 0) & (s * c0 + b1 * c1 + r * c2 == a2)
+
+    # the root test at r and -r: F(+-r, s) = E +- O, E even and O odd in r
+    r2, s2 = r * r, s * s
+    root = np.abs((a4 * r2 + a2 * s2) * r2 + a0 * s2 * s2) == np.abs((a3 * r2 + a1 * s2) * r * s)
+    del r2, s2
+    return np.bincount(k[root | split(r) | split(-r)], minlength=len(rows)) > 0

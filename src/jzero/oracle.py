@@ -9,9 +9,11 @@ the box is closed under it, and `brute_quartics` yields one form of each
 pair {F, -F}, the one with (a4, a3) < (0, 0).  F and -F are irreducible
 together, so the box decides irreducibility once per pair, a block of
 BOX_CHUNK pairs at a time (`forms.irreducible_rows`: a4 a0 = 0, the
-mod-p certificate on int64 arrays, and full factorization of the rows it
-leaves).  That decision uses no family theory, only the mod-p theorem and
-factorization, so the oracle stays independent of the counts it checks.
+mod-p certificate on int64 arrays, then a root or quadratic-factor
+witness on the divisor pairs of a4 and a0, and full factorization of the
+rows both leave).  That decision uses no family theory, only the mod-p
+theorem, explicit factors and factorization, so the oracle stays
+independent of the counts it checks.
 Each irreducible pair is keyed once as well: F is keyed by transporting
 it into the canonical coordinates of its Hessian divisor class and
 canonicalizing the family point under the divisor's finite symmetry
@@ -23,10 +25,12 @@ and transform, fiber action and n_f) is computed once per divisor
 closed forms: `hessian_sqrt` works on the Hessian's coefficient tuple,
 `act_quartic` expands the substitution directly in the matrix entries,
 and an indefinite divisor is labelled from its one reduction cycle
-(`indefinite_class_key`).  Two forms get the same key exactly when they
-are GL2(Z)-equivalent; the tests check this against an explicit matrix
-search at small height, and the keys against slow references of all three
-steps (`tests/reference.py`).
+(`indefinite_class_key`).  Only the box count needs those labels; a check
+that keys the definite and square slices alone tests the Hessian root
+(`hessian_root`, `is_indefinite`) and keys the rest from it (`root_key`).
+Two forms get the same key exactly when they are GL2(Z)-equivalent; the
+tests check this against an explicit matrix search at small height, and
+the keys against slow references of all three steps (`tests/reference.py`).
 
 The box height needed to see every orbit up to a given height bound is
 certified from the family enumeration itself (the canonical representative
@@ -223,12 +227,12 @@ def _new_divisor(f: QuadraticForm) -> Divisor:
             g = act_quadratic(g, _FLIP)
             T = T.mul(_FLIP)
         slice_ = "posdef"
+    elif is_indefinite(f):
+        # out-of-scope slice: the key is a true orbit invariant (canonical
+        # divisor class plus invariants) but deliberately not separating
+        return Divisor("indefinite", indefinite_class_key(f), None, None, None, 0)
     else:
         n = math.isqrt(disc)
-        if n * n != disc:
-            # out-of-scope slice: the key is a true orbit invariant (canonical
-            # divisor class plus invariants) but deliberately not separating
-            return Divisor("indefinite", indefinite_class_key(f), None, None, None, 0)
         cands = _square_candidates(f)
         best = min(lab for lab, _ in cands)
         T = next(U for lab, U in cands if lab == best)
@@ -259,21 +263,39 @@ def _square_candidates(f: QuadraticForm) -> list[tuple[int, Unimodular]]:
     return out
 
 
-def orbit_key(F: QuarticForm) -> OrbitKey:
-    """Canonical GL2(Z)-orbit label of a J = 0, nonzero-discriminant form."""
+def is_indefinite(f: QuadraticForm) -> bool:
+    """Whether the Hessian root f lies on the indefinite slice: disc(f) > 0
+    and not a square."""
+    disc = f.disc()
+    return disc > 0 and math.isqrt(disc) ** 2 != disc
+
+
+def hessian_root(F: QuarticForm) -> tuple[QuadraticForm, tuple[int, int, int]]:
+    """The Hessian root f of F (`hessian_sqrt`) and F's (I, J, disc).
+    Raises ValueError unless J = 0 and disc != 0, and AssertionError if such
+    an F has no root."""
     t = invariants(F)
     if t.J != 0 or t.disc == 0:
         raise ValueError("orbit keys need J = 0 and disc != 0")
     res = hessian_sqrt(F)
     if res is None:
         raise AssertionError(f"no Hessian square root for J = 0 form {F}")
-    d = divisor(res[0])
-    inv_t = (t.I, t.J, t.disc)
+    return res[0], (t.I, t.J, t.disc)
+
+
+def root_key(F: QuarticForm, f: QuadraticForm, inv_t: tuple[int, int, int]) -> OrbitKey:
+    """`orbit_key(F)` from F's `hessian_root` (f, inv_t)."""
+    d = divisor(f)
     if d.g is None:
         return OrbitKey(d.slice, d.label, (0, 0), inv_t)
     pt = member_of(d.g, act_quartic(F, d.T))
-    assert pt is not None, (F, res[0], d.g)
+    assert pt is not None, (F, f, d.g)
     return OrbitKey(d.slice, d.label, d.action.canonical(pt.A, pt.B), inv_t)
+
+
+def orbit_key(F: QuarticForm) -> OrbitKey:
+    """Canonical GL2(Z)-orbit label of a J = 0, nonzero-discriminant form."""
+    return root_key(F, *hessian_root(F))
 
 
 def negated_key(key: OrbitKey) -> tuple[OrbitKey, int, int]:
@@ -338,9 +360,12 @@ def orbit_count_bruteforce(X: int, height: Optional[int] = None) -> BruteForceRe
     size falls short of n_f.  Each {F, -F} pair of the box is decided and
     keyed once, on the member that `brute_quartics` yields, and its
     partner's key is `negated_key` of it.  The forms are decided in blocks
-    of BOX_CHUNK by `irreducible_rows`, so memory stays flat, and only the
+    of BOX_CHUNK by `irreducible_rows` (the mod-p certificate, then the
+    factor witnesses, then factoring), so memory stays flat, and only the
     irreducible ones are keyed; that decision reads no family theory, so
-    the oracle stays independent of the counts it checks."""
+    the oracle stays independent of the counts it checks.  Every
+    irreducible key is built, the indefinite ones too: their number is
+    `indefinite_orbits`, the suite's `indefinite_divisor_classes`."""
     required, n_rep, m_rep = certify_cover(X)
     if height is None:
         height = required

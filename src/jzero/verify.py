@@ -760,17 +760,21 @@ def suite_oracle_equivalence(
             "box_height": rep.height,
             "indefinite_divisor_classes": rep.indefinite_orbits,
         }
-    # completeness: every box form lands in exactly one family with a fiber
-    # size dividing n_f (equality reported as a finding when violated).  F
-    # and -F share the fiber size and n_f, so each pair is keyed once, on
-    # the member that brute_quartics yields.
+    # completeness: every box form has a Hessian root, and every form whose
+    # root is definite or of square discriminant lands in exactly one family
+    # with a fiber size dividing n_f (equality reported as a finding when
+    # violated).  An indefinite root has no family and no fiber, so its pair
+    # is skipped once the root exists, before any class label is built.  F
+    # and -F share the root, the fiber size and n_f, so each pair is keyed
+    # once, on the member that brute_quartics yields.
     seen = 0
     fiber_equal = fiber_divides = 0
     for F in oracle.brute_quartics(completeness_height):
         seen += 2
-        key = oracle.orbit_key(F)  # asserts family membership internally
-        if key.slice == "indefinite":
+        f, inv_t = oracle.hessian_root(F)  # asserts J = 0, disc != 0 and the root
+        if oracle.is_indefinite(f):
             continue
+        key = oracle.root_key(F, f, inv_t)  # asserts family membership internally
         neg, size, n_f = oracle.negated_key(key)
         res.checks += 2
         if n_f % size != 0:

@@ -9,15 +9,18 @@ import pickle
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jzero import forms
 from jzero.classes import reduced_forms
 from jzero.families import family_coefficients, lattice_Lfa
 from jzero.forms import (
     _divisors,
+    _factor_witness,
     _exact_sqrt,
     _mignotte_bound,
     _quadratic_split,
@@ -455,7 +458,9 @@ def test_irreducible_rows_match_the_scalar_decision():
     assert 0 < got.sum() < len(box)
 
 
-def test_irreducible_rows_edge_rows():
+def test_irreducible_rows_edge_rows(monkeypatch):
+    square = QuarticForm(*quadratic_product((1, 1, 1), (1, 1, 1)))  # (x^2 + xy + y^2)^2
+    split = QuarticForm(*quadratic_product((5, -1, 3), (-12, -1, -5)))
     rows = [
         QuarticForm(0, 1, 2, 3, 4),  # a4 = 0
         QuarticForm(5, 0, 1, 2, 0),  # a0 = 0
@@ -465,16 +470,83 @@ def test_irreducible_rows_edge_rows():
         # disc not a square, and each prime divides a4 or fails the test
         QuarticForm(-3, -3, -1, -2, -5),  # irreducible
         QuarticForm(-12, -12, 0, -12, 12),  # reducible
+        # no rational root, and every split (s, r) has det = s a0/r - a4 r/s = 0
+        square,
+        square.neg(),
+        # no rational root, and the split (5, -1, 3)(-12, -1, -5) has det = 11
+        split,
+        # irreducible, where a det = 0 pair, or an inexact quotient, solves
+        # the x^2 y^2 equation of the split test
+        QuarticForm(-28, -56, -28, -57, -28),
+        QuarticForm(7, 7, -13, 24, -14),
         QuarticForm(60, -60, 60, -60, 59),  # at the coefficient bound
     ]
+    assert square.coeffs() == (1, 2, 3, 2, 1) and split.coeffs() == (-60, 7, -60, 2, -15)
     for F in rows[3:5]:
         assert invariants(F).J == 0 and _exact_sqrt(3 * invariants(F).I) is not None
     for F in rows[5:7]:
         assert _exact_sqrt(invariants(F).disc) is None and irreducible_mod_p(F) is None
+    for F in rows[7:10]:
+        assert not quartic_factorization(F).linears and len(quartic_factorization(F).quadratics) == 2
     want = [is_irreducible_Q(F) for F in rows]
-    assert want[:7] == [False, False, True, True, False, True, False]
+    assert want[:12] == [False, False, True, True, False, True, False, False, False, False, True, True]
+    # the witness alone, on the rows with a4 a0 != 0, certified ones too;
+    # -12 x^4 - 3 y^4 = -3 (2, -2, 1)(2, 2, 1) has det = 0 at every split
+    witnessed = _factor_witness(np.array([F.coeffs() for F in rows[2:]], dtype=np.int64))
+    assert witnessed.tolist() == [False, False, False, False, True, False, False, True, False, False, False]
+    factored = []
+
+    def spy(F):
+        factored.append(F)
+        return quartic_factorization(F)
+
+    monkeypatch.setattr(forms, "quartic_factorization", spy)
     assert irreducible_rows([F.coeffs() for F in rows]).tolist() == want
     assert irreducible_rows([]).tolist() == []
+    # the witness settles the split; the square and its negation are left
+    # to factoring, with the irreducible rows no prime certifies
+    assert square in factored and square.neg() in factored and split not in factored
+
+
+def _times(p, q):
+    """The coefficients of the product of two binary forms, x-degree first."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+def _in_row_bound(row):
+    return any(row) and max(map(abs, row)) <= 60
+
+
+_SMALL = st.integers(-8, 8)
+_FACTOR_PAIRS = st.one_of(
+    st.tuples(st.tuples(_SMALL, _SMALL), st.tuples(*[_SMALL] * 4)),  # linear x cubic
+    st.tuples(st.tuples(*[_SMALL] * 3), st.tuples(*[_SMALL] * 3)),  # quadratic x quadratic
+    st.tuples(st.tuples(*[st.integers(-60, 60)] * 5), st.just((1,))),  # a random row
+).filter(lambda pq: _in_row_bound(_times(*pq)))
+
+
+@settings(max_examples=200, deadline=5000, database=None)
+@given(st.lists(_FACTOR_PAIRS, min_size=1, max_size=40))
+def test_irreducible_rows_match_the_scalar_decision_on_products(pairs):
+    # rows p q, each |a_i| <= 60: the row decision is the scalar one, and
+    # on the rows with a4 a0 != 0 the witness alone (before any
+    # certificate) marks only reducible rows, finds every linear factor and
+    # every quadratic one whose split (s, r) = (p2, p0), (c2, c0) = (q2, q0)
+    # has det = s c0 - c2 r != 0 (negating both factors keeps det)
+    rows = [_times(p, q) for p, q in pairs]
+    want = [is_irreducible_Q(QuarticForm(*row)) for row in rows]
+    assert irreducible_rows(rows).tolist() == want
+    outer = [i for i, row in enumerate(rows) if row[0] * row[4]]
+    witnessed = _factor_witness(np.array([rows[i] for i in outer], dtype=np.int64).reshape(-1, 5))
+    for i, w in zip(outer, witnessed):
+        p, q = pairs[i]
+        assert not (w and want[i]), rows[i]
+        assert w or len(p) != 2, rows[i]
+        assert w or len(p) != 3 or p[0] * q[2] == q[0] * p[2], rows[i]
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import jzero
-from jzero import classes, counting, families, forms, hensel, verify
+from jzero import classes, counting, families, forms, hensel, oracle, verify
 from jzero.verify import SUITES, run_suite
 from reference import contains
 
@@ -45,6 +45,26 @@ def test_reduced_parameter_suites_pass():
     r = run_suite("oracle-equivalence", xs=(2000,), completeness_height=6)
     assert r.passed
     assert r.stats["completeness_forms"] > 100
+
+
+def test_completeness_check_builds_no_indefinite_label(monkeypatch):
+    # the completeness loop skips an indefinite pair on its Hessian root,
+    # before any class label: a fresh divisor memo and a label that raises
+    # leave the suite's counts as they are
+    def run():
+        return run_suite("oracle-equivalence", xs=(), completeness_height=6)
+
+    def no_label(f):
+        raise AssertionError(f"indefinite_class_key({f}) called")
+
+    names = ("completeness_forms", "fiber_equal_nf", "fiber_proper_divisor")
+    want = run()
+    monkeypatch.setattr(oracle, "_DIVISORS", {})
+    monkeypatch.setattr(oracle, "indefinite_class_key", no_label)
+    got = run()
+    assert got.passed, got.failures[:3]
+    assert [got.stats[k] for k in names] == [want.stats[k] for k in names]
+    assert got.checks == want.checks and got.stats["completeness_forms"] > 100
 
 
 def test_box_walk_reaches_every_lattice_point():
