@@ -20,8 +20,8 @@ from jzero.classes import reduced_forms
 from jzero.families import family_coefficients, lattice_Lfa
 from jzero.forms import (
     _divisors,
-    _factor_witness,
     _exact_sqrt,
+    _factor_witness,
     _mignotte_bound,
     _quadratic_split,
     IDENTITY,
