@@ -1,9 +1,11 @@
 """Reduction theory and class arithmetic for binary quadratic forms.
 
 Positive definite forms: Gauss reduction with transform tracking, reduced
-|b| <= a <= c (b >= 0 on the boundary), class enumeration per discriminant
-(h2(-D) = len(reduced_forms(D))), and Dirichlet composition through
-concordant representatives.
+|b| <= a <= c (b >= 0 on the boundary), class enumeration for a range of
+discriminants (h2(-D) = len(reduced_forms(D))), Dirichlet composition of
+one pair through concordant representatives (`compose`), and composition
+tables, which `composition_table` alone builds, by Shanks' row composition
+(`compose_rows`); `class_group(D)` keeps the one of -D.
 
 Square discriminant n^2 > 0: every primitive class has a unique
 representative a x^2 + n xy with 1 <= a <= n, gcd(a, n) = 1 (a = 1 when
@@ -386,6 +388,31 @@ def class_pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
+def _row_index(rows: np.ndarray, D: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The index of the row (D[i], *f[i]) among `rows`, -1 where none: a
+    reduced form of discriminant -D is fixed by (D, a, b), which keys the
+    search, and the found row is compared whole."""
+    w = math.isqrt(int(rows[:, 0].max()) // 3) + 1  # above every reduced |b| <= a
+    scale = np.array([w * (2 * w + 1), 2 * w + 1, 1])
+    keys = rows[:, :3] @ scale
+    order = np.argsort(keys)
+    at = np.searchsorted(keys[order], np.column_stack((D, f[:, :2])) @ scale)
+    at = order[at.clip(max=len(rows) - 1)]
+    found = (rows[at, 0] == D) & (rows[at, 1:] == f).all(axis=1)
+    return np.where(found, at, -1)
+
+
+def composition_table(rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The composition table of the classes of `enumerate_reduced` rows
+    (D, a, b, c): every ordered pair (i, j) of `class_pairs`, the reduced
+    composite f3 of rows i and j by `compose_rows`, and the index among
+    `rows` of each f3, -1 where it is none of them.  For the rows of one
+    D, the indices read as h rows of h are the table of its class group."""
+    i, j = class_pairs(rows)
+    f3 = compose_rows(rows[i, 1:], rows[j, 1:])
+    return i, j, f3, _row_index(rows, rows[i, 0], f3)
+
+
 def inverse(c: FormClass) -> FormClass:
     f = c.rep
     return class_of(QuadraticForm(f.a, -f.b, f.c))
@@ -403,37 +430,17 @@ def order(c: FormClass) -> int:
     return n
 
 
-class ClassGroup:
-    """The Picard group of primitive SL2 classes of discriminant -D, with
-    its composition table."""
-
-    def __init__(self, D: int):
-        if D <= 0 or D % 4 not in (0, 3):
-            raise ValueError("need D > 0 with D = 0, 3 (mod 4)")
-        self.disc = -D
-        self.elements = [FormClass(f, -D) for f in reduced_forms(D)]
-        self._table: dict[tuple, FormClass] = {}
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def compose(self, c1: FormClass, c2: FormClass) -> FormClass:
-        key = (c1.rep.coeffs(), c2.rep.coeffs())
-        got = self._table.get(key)
-        if got is None:
-            got = compose(c1, c2)
-            self._table[key] = got
-            self._table[(key[1], key[0])] = got
-        return got
-
-    def identity(self) -> FormClass:
-        return principal_class(self.disc)
-
-
 @functools.lru_cache(maxsize=1)
-def class_group(D: int) -> ClassGroup:
-    """The ClassGroup of -D; one slot, so a sweep over D builds each once."""
-    return ClassGroup(D)
+def class_group(D: int) -> tuple[list[FormClass], np.ndarray]:
+    """The classes of -D, in `enumerate_reduced` order (the principal class
+    first: it is the one reduced form with a = 1), and their h x h table T
+    of `composition_table` indices, class x * class y = class T[x, y].  One
+    slot, so a sweep over D builds each once."""
+    rows = enumerate_reduced(D, D + 1)
+    _, _, _, index = composition_table(rows)
+    assert (index >= 0).all(), D
+    h = len(rows)
+    return [FormClass(QuadraticForm(*f), -D) for f in rows[:, 1:].tolist()], index.reshape(h, h)
 
 
 # ---------------------------------------------------------------------------

@@ -252,14 +252,11 @@ def cmd_reduce(args) -> int:
 
 def cmd_classgroup(args) -> int:
     D = args.D
-    els = [c.rep.coeffs() for c in classes.class_group(D).elements]
-    # every ordered pair of classes composed in one row pass
-    rows = classes.enumerate_reduced(D, D + 1)
-    i, j = classes.class_pairs(rows)
-    composites = classes.compose_rows(rows[i, 1:], rows[j, 1:]).tolist()
-    table = {
-        f"{els[x]}*{els[y]}": tuple(g) for x, y, g in zip(i.tolist(), j.tolist(), composites)
-    }
+    if D <= 0 or D % 4 not in (0, 3):
+        raise ConfigError("need D > 0 with D = 0, 3 (mod 4)")
+    G, T = classes.class_group(D)
+    els = [c.rep.coeffs() for c in G]
+    table = {f"{f}*{g}": els[z] for f, row in zip(els, T.tolist()) for g, z in zip(els, row)}
     emit_summary(
         args,
         {"disc": -D, "h2": len(els), "classes": els, "composition": table},

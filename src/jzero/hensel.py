@@ -365,21 +365,23 @@ def hensel_class_check(f: QuadraticForm, p: int, kmax: int = 3) -> HenselCheckRe
     the hypothesis fails and the check is vacuous.  p must be an odd prime
     splitting in disc(f).
 
-    One walk around the cycle of P in the class group gives
-    powers[j] = P^j, hence the order n = len(powers), s, and every target
-    P^(s +- k) = powers[(s +- k) % n].  The targets are compared up to
-    inverse, so the orientation of P does not change them.
+    One walk around the cycle of P by lookups in the composition table of
+    `class_group` gives powers[j] = P^j, hence the order n = len(powers),
+    s, and every target P^(s +- k) = powers[(s +- k) % n].  The targets are
+    compared up to inverse, so the orientation of P does not change them.
     """
     if not f.is_primitive():
         raise ValueError("f must be primitive")
     D = f.disc()
     P = prime_form_class(D, p)
-    G = class_group(-D)
-    powers = [G.identity()]
-    acc = P
-    while acc != powers[0]:
-        powers.append(acc)
-        acc = G.compose(acc, P)
+    G, T = class_group(-D)
+    x = G.index(P)
+    walk, y = [0], x  # G[0] is the principal class
+    while y:
+        walk.append(y)
+        y = T[y, x]
+        assert len(walk) <= len(G), (f, p)  # else T is no group table
+    powers = [G[y] for y in walk]
     n = len(powers)
     fcls = class_of(f)
     s = orient = None

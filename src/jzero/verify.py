@@ -240,20 +240,6 @@ def _windows(rows):
         yield window
 
 
-def _row_index(rows, D, f):
-    """The index of the row (D[i], *f[i]) among `rows`, -1 where none: a
-    reduced form of discriminant -D is fixed by (D, a, b), which keys the
-    search, and the found row is compared whole."""
-    w = math.isqrt(int(rows[:, 0].max()) // 3) + 1  # above every reduced |b| <= a
-    scale = np.array([w * (2 * w + 1), 2 * w + 1, 1])
-    keys = rows[:, :3] @ scale
-    order = np.argsort(keys)
-    at = np.searchsorted(keys[order], np.column_stack((D, f[:, :2])) @ scale)
-    at = order[at.clip(max=len(rows) - 1)]
-    found = (rows[at, 0] == D) & (rows[at, 1:] == f).all(axis=1)
-    return np.where(found, at, -1)
-
-
 def suite_classgroup(
     dmax: int = 2000, phimax: int = 1000, rednf_trials: int = 20, seed: int = 20260809
 ) -> SuiteResult:
@@ -261,8 +247,9 @@ def suite_classgroup(
 
     The reduced forms of 3 <= D <= dmax come from one `enumerate_reduced`
     call, and each window of consecutive D (`_windows`) has every ordered
-    pair (i, j) of classes of equal D composed by `classes.compose_rows`
-    and checked by `oracle.value_candidates`/`compose_oracle` in one pass.
+    pair (i, j) of classes of equal D composed by
+    `classes.composition_table` and checked by
+    `oracle.value_candidates`/`compose_oracle` in one pass.
     T[i, j] is the index of class i * class j among the D's classes, -1
     outside the group; the laws are checked on T per D."""
     res = SuiteResult("classgroup")
@@ -271,10 +258,8 @@ def suite_classgroup(
     for runs in _windows(rows):
         start = runs[0][0]
         win = rows[start : runs[-1][1]]
-        i, j = classes.class_pairs(win)
+        i, j, f3, index = classes.composition_table(win)
         D, f1, f2 = win[i, 0], win[i, 1:], win[j, 1:]
-        f3 = classes.compose_rows(f1, f2)
-        index = _row_index(win, D, f3)
         used = oracle.value_candidates(D, f1, f2)
         disagree = ~((index >= 0) & oracle.compose_oracle(D, f3, used))
         pair = 0
@@ -367,14 +352,13 @@ def suite_hensel(
             res.checks += 1
             c = hensel.canonical_fp(f)
             nu = hensel.nu_of(f, c)
-            wred, _ = classes.reduce_form(hensel.w_of(f, c))
-            w = classes.class_of(wred)
+            w = classes.class_of(hensel.w_of(f, c))
             w2 = classes.compose(w, w)
             w4 = classes.compose(w2, w2)
             if nu not in (w4, classes.inverse(w4)):
                 res.fail(f"nu != w^4 for {f}: {nu.rep} vs {w4.rep}")
             if f.b >= 0:
-                ws[f.coeffs()] = (wred.a, abs(wred.b), wred.c)
+                ws[f.coeffs()] = (w.rep.a, abs(w.rep.b), w.rep.c)
         res.checks += 1
         if len(set(ws.values())) != len(ws):
             res.fail(f"w(f) collides across GL2 classes at D={D}: {ws}")

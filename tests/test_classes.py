@@ -9,8 +9,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from jzero.classes import (
-    ClassGroup,
     canonical_square_label,
+    class_group,
     class_number_sum_report,
     class_of,
     class_pairs,
@@ -223,45 +223,52 @@ def test_compose_examples():
 
 
 def test_class_group_elements_are_their_classes():
-    # ClassGroup keeps each reduced form as its class without reducing it
+    # class_group keeps each reduced form as its class without reducing it
     # again; class_of must give back the same element, for every D <= 2000
     for D in range(3, 2001):
         if D % 4 in (0, 3):
-            G = ClassGroup(D)
-            assert len(G) == len(reduced_forms(D)), D
-            for e in G.elements:
+            G, T = class_group(D)
+            assert len(G) == len(reduced_forms(D)) and T.shape == (len(G), len(G)), D
+            for e in G:
                 assert class_of(e.rep) == e, (D, e)
 
 
 def test_compose_rows_matches_compose():
     # Shanks' row composition against Dirichlet's through concordant reps,
-    # on every ordered pair of classes of every D <= 500
+    # on every ordered pair of classes of every D <= 500, and so is the
+    # index table of class_group(D)
     rows = enumerate_reduced(3, 501)
     i, j = class_pairs(rows)
     h = np.bincount(rows[:, 0])
     assert len(i) == (h * h).sum() == 13928
     assert (rows[i, 0] == rows[j, 0]).all()
     got = compose_rows(rows[i, 1:], rows[j, 1:]).tolist()
-    for D, f1, f2, f3 in zip(rows[i, 0].tolist(), rows[i, 1:].tolist(), rows[j, 1:].tolist(), got):
+    first = np.searchsorted(rows[:, 0], rows[:, 0])  # the first row of each row's D
+    x, y = i - first[i], j - first[j]  # the class indices within the D
+    for D, f1, f2, f3, x, y in zip(
+        rows[i, 0].tolist(), rows[i, 1:].tolist(), rows[j, 1:].tolist(), got, x.tolist(), y.tolist()
+    ):
         c1, c2 = (class_of(QuadraticForm(*f)) for f in (f1, f2))
-        assert compose(c1, c2).rep.coeffs() == tuple(f3), (D, f1, f2)
+        c3 = compose(c1, c2)
+        assert c3.rep.coeffs() == tuple(f3), (D, f1, f2)
+        G, T = class_group(D)
+        assert G[T[x, y]] == c3, (D, f1, f2)
 
 
 def test_group_axioms_sample():
     rng = random.Random(23)
     discs = [d for d in range(3, 400) if len(reduced_forms(d)) > 1]
     for D in rng.sample(discs, 20):
-        G = ClassGroup(D)
-        e = G.identity()
-        els = G.elements
+        e = principal_class(-D)
+        els = [class_of(f) for f in reduced_forms(D)]
         for c in els:
-            assert G.compose(e, c) == c
-            assert G.compose(c, inverse(c)) == e
+            assert compose(e, c) == c
+            assert compose(c, inverse(c)) == e
         for _ in range(30):
             a, b, c = (rng.choice(els) for _ in range(3))
-            assert G.compose(a, G.compose(b, c)) == G.compose(G.compose(a, b), c)
-            assert G.compose(a, b) == G.compose(b, a)
-            assert G.compose(a, b) in els
+            assert compose(a, compose(b, c)) == compose(compose(a, b), c)
+            assert compose(a, b) == compose(b, a)
+            assert compose(a, b) in els
 
 
 def test_compose_represented_values():
@@ -269,8 +276,8 @@ def test_compose_represented_values():
     checked = 0
     while checked < 200:
         D = rng.choice([d for d in range(3, 300) if d % 4 in (0, 3)])
-        G = ClassGroup(D)
-        c1, c2 = rng.choice(G.elements), rng.choice(G.elements)
+        els = [class_of(f) for f in reduced_forms(D)]
+        c1, c2 = rng.choice(els), rng.choice(els)
         vals1 = _small_values(c1.rep, 60)
         vals2 = _small_values(c2.rep, 60)
         pair = next(

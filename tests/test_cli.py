@@ -68,6 +68,15 @@ def test_classgroup_composition_is_pinned(D, h2, digest, tmp_path):
     assert hashlib.sha256(json.dumps(doc["composition"]).encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("D", [0, 1, 2, 5, -3])
+def test_classgroup_bad_discriminant_exit_code(D):
+    # -D is a discriminant of positive definite forms only for D > 0 with
+    # D = 0, 3 (mod 4); any other D is a configuration error, without a traceback
+    out = run_cli("classgroup", str(D))
+    assert_config_error(out)
+    assert "need D > 0 with D = 0, 3 (mod 4)" in out.stderr
+
+
 def test_family_command(tmp_path):
     csv_path = tmp_path / "fam.csv"
     out = run_cli("family", "1,0,1", "--ibound", "100", "--csv", str(csv_path))
